@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Check that ``hamcolor color --json`` behaves the same at a git revision
+and in the working tree.
+
+Extracts ``src/`` of REV with ``git archive``, then runs ``color --json`` on
+one fixed input set once with each source tree, each in a fresh interpreter,
+and compares stdout, stderr, exit code and the written coloring file, call by
+call.  The inputs: five large family shapes (star n=1500, caterpillar m=201
+d=5, a-tree d=30, broom n=465 d=30 and broom n=600 d=25), each with its
+family metadata and relabelled without it, plus seeded Prufer trees with n
+from 4 to 40.  Exits 1 and names the first differing inputs on a mismatch.
+
+    python3 scripts/color_parity.py HEAD
+    python3 scripts/color_parity.py HEAD~1 --prufer 300
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SHAPES = [
+    ("star", {"n": 1500}),
+    ("caterpillar", {"m": 201, "d": 5}),
+    ("a-tree", {"d": 30}),
+    ("broom", {"n": 465, "d": 30}),
+    ("broom", {"n": 600, "d": 25}),
+]
+
+
+def _prufer_edges(seq: list[int]) -> list[tuple[int, int]]:
+    n = len(seq) + 2
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    u, w = (x for x in range(n) if degree[x] == 1)
+    return edges + [(u, w)]
+
+
+def _tree_text(n: int, edges, meta: dict | None = None) -> str:
+    head = "".join(f"# {k}: {v}\n" for k, v in (meta or {}).items())
+    return head + f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
+    """Write the input tree files; families come from the package at ``src``."""
+    sys.path.insert(0, str(src))
+    from hamcolor.families import generate
+
+    for fam, params in SHAPES:
+        tree, spec = generate(fam, params)
+        name = spec.family + "_" + "_".join(f"{k}{v}" for k, v in params.items())
+        meta = {"family": spec.family, "params": ",".join(f"{k}={v}" for k, v in spec.params.items())}
+        (workdir / f"{name}.meta.tree").write_text(_tree_text(tree.n, tree.edges, meta))
+        perm = list(range(tree.n))
+        random.Random(name).shuffle(perm)
+        plain = [(perm[u], perm[v]) for u, v in tree.edges]
+        (workdir / f"{name}.plain.tree").write_text(_tree_text(tree.n, plain))
+    for i in range(prufer):
+        n = 4 + i % 37
+        rng = random.Random(i)
+        edges = _prufer_edges([rng.randrange(n) for _ in range(n - 2)])
+        (workdir / f"prufer{i:03d}_n{n}.tree").write_text(_tree_text(n, edges))
+
+
+def run_side(src: Path, workdir: Path) -> dict:
+    """Worker: run ``color --json`` on every input with the package at ``src``."""
+    sys.path.insert(0, str(src))
+    from hamcolor.cli import main
+
+    results = {}
+    for path in sorted(workdir.glob("*.tree")):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["color", "--json", str(path)])
+        colored = Path(str(path) + ".coloring")
+        written = colored.read_text() if colored.exists() else None
+        colored.unlink(missing_ok=True)
+        results[path.name] = [code, out.getvalue(), err.getvalue(), written]
+    return results
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev", help="git revision to compare the working tree against")
+    ap.add_argument("--prufer", type=int, default=300, help="number of Prufer trees (default 300)")
+    ap.add_argument("--worker", nargs=2, metavar=("SRC", "WORKDIR"), help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.worker:
+        json.dump(run_side(Path(args.worker[0]), Path(args.worker[1])), sys.stdout)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", args.rev, "src"],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "rev", filter="data")
+        workdir = tmp / "inputs"
+        workdir.mkdir()
+        make_inputs(tmp / "rev" / "src", workdir, args.prufer)
+        sides = []
+        for src in (tmp / "rev" / "src", REPO / "src"):
+            proc = subprocess.run([sys.executable, __file__, args.rev, "--worker", str(src), str(workdir)],
+                                  check=True, capture_output=True, text=True)
+            sides.append(json.loads(proc.stdout))
+    old, new = sides
+    differ = [name for name in old if old[name] != new.get(name)]
+    codes: dict[int, int] = {}
+    for code, *_ in old.values():
+        codes[code] = codes.get(code, 0) + 1
+    print(f"{len(old)} inputs, exit codes at {args.rev}: {dict(sorted(codes.items()))}")
+    if differ or set(new) != set(old):
+        print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
+        return 1
+    print("identical: stdout, stderr, exit code and coloring file on every input")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,6 +28,7 @@ from .bounds import (
 from .families import (
     FamilySpec,
     closed_form_hc,
+    family_certificate,
     family_ordering,
     gen_a_tree,
     gen_broom,
@@ -40,7 +41,6 @@ from .ordering import (
     Coloring,
     SpacingCheck,
     certify_alternation,
-    certify_alternation_db,
     check_spacing,
     coloring_from_ordering,
     search_ordering,

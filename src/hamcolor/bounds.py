@@ -15,7 +15,6 @@ evaluation of the raw formula on anything.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotApplicableError
@@ -27,12 +26,18 @@ def is_applicable(tree: Tree) -> bool:
     return tree.n >= 4 and tree.max_degree >= 3
 
 
-def _require_applicable(tree: Tree, force: bool) -> None:
-    if not force and not is_applicable(tree):
+def require_applicable(tree: Tree, what: str, hint: str = "") -> None:
+    """Raise :class:`NotApplicableError` naming ``what`` unless :func:`is_applicable`."""
+    if not is_applicable(tree):
         raise NotApplicableError(
-            f"bounds need order >= 4 and max degree >= 3 "
-            f"(got n={tree.n}, max degree {tree.max_degree}); pass force=True for the raw value"
+            f"{what} need order >= 4 and max degree >= 3 "
+            f"(got n={tree.n}, max degree {tree.max_degree}){hint}"
         )
+
+
+def _require_applicable(tree: Tree, force: bool) -> None:
+    if not force:
+        require_applicable(tree, "bounds", "; pass force=True for the raw value")
 
 
 def lower_bound_weight(rv: RootedView, *, force: bool = False) -> int:
@@ -45,19 +50,7 @@ def lower_bound_weight(rv: RootedView, *, force: bool = False) -> int:
 
 def center_total_level(tree: Tree) -> int:
     """Sum over all vertices of the distance to the nearest graph center."""
-    centers = graph_centers(tree)
-    dist = [-1] * tree.n
-    dq: deque[int] = deque()
-    for c in centers:
-        dist[c] = 0
-        dq.append(c)
-    while dq:
-        u = dq.popleft()
-        for v in tree.adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                dq.append(v)
-    return sum(dist)
+    return sum(tree.bfs(graph_centers(tree))[0])
 
 
 def lower_bound_center(tree: Tree, *, force: bool = False) -> int:

@@ -2,7 +2,7 @@
 
 Verbs: gen, analyze, color, exact, verify, compare, dot.  Exit codes:
 0 success, 1 parse/validation problem, 2 verification failure, 3 size or
-budget limit, 4 no certified ordering found.
+budget limit, 4 no certified ordering found, 5 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ from .io import (
     parse_coloring_text,
     to_dot,
 )
-from .ordering import (
-    certify_alternation,
-    certify_alternation_db,
-    coloring_from_ordering,
-    search_ordering,
-)
+from .ordering import coloring_from_ordering, search_ordering
 from .solver import exact_hc, search_backend, verify_coloring
 from .tree import analyze, graph_centers
 
@@ -151,15 +146,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
     tree, meta = load_tree(args.file)
     rv = analyze(tree)
     spec = _family_spec_from_meta(tree, meta)
-    if spec is not None:
-        order = families.family_ordering(spec, tree)
-    else:
-        order = search_ordering(rv)
-    cert = certify_alternation_db(rv, order)
-    if cert.kind == "none":
-        cert = certify_alternation(rv, order)
-    if cert.kind == "none":
-        raise InternalError(f"produced ordering failed certification: {cert.reason}")
+    cert = families.family_certificate(spec, rv) if spec is not None else search_ordering(rv)
+    order = cert.ordering
     coloring = coloring_from_ordering(rv, order)
     bad = verify_coloring(rv, coloring)
     if bad:
@@ -315,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
-        return 2
+        return 5
     except TooLargeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

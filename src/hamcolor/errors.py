@@ -50,4 +50,5 @@ class FormatError(HamcolorError):
 
 
 class InternalError(HamcolorError):
-    """A produced ordering failed its own certification; indicates a bug."""
+    """An internal invariant failed, e.g. a produced ordering failed its own
+    certification; indicates a bug."""

@@ -18,8 +18,9 @@ known, the expected order, total level and hamiltonian chromatic number:
 * caterpillars: spine 0..m-1, every inner spine vertex brought up to degree d
                 by legs, which take ids m.. grouped by spine vertex.
 
-``family_ordering`` produces an ordering whose induced coloring attains the
-weight-center lower bound, certified before being returned.
+``family_certificate`` produces the certificate of an ordering whose induced
+coloring attains the weight-center lower bound; ``family_ordering`` returns
+just that ordering.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ordering as _ord
-from .bounds import is_applicable
-from .errors import BadParamsError, InternalError, NotApplicableError
+from .bounds import require_applicable
+from .errors import BadParamsError, InternalError
 from .tree import RootedView, Tree, analyze
 
 
@@ -225,8 +226,8 @@ def generate(family: str, params: dict[str, int]) -> tuple[Tree, FamilySpec]:
 
 def closed_form_hc(spec: FamilySpec) -> int:
     """Closed-form hamiltonian chromatic number for a recognised family instance."""
-    if spec.family in ("star", "broom_even", "broom_odd", "a_tree", "caterpillar"):
-        assert spec.expected_hc is not None
+    recognised = ("star", "broom_even", "broom_odd", "a_tree", "caterpillar")
+    if spec.family in recognised and spec.expected_hc is not None:
         return spec.expected_hc
     raise BadParamsError(f"no closed form for family {spec.family!r} with {spec.params}")
 
@@ -282,19 +283,16 @@ def _a_tree_ordering(rv: RootedView) -> list[int]:
     return order + tail
 
 
-def family_ordering(spec: FamilySpec, tree: Tree) -> list[int]:
-    """Ordering attaining the weight-center lower bound for a family instance.
+def family_certificate(spec: FamilySpec, rv: RootedView) -> _ord.Certificate:
+    """Certificate of an ordering attaining the weight-center lower bound for a
+    family instance, analysed by the caller as ``rv``.
 
     Stars, caterpillars and unrecognised brooms use the greedy search; the
     recognised broom and a-tree sub-families use their explicit constructions.
     The result is always certified; a certification failure on a recognised
     instance is a bug and raises :class:`InternalError`.
     """
-    if not is_applicable(tree):
-        raise NotApplicableError(
-            f"no ordering certificate for n={tree.n}, max degree {tree.max_degree}"
-        )
-    rv = analyze(tree)
+    require_applicable(rv.tree, "ordering certificates")
     if spec.family in ("star", "caterpillar", "broom"):
         return _ord.search_ordering(rv)
     if spec.family in ("broom_even", "broom_odd"):
@@ -310,4 +308,9 @@ def family_ordering(spec: FamilySpec, tree: Tree) -> list[int]:
     cert = _ord.certify_alternation(rv, order)
     if cert.kind == "none":
         raise InternalError(f"{spec.family} ordering failed certification: {cert.reason}")
-    return order
+    return cert
+
+
+def family_ordering(spec: FamilySpec, tree: Tree) -> list[int]:
+    """The ordering of :func:`family_certificate` for an unanalysed ``tree``."""
+    return list(family_certificate(spec, analyze(tree)).ordering)  # type: ignore[arg-type]

@@ -11,13 +11,15 @@ where b is 1 for two weight centers and 0 for one.  This module provides
 
 * ``check_spacing``       -- the exact pairwise condition: the induced coloring
                              is optimal if and only if it holds;
-* ``certify_alternation`` -- a cheaper sufficient condition: endpoint levels,
-                             branch alternation of consecutive vertices, and
-                             consecutive distances at most n/2;
-* ``certify_alternation_db`` -- drops the distance cap on trees whose diameter
-                             is at most n/2 (there it holds for free);
+* ``certify_alternation`` -- the one certificate check, a cheaper sufficient
+                             condition: endpoint levels, branch alternation of
+                             consecutive vertices, and consecutive distances at
+                             most n/2.  It returns the strongest kind earned:
+                             "alternation_db" on trees whose diameter is at most
+                             n/2 (the distance cap then holds for free),
+                             "alternation" otherwise, or "none";
 * ``search_ordering``     -- a deterministic greedy that tries to build a
-                             certified ordering.
+                             certified ordering and returns its certificate.
 
 Everything here requires n >= 4 and maximum degree >= 3.
 """
@@ -27,13 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import diameter_at_most_half, is_applicable, lower_bound_weight
-from .errors import (
-    NegativeIncrementError,
-    NotApplicableError,
-    NotAPermutationError,
-    SearchFailedError,
-)
+from .bounds import diameter_at_most_half, lower_bound_weight, require_applicable
+from .errors import NegativeIncrementError, NotAPermutationError, SearchFailedError
 from .tree import RootedView
 
 
@@ -81,14 +78,6 @@ def validate_ordering(n: int, order: Sequence[int]) -> list[int]:
     return o
 
 
-def _require_applicable(rv: RootedView) -> None:
-    if not is_applicable(rv.tree):
-        raise NotApplicableError(
-            f"ordering certificates need order >= 4 and max degree >= 3 "
-            f"(got n={rv.n}, max degree {rv.tree.max_degree})"
-        )
-
-
 def _endpoint_levels_ok(rv: RootedView, order: Sequence[int]) -> bool:
     # One weight center: one endpoint is the center, the other at level 1.
     # Two centers: both endpoints are centers.  Only the sum matters.
@@ -106,7 +95,7 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> SpacingCheck:
 
     Returns the first violating pair of positions, scanning i then j.
     """
-    _require_applicable(rv)
+    require_applicable(rv.tree, "ordering certificates")
     o = validate_ordering(rv.n, order)
     n = rv.n
     b = 1 if rv.bicentral else 0
@@ -154,49 +143,37 @@ def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def _alternation_reason(rv: RootedView, order: Sequence[int], check_cap: bool) -> str | None:
-    """None when the ordering satisfies the sufficient conditions, else why not."""
+def certify_alternation(rv: RootedView, order: Sequence[int]) -> Certificate:
+    """Strongest alternation certificate ``order`` earns, in one pass.
+
+    The sufficient conditions are the endpoint levels, consecutive vertices
+    sharing no ancestor (with two centers: on opposite sides of the center
+    edge) and consecutive distances at most n/2.  The kind is
+    "alternation_db" when the diameter is at most n/2, so the cap holds for
+    free, "alternation" when the cap is checked and holds, else "none" with
+    the first failure as the reason.
+    """
+    require_applicable(rv.tree, "ordering certificates")
+    o = validate_ordering(rv.n, order)
     n = rv.n
     b = 1 if rv.bicentral else 0
-    if not _endpoint_levels_ok(rv, order):
-        return f"endpoint levels {rv.level[order[0]]}+{rv.level[order[-1]]} != {1 - b}"
+    if not _endpoint_levels_ok(rv, o):
+        reason = f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}"
+        return Certificate("none", None, None, reason)
+    check_cap = not diameter_at_most_half(rv.tree)
     for i in range(n - 1):
-        u, v = order[i], order[i + 1]
-        # consecutive vertices must share no ancestors, and with two centers
-        # must sit on opposite sides of the center edge
+        u, v = o[i], o[i + 1]
+        reason = None
         if rv.common_ancestor_level(u, v) != 0:
-            return f"positions {i},{i + 1}: vertices {u},{v} share a branch"
-        if rv.bicentral and not rv.crosses_center_edge(u, v):
-            return f"positions {i},{i + 1}: vertices {u},{v} on the same side of the center edge"
-        if check_cap:
-            d = rv.detour_distance(u, v)
-            if 2 * d > n:
-                return f"positions {i},{i + 1}: distance {d} exceeds n/2"
-    return None
-
-
-def certify_alternation(rv: RootedView, order: Sequence[int]) -> Certificate:
-    """Sufficient conditions: endpoint levels, alternation, distance cap n/2."""
-    _require_applicable(rv)
-    o = validate_ordering(rv.n, order)
-    reason = _alternation_reason(rv, o, check_cap=True)
-    if reason is not None:
-        return Certificate("none", None, None, reason)
-    return Certificate("alternation", tuple(o), lower_bound_weight(rv))
-
-
-def certify_alternation_db(rv: RootedView, order: Sequence[int]) -> Certificate:
-    """Alternation certificate without the distance cap, on diameter <= n/2 trees."""
-    _require_applicable(rv)
-    o = validate_ordering(rv.n, order)
-    if not diameter_at_most_half(rv.tree):
-        return Certificate(
-            "none", None, None, f"diameter {rv.tree.diameter} exceeds n/2"
-        )
-    reason = _alternation_reason(rv, o, check_cap=False)
-    if reason is not None:
-        return Certificate("none", None, None, reason)
-    return Certificate("alternation_db", tuple(o), lower_bound_weight(rv))
+            reason = f"positions {i},{i + 1}: vertices {u},{v} share a branch"
+        elif rv.bicentral and not rv.crosses_center_edge(u, v):
+            reason = f"positions {i},{i + 1}: vertices {u},{v} on the same side of the center edge"
+        elif check_cap and 2 * (d := rv.detour_distance(u, v)) > n:
+            reason = f"positions {i},{i + 1}: distance {d} exceeds n/2"
+        if reason is not None:
+            return Certificate("none", None, None, reason)
+    kind = "alternation" if check_cap else "alternation_db"
+    return Certificate(kind, tuple(o), lower_bound_weight(rv))
 
 
 def _branch_queues(rv: RootedView) -> dict[int, list[int]]:
@@ -211,15 +188,16 @@ def _branch_queues(rv: RootedView) -> dict[int, list[int]]:
     return queues
 
 
-def search_ordering(rv: RootedView) -> list[int]:
+def search_ordering(rv: RootedView) -> Certificate:
     """Deterministic greedy: start at a weight center, then repeatedly take the
     deepest unplaced vertex from an allowed branch (a different branch with one
     center, the opposite side with two), preferring branches with the most
-    unplaced vertices and breaking ties by smallest branch id.  The produced
-    ordering is certified before being returned; failure raises
-    :class:`SearchFailedError` (which is not a proof that no ordering exists).
+    unplaced vertices and breaking ties by smallest branch id.  Returns the
+    ordering's certificate (the ordering is its ``.ordering``); certification
+    failure raises :class:`SearchFailedError` (which is not a proof that no
+    ordering exists).
     """
-    _require_applicable(rv)
+    require_applicable(rv.tree, "ordering certificates")
     queues = _branch_queues(rv)
     centers = sorted(rv.weight_centers)
     if rv.bicentral:
@@ -259,4 +237,4 @@ def search_ordering(rv: RootedView) -> list[int]:
     cert = certify_alternation(rv, order)
     if cert.kind == "none":
         raise SearchFailedError(f"greedy ordering failed certification: {cert.reason}")
-    return order
+    return cert

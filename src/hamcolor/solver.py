@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .errors import (
     IncompleteColoringError,
+    InternalError,
     NegativeColorError,
     TooLargeError,
 )
@@ -69,7 +70,7 @@ def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
     if len(colors) != n:
         raise IncompleteColoringError(f"{len(colors)} colors for {n} vertices")
     for c in colors:
-        if not isinstance(c, int) or c < 0:
+        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
             raise NegativeColorError(f"bad color {c!r}")
     out = []
     for u in range(n):
@@ -163,5 +164,6 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None, workers
         witness = min_span_for_order(rv, list(range(n)))
         return ExactResult(witness.span, witness, nodes, True)
     witness = min_span_for_order(rv, order)
-    assert witness.span == span, "kernel span disagrees with greedy completion"
+    if witness.span != span:
+        raise InternalError(f"kernel span {span} disagrees with greedy completion {witness.span}")
     return ExactResult(span, witness, nodes, hit)

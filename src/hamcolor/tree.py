@@ -21,12 +21,11 @@ the same center are *different*, two branches rooted at distinct centers are
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
-from .errors import BadVertexIdError, NotATreeError
+from .errors import BadVertexIdError, InternalError, NotATreeError
 
 
 class BranchRelation(str, Enum):
@@ -70,29 +69,41 @@ class Tree:
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         # connectivity; with exactly n-1 edges this also rules out cycles
-        if n > 1:
-            dist = self.distances_from(0)
-            if min(dist) < 0:
-                raise NotATreeError("graph is not connected")
+        if len(self.bfs([0])[2]) < n:
+            raise NotATreeError("graph is not connected")
         self._dist_matrix: list[list[int]] | None = None
 
     def check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or not (0 <= v < self.n):
             raise BadVertexIdError(f"vertex {v!r} outside 0..{self.n - 1}")
 
-    def distances_from(self, src: int) -> list[int]:
-        """BFS distances from ``src``; -1 marks unreachable vertices."""
-        self.check_vertex(src)
+    def bfs(self, sources: Iterable[int]) -> tuple[list[int], list[int | None], list[int]]:
+        """Breadth-first search from all ``sources`` at once.
+
+        Returns (distance to the nearest source, -1 when unreachable; BFS
+        parent, None at sources and unreachable vertices; visit order, sources
+        first in the order given).  Parents are visited before their children.
+        """
         dist = [-1] * self.n
-        dist[src] = 0
-        dq = deque([src])
-        while dq:
-            u = dq.popleft()
+        parent: list[int | None] = [None] * self.n
+        order: list[int] = []
+        for s in sources:
+            self.check_vertex(s)
+            if dist[s] < 0:
+                dist[s] = 0
+                order.append(s)
+        for u in order:  # the visit order doubles as the queue
+            du = dist[u] + 1
             for v in self.adj[u]:
                 if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    dq.append(v)
-        return dist
+                    dist[v] = du
+                    parent[v] = u
+                    order.append(v)
+        return dist, parent, order
+
+    def distances_from(self, src: int) -> list[int]:
+        """BFS distances from ``src``; -1 marks unreachable vertices."""
+        return self.bfs([src])[0]
 
     def distance_matrix(self) -> list[list[int]]:
         """All-pairs distances (cached; treat as read-only)."""
@@ -106,18 +117,12 @@ class Tree:
 
     @cached_property
     def _diameter_path(self) -> list[int]:
-        if self.n == 1:
-            return [0]
         da = self.distances_from(0)
         a = da.index(max(da))
-        db = self.distances_from(a)
-        b = db.index(max(db))
-        # walk back from b to a along decreasing distance
-        path = [b]
-        cur = b
-        while cur != a:
-            cur = next(x for x in self.adj[cur] if db[x] == db[cur] - 1)
-            path.append(cur)
+        db, parent, _ = self.bfs([a])
+        path = [db.index(max(db))]
+        while path[-1] != a:
+            path.append(parent[path[-1]])  # type: ignore[arg-type]
         return path
 
     @cached_property
@@ -145,28 +150,14 @@ def all_vertex_weights(tree: Tree) -> list[int]:
     the weight by n - 2*s.
     """
     n = tree.n
-    if n == 1:
-        return [0]
-    order = [0]
-    parent = [-1] * n
-    dist = [-1] * n
-    dist[0] = 0
-    dq = deque([0])
-    while dq:
-        u = dq.popleft()
-        for v in tree.adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                parent[v] = u
-                order.append(v)
-                dq.append(v)
+    dist, parent, order = tree.bfs([0])
     size = [1] * n
     for u in reversed(order[1:]):
-        size[parent[u]] += size[u]
+        size[parent[u]] += size[u]  # type: ignore[index]
     weights = [0] * n
     weights[0] = sum(dist)
     for u in order[1:]:
-        weights[u] = weights[parent[u]] + n - 2 * size[u]
+        weights[u] = weights[parent[u]] + n - 2 * size[u]  # type: ignore[index]
     return weights
 
 def weight_centers(tree: Tree) -> frozenset[int]:
@@ -207,40 +198,30 @@ class RootedView:
         self.weight_centers = weight_centers(tree)
         self.bicentral = len(self.weight_centers) == 2
         centers = sorted(self.weight_centers)
-        if self.bicentral:
-            w1, w2 = centers
-            assert w2 in tree.adj[w1], "two weight centers must be adjacent"
-        level: list[int | None] = [None] * n
-        parent: list[int | None] = [None] * n
-        side: list[int | None] = [None] * n
+        if self.bicentral and centers[1] not in tree.adj[centers[0]]:
+            raise InternalError(f"weight centers {centers} are not adjacent")
+        level, parent, order = tree.bfs(centers)
+        side = [0] * n
         root_of: list[int | None] = [None] * n
-        dq: deque[int] = deque()
-        for w in centers:
-            level[w] = 0
-            side[w] = w
-            dq.append(w)
-        while dq:
-            u = dq.popleft()
-            for v in tree.adj[u]:
-                if level[v] is None:
-                    level[v] = level[u] + 1
-                    parent[v] = u
-                    side[v] = side[u]
-                    root_of[v] = v if u in self.weight_centers else root_of[u]
-                    dq.append(v)
+        for v in order:
+            p = parent[v]
+            if p is None:
+                side[v] = v
+            else:
+                side[v] = side[p]
+                root_of[v] = v if p in self.weight_centers else root_of[p]
         roots = sorted(v for v in range(n) if root_of[v] == v)
         index = {r: i for i, r in enumerate(roots)}
-        self.level: tuple[int, ...] = tuple(level)  # type: ignore[arg-type]
+        self.level: tuple[int, ...] = tuple(level)
         self.parent: tuple[int | None, ...] = tuple(parent)
-        self.side: tuple[int, ...] = tuple(side)  # type: ignore[arg-type]
+        self.side: tuple[int, ...] = tuple(side)
         self.branch: tuple[int | None, ...] = tuple(
             None if root_of[v] is None else index[root_of[v]] for v in range(n)
         )
         self.branch_roots: tuple[int, ...] = tuple(roots)
         self.total_level = sum(self.level)
-        if self.bicentral:
-            halves = [sum(1 for v in range(n) if side[v] == w) for w in centers]
-            assert halves[0] == halves[1] == n // 2, "weight-bicentral halves must balance"
+        if self.bicentral and 2 * side.count(centers[0]) != n:
+            raise InternalError(f"halves at weight centers {centers} do not balance")
 
     @property
     def n(self) -> int:

@@ -13,7 +13,7 @@ from hamcolor.bounds import compare_bounds, lower_bound_weight
 from hamcolor.errors import SearchFailedError
 from hamcolor.families import (
     closed_form_hc,
-    family_ordering,
+    family_certificate,
     gen_a_tree,
     gen_broom,
     gen_caterpillar,
@@ -31,10 +31,10 @@ from hamcolor.tree import analyze
 def certified_span(tree, spec=None) -> int:
     """Span of the certified ordering for a tree (family route when given)."""
     rv = analyze(tree)
-    order = family_ordering(spec, tree) if spec is not None else search_ordering(rv)
-    cert = certify_alternation(rv, order)
-    assert cert.kind == "alternation"
-    col = coloring_from_ordering(rv, order)
+    cert = family_certificate(spec, rv) if spec is not None else search_ordering(rv)
+    assert cert.kind != "none"
+    assert certify_alternation(rv, cert.ordering) == cert
+    col = coloring_from_ordering(rv, cert.ordering)
     assert not verify_coloring(rv, col)
     assert col.span == cert.claimed_span
     return col.span

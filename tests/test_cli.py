@@ -4,8 +4,11 @@ import subprocess
 
 import pytest
 
+from hamcolor import cli, ordering
 from hamcolor.cli import main
 from hamcolor.io import parse_coloring_text, parse_tree_text
+from hamcolor.ordering import Coloring
+from hamcolor.tree import RootedView
 
 
 @pytest.fixture
@@ -150,6 +153,41 @@ class TestColor:
         open(path, "w").write("5\n0 1\n1 2\n2 3\n3 4\n")
         code, _, _ = run("color", path)
         assert code == 1
+
+    def test_one_analysis_and_one_certificate_per_call(self, run, tmp_path, monkeypatch):
+        counts = {"analyses": 0, "certificates": 0}
+        init, certify = RootedView.__init__, ordering.certify_alternation
+
+        def counting_init(self, tree):
+            counts["analyses"] += 1
+            init(self, tree)
+
+        def counting_certify(rv, order):
+            counts["certificates"] += 1
+            return certify(rv, order)
+
+        monkeypatch.setattr(RootedView, "__init__", counting_init)
+        monkeypatch.setattr(ordering, "certify_alternation", counting_certify)
+        plain = str(tmp_path / "b.tree")
+        open(plain, "w").write("9\n0 1\n1 2\n2 3\n0 4\n0 5\n0 6\n0 7\n0 8\n")
+        paths = [
+            gen_file(run, tmp_path, "broom", "n=10,d=4", "construction.tree"),
+            gen_file(run, tmp_path, "star", "n=6", "greedy.tree"),
+            plain,
+        ]
+        for path in paths:
+            counts.update(analyses=0, certificates=0)
+            code, _, _ = run("color", path)
+            assert code == 0
+            assert counts == {"analyses": 1, "certificates": 1}, path
+
+    def test_internal_error_exit_5(self, run, tmp_path, monkeypatch):
+        path = gen_file(run, tmp_path, "star", "n=5")
+        # a coloring that fails the self-check: leaves 1 and 2 get colors 1 apart
+        monkeypatch.setattr(cli, "coloring_from_ordering", lambda rv, order: Coloring(tuple(range(rv.n))))
+        code, _, err = run("color", path)
+        assert code == 5
+        assert "internal error" in err
 
     def test_tampered_metadata_exit_1(self, run, tmp_path):
         path = str(tmp_path / "lie.tree")

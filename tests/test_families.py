@@ -3,7 +3,9 @@ import pytest
 from hamcolor.bounds import is_applicable, lower_bound_weight
 from hamcolor.errors import BadParamsError, NotApplicableError
 from hamcolor.families import (
+    FamilySpec,
     closed_form_hc,
+    family_certificate,
     family_ordering,
     gen_a_tree,
     gen_broom,
@@ -19,9 +21,10 @@ from hamcolor.tree import analyze, weight_centers
 def certified_span(tree, spec) -> int:
     """Span of the certified family coloring, after re-verifying it."""
     rv = analyze(tree)
-    order = family_ordering(spec, tree)
-    assert certify_alternation(rv, order).kind == "alternation"
-    col = coloring_from_ordering(rv, order)
+    cert = family_certificate(spec, rv)
+    assert cert.kind != "none"
+    assert certify_alternation(rv, cert.ordering) == cert
+    col = coloring_from_ordering(rv, cert.ordering)
     assert not verify_coloring(rv, col)
     return col.span
 
@@ -160,17 +163,23 @@ class TestGenerate:
         assert closed_form_hc(generate("star", {"n": 6})[1]) == 16
         with pytest.raises(BadParamsError):
             closed_form_hc(generate("broom", {"n": 9, "d": 4})[1])
+        with pytest.raises(BadParamsError):
+            closed_form_hc(FamilySpec("star", {"n": 4}))  # recognised family, no value
 
 
 class TestFamilyOrdering:
     def test_needs_applicable_instance(self):
+        # the check must run before the construction: a-tree d=2 is one edge
         t, spec = gen_a_tree(2)
+        with pytest.raises(NotApplicableError):
+            family_certificate(spec, analyze(t))
         with pytest.raises(NotApplicableError):
             family_ordering(spec, t)
 
     def test_a_tree_order_frozen(self):
         t, spec = gen_a_tree(4)
         assert family_ordering(spec, t) == [0, 5, 2, 6, 3, 7, 4, 1]
+        assert family_certificate(spec, analyze(t)).ordering == (0, 5, 2, 6, 3, 7, 4, 1)
 
     def test_broom_order_frozen(self):
         t, spec = gen_broom(10, 4)

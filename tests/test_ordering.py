@@ -13,7 +13,6 @@ from hamcolor.families import gen_broom, gen_star
 from hamcolor.ordering import (
     Coloring,
     certify_alternation,
-    certify_alternation_db,
     check_spacing,
     coloring_from_ordering,
     search_ordering,
@@ -141,7 +140,7 @@ class TestColoringFromOrdering:
 class TestCertificates:
     def test_star_gets_db_certificate(self):
         rv = analyze(gen_star(5)[0])
-        cert = certify_alternation_db(rv, [0, 1, 2, 3, 4])
+        cert = certify_alternation(rv, [0, 1, 2, 3, 4])
         assert cert.kind == "alternation_db"
         assert cert.claimed_span == 9
         assert cert.ordering == (0, 1, 2, 3, 4)
@@ -149,8 +148,7 @@ class TestCertificates:
     def test_long_spider_needs_plain_certificate(self):
         rv = analyze(spider_331())
         order = [0, 3, 7, 6, 1, 5, 2, 4]
-        db = certify_alternation_db(rv, order)
-        assert db.kind == "none" and "diameter" in db.reason
+        assert not diameter_at_most_half(rv.tree)
         cert = certify_alternation(rv, order)
         assert cert.kind == "alternation"
         assert cert.claimed_span == 24
@@ -182,8 +180,6 @@ class TestCertificates:
         rv = analyze(path(6))
         with pytest.raises(NotApplicableError):
             certify_alternation(rv, [2, 5, 0, 4, 1, 3])
-        with pytest.raises(NotApplicableError):
-            certify_alternation_db(rv, [2, 5, 0, 4, 1, 3])
 
     def test_certified_orderings_pass_spacing(self, corpus):
         # the alternation conditions imply the pairwise condition
@@ -193,25 +189,28 @@ class TestCertificates:
                     continue
                 rv = analyze(t)
                 try:
-                    order = search_ordering(rv)
+                    cert = search_ordering(rv)
                 except SearchFailedError:
                     continue
-                assert certify_alternation(rv, order).kind == "alternation"
-                assert check_spacing(rv, order).ok
+                assert cert.kind != "none"
+                assert check_spacing(rv, cert.ordering).ok
 
-    def test_db_and_plain_agree_on_short_trees(self, corpus, rng):
-        # when the diameter fits in n/2 the cap can never fire, so the two
-        # certificates accept exactly the same orderings
+    def test_kind_follows_diameter(self, corpus, rng):
+        # when the diameter fits in n/2 the cap can never fire, so every
+        # accepted ordering earns "alternation_db"; otherwise "alternation"
+        seen = set()
         for t in corpus[6] + corpus[7]:
-            if not is_applicable(t) or not diameter_at_most_half(t):
+            if not is_applicable(t):
                 continue
             rv = analyze(t)
+            kind = "alternation_db" if diameter_at_most_half(t) else "alternation"
             order = list(range(t.n))
             for _ in range(30):
                 rng.shuffle(order)
-                plain = certify_alternation(rv, order)
-                db = certify_alternation_db(rv, order)
-                assert (plain.kind == "none") == (db.kind == "none")
+                got = certify_alternation(rv, order).kind
+                assert got in ("none", kind)
+                seen.add(got)
+        assert seen == {"none", "alternation_db", "alternation"}  # every branch exercised
 
 
 class TestSpacingSoundness:
@@ -243,12 +242,14 @@ class TestSpacingSoundness:
 class TestSearchOrdering:
     def test_star_order_frozen(self):
         rv = analyze(gen_star(6)[0])
-        assert search_ordering(rv) == [0, 1, 2, 3, 4, 5]
+        cert = search_ordering(rv)
+        assert cert.ordering == (0, 1, 2, 3, 4, 5)
+        assert cert.kind == "alternation_db" and cert.claimed_span == 16
 
     def test_broom_greedy(self):
         rv = analyze(gen_broom(9, 4)[0])
-        order = search_ordering(rv)
-        assert order == [0, 3, 4, 2, 5, 1, 6, 7, 8]
+        order = search_ordering(rv).ordering
+        assert order == (0, 3, 4, 2, 5, 1, 6, 7, 8)
         col = coloring_from_ordering(rv, order)
         assert col.span == lower_bound_weight(rv) == 43
 
@@ -270,7 +271,7 @@ class TestSearchOrdering:
                     continue
                 rv = analyze(t)
                 try:
-                    order = search_ordering(rv)
+                    order = search_ordering(rv).ordering
                 except SearchFailedError:
                     continue
                 succeeded += 1

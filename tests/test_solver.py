@@ -2,7 +2,8 @@ import pytest
 
 import oracles
 from hamcolor.bounds import is_applicable, lower_bound_weight
-from hamcolor.errors import IncompleteColoringError, NegativeColorError, TooLargeError
+from hamcolor import solver
+from hamcolor.errors import IncompleteColoringError, InternalError, NegativeColorError, TooLargeError
 from hamcolor.families import gen_a_tree, gen_broom, gen_star
 from hamcolor.ordering import Coloring
 from hamcolor.solver import (
@@ -48,10 +49,9 @@ class TestVerifyColoring:
 
     def test_bad_colors(self):
         rv = analyze(path(3))
-        with pytest.raises(NegativeColorError):
-            verify_coloring(rv, Coloring((0, -1, 2)))
-        with pytest.raises(NegativeColorError):
-            verify_coloring(rv, Coloring((0, 1.5, 2)))
+        for colors in ((0, -1, 2), (0, 1.5, 2), (0, True, 2)):
+            with pytest.raises(NegativeColorError):
+                verify_coloring(rv, Coloring(colors))
 
 
 class TestGreedyCompletion:
@@ -79,7 +79,7 @@ class TestGreedyCompletion:
                 continue
             rv = analyze(t)
             try:
-                order = search_ordering(rv)
+                order = search_ordering(rv).ordering
             except SearchFailedError:
                 continue
             # the greedy completion can only match the certified optimum
@@ -92,6 +92,17 @@ class TestExact:
         assert exact_of(path(2)).hc == 0
         assert exact_of(path(3)).hc == 1
         assert exact_of(path(4)).hc == 3
+
+    def test_kernel_span_mismatch_is_internal_error(self, monkeypatch):
+        real = solver._kernel.bnb_exact
+
+        def off_by_one(*args):
+            span, order, nodes, hit = real(*args)
+            return span + 1, order, nodes, hit
+
+        monkeypatch.setattr(solver._kernel, "bnb_exact", off_by_one)
+        with pytest.raises(InternalError):
+            exact_hc(analyze(gen_star(5)[0]))
 
     def test_frozen_examples(self, exact_of):
         assert exact_of(gen_star(4)[0]).hc == 4
