@@ -14,7 +14,7 @@ class BadVertexIdError(HamcolorError):
 
 
 class BadParamsError(HamcolorError):
-    """Family generator parameters out of range."""
+    """Family generator or solver parameters out of range."""
 
 
 class NotApplicableError(HamcolorError):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    BadParamsError,
     IncompleteColoringError,
     InternalError,
     NegativeColorError,
@@ -64,7 +65,16 @@ class ExactResult:
 
 
 def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
-    """All pairs violating  d(u, v) + |h(u) - h(v)| >= n - 1;  empty means valid."""
+    """All pairs violating  d(u, v) + |h(u) - h(v)| >= n - 1;  empty means valid.
+
+    Distinct vertices are at distance at least 1, so only pairs whose color
+    gap is below n - 1 can violate.  The vertices are sorted by color and
+    each one is compared with the vertices after it while the gap stays
+    below n - 1.  No distance matrix is built, and the distance queries
+    number the pairs inside that window: a few per vertex when the colors
+    are spread out, as certified colorings are.  Violations come sorted by
+    (u, v), with u < v.
+    """
     n = rv.n
     colors = coloring.colors
     if len(colors) != n:
@@ -72,14 +82,18 @@ def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
     for c in colors:
         if isinstance(c, bool) or not isinstance(c, int) or c < 0:
             raise NegativeColorError(f"bad color {c!r}")
+    by_color = sorted(range(n), key=colors.__getitem__)
     out = []
-    for u in range(n):
+    for i, u in enumerate(by_color):
         cu = colors[u]
-        for v in range(u + 1, n):
+        j = i + 1
+        while j < n and (gap := colors[by_color[j]] - cu) < n - 1:
+            v = by_color[j]
             need = n - 1 - rv.detour_distance(u, v)
-            gap = abs(cu - colors[v])
             if gap < need:
-                out.append(Violation(u, v, need, gap))
+                out.append(Violation(min(u, v), max(u, v), need, gap))
+            j += 1
+    out.sort(key=lambda viol: (viol.u, viol.v))
     return out
 
 
@@ -139,7 +153,7 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None, workers
     if n > limit:
         raise TooLargeError(f"n={n} exceeds the exact-search limit {limit}")
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise BadParamsError(f"workers must be >= 1, got {workers}")
     dist = _flat_distances(rv)
     b = -1 if budget is None else max(0, budget)
     if workers == 1 or n < 4:

@@ -2,8 +2,10 @@
 
 Everything in here deliberately avoids the package's own distance,
 search and bound code so that test expectations do not inherit bugs
-from the code under test: distances come from networkx, and minimum
-spans come from brute-force enumeration over whole color vectors.
+from the code under test: distances come from networkx, minimum spans
+come from brute-force enumeration over whole color vectors, violations
+from a scan over all pairs, and the greedy ordering from a scan over
+every branch on every step.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import random
 
 import networkx as nx
 
-from hamcolor.tree import Tree
+from hamcolor.errors import SearchFailedError
+from hamcolor.tree import RootedView, Tree
 
 
 def nx_graph(tree: Tree) -> nx.Graph:
@@ -69,6 +72,72 @@ def enumeration_hc(tree: Tree) -> int:
         if span < best:
             best = span
     return best
+
+
+def all_pairs_violations(tree: Tree, colors) -> list[tuple[int, int, int, int]]:
+    """(u, v, required, actual) for every pair u < v with
+    d(u, v) + |h(u) - h(v)| < n - 1, in (u, v) order, from networkx distances."""
+    n = tree.n
+    dist = nx_distance_matrix(tree)
+    out = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            need = n - 1 - dist[u][v]
+            gap = abs(colors[u] - colors[v])
+            if gap < need:
+                out.append((u, v, need, gap))
+    return out
+
+
+def linear_scan_greedy(rv: RootedView) -> list[int]:
+    """The greedy ordering of ``search_ordering`` before certification, found
+    by scanning every branch on every step for the key (-unplaced, branch id).
+
+    Raises :class:`SearchFailedError` with the same messages when the greedy
+    runs out of allowed vertices.
+    """
+    queues: dict[int, list[int]] = {i: [] for i in range(len(rv.branch_roots))}
+    for v in range(rv.n):
+        if rv.branch[v] is not None:
+            queues[rv.branch[v]].append(v)
+    for q in queues.values():
+        q.sort(key=lambda v: (rv.level[v], -v))
+    centers = sorted(rv.weight_centers)
+    if rv.bicentral:
+        w, w2 = centers
+        by_side: dict[int, list[int]] = {w: [], w2: []}
+        for bid, root in enumerate(rv.branch_roots):
+            by_side[rv.side[root]].append(bid)
+        order = [w]
+        side = w2
+        for _ in range(rv.n - 2):
+            best = None
+            for bid in by_side[side]:
+                if queues[bid]:
+                    key = (-len(queues[bid]), bid)
+                    if best is None or key < best:
+                        best = key
+            if best is None:
+                raise SearchFailedError("ran out of vertices on one side of the center edge")
+            order.append(queues[best[1]].pop())
+            side = w if side == w2 else w2
+        order.append(w2)
+        return order
+    (w,) = centers
+    order = [w]
+    prev = None
+    for _ in range(rv.n - 1):
+        best = None
+        for bid, q in queues.items():
+            if q and bid != prev:
+                key = (-len(q), bid)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            raise SearchFailedError("all unplaced vertices share one branch")
+        prev = best[1]
+        order.append(queues[prev].pop())
+    return order
 
 
 def random_tree(n: int, rng: random.Random) -> Tree:

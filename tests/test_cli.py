@@ -1,4 +1,5 @@
 import json
+import random
 import shutil
 import subprocess
 
@@ -6,9 +7,11 @@ import pytest
 
 from hamcolor import cli, ordering
 from hamcolor.cli import main
-from hamcolor.io import parse_coloring_text, parse_tree_text
+from hamcolor.bounds import lower_bound_weight
+from hamcolor.families import gen_star
+from hamcolor.io import format_tree, parse_coloring_text, parse_tree_text
 from hamcolor.ordering import Coloring
-from hamcolor.tree import RootedView
+from hamcolor.tree import RootedView, Tree, analyze
 
 
 @pytest.fixture
@@ -225,6 +228,12 @@ class TestExact:
         code, _, _ = run("verify", path, path + ".hc.coloring")
         assert code == 0
 
+    def test_zero_threads_exit_1(self, run, tmp_path):
+        path = gen_file(run, tmp_path, "star", "n=4")
+        code, _, err = run("exact", path, "--threads", "0")
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+
     def test_threads_agree(self, run, tmp_path):
         path = gen_file(run, tmp_path, "star", "n=7")
         code, out, _ = run("exact", "--json", path)
@@ -258,6 +267,32 @@ class TestVerify:
         open(cpath, "w").write("0 0\n1 2\n")
         code, _, _ = run("verify", path, cpath)
         assert code == 1
+
+
+class TestScale:
+    """``color`` and ``verify`` on n ~ 10^4 without any n x n distance matrix."""
+
+    def test_no_distance_matrix(self, run, tmp_path, monkeypatch):
+        star = gen_star(10_000)[0]
+        perm = list(range(star.n))
+        random.Random(7).shuffle(perm)
+        plain = str(tmp_path / "star.tree")
+        open(plain, "w").write(format_tree(Tree(star.n, [(perm[u], perm[v]) for u, v in star.edges])))
+        paths = [plain, gen_file(run, tmp_path, "a-tree", "d=140", "a140.tree")]
+
+        def no_matrix(self):
+            raise AssertionError("distance matrix built")
+
+        monkeypatch.setattr(Tree, "distance_matrix", no_matrix)
+        for path in paths:
+            code, out, err = run("color", "--json", path)
+            assert code == 0, err
+            span = json.loads(out)["span"]
+            tree, _ = parse_tree_text(open(path).read())
+            assert span == lower_bound_weight(analyze(tree))
+            code, out, err = run("verify", "--json", path, path + ".coloring")
+            assert code == 0, err
+            assert json.loads(out) == {"valid": True, "span": span}
 
 
 class TestCompare:

@@ -1,6 +1,9 @@
+import random
 from itertools import permutations
 
 import pytest
+
+import oracles
 
 from hamcolor.bounds import diameter_at_most_half, is_applicable, lower_bound_weight
 from hamcolor.errors import (
@@ -9,7 +12,7 @@ from hamcolor.errors import (
     NotAPermutationError,
     SearchFailedError,
 )
-from hamcolor.families import gen_broom, gen_star
+from hamcolor.families import gen_a_tree, gen_broom, gen_caterpillar, gen_star
 from hamcolor.ordering import (
     Coloring,
     certify_alternation,
@@ -280,3 +283,45 @@ class TestSearchOrdering:
                 assert col.span == lower_bound_weight(rv)
                 assert exact_of(t).hc == col.span
         assert succeeded == 20  # of the 40 applicable trees on up to 8 vertices
+
+    def test_heap_matches_linear_scan(self, corpus):
+        def expected(rv):
+            try:
+                order = oracles.linear_scan_greedy(rv)
+            except SearchFailedError as e:
+                return "fail", str(e)
+            cert = certify_alternation(rv, order)
+            if cert.kind == "none":
+                return "fail", f"greedy ordering failed certification: {cert.reason}"
+            return "ok", tuple(order)
+
+        def actual(rv):
+            try:
+                return "ok", search_ordering(rv).ordering
+            except SearchFailedError as e:
+                return "fail", str(e)
+
+        rng = random.Random(31)
+        trees = [t for n in range(4, 9) for t in corpus[n]]
+        for shape in (
+            gen_star(4), gen_star(9), gen_broom(9, 4), gen_broom(10, 4), gen_broom(15, 5),
+            gen_broom(12, 7), gen_a_tree(5), gen_a_tree(8), gen_caterpillar(5, 4),
+            gen_caterpillar(6, 3), gen_caterpillar(7, 5),
+        ):
+            base = shape[0]
+            perm = list(range(base.n))
+            rng.shuffle(perm)
+            trees += [base, Tree(base.n, [(perm[u], perm[v]) for u, v in base.edges])]
+        trees += [oracles.random_tree(n, rng) for n in range(4, 41) for _ in range(4)]
+        seen = set()
+        for t in trees:
+            if not is_applicable(t):
+                continue
+            rv = analyze(t)
+            want = expected(rv)
+            assert actual(rv) == want, t
+            seen.add(want[0])
+        # both successes and certification failures were compared; the greedy
+        # never runs dry on a tree: a branch at a single weight center holds
+        # fewer than n/2 vertices, and the sides at two centers are equal
+        assert seen == {"ok", "fail"}

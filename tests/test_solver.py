@@ -1,9 +1,17 @@
+import random
+
 import pytest
 
 import oracles
 from hamcolor.bounds import is_applicable, lower_bound_weight
 from hamcolor import solver
-from hamcolor.errors import IncompleteColoringError, InternalError, NegativeColorError, TooLargeError
+from hamcolor.errors import (
+    BadParamsError,
+    IncompleteColoringError,
+    InternalError,
+    NegativeColorError,
+    TooLargeError,
+)
 from hamcolor.families import gen_a_tree, gen_broom, gen_star
 from hamcolor.ordering import Coloring
 from hamcolor.solver import (
@@ -52,6 +60,38 @@ class TestVerifyColoring:
         for colors in ((0, -1, 2), (0, 1.5, 2), (0, True, 2)):
             with pytest.raises(NegativeColorError):
                 verify_coloring(rv, Coloring(colors))
+
+    def test_matches_all_pairs_oracle(self):
+        rng = random.Random(20)
+        found = {"random": 0, "corrupted": 0, "all-equal": 0}
+        for n in range(2, 61):
+            for _ in range(3):
+                tree = oracles.random_tree(n, rng)
+                rv = analyze(tree)
+                order = list(range(n))
+                rng.shuffle(order)
+                dense = list(min_span_for_order(rv, order).colors)
+                rng.shuffle(order)
+                corrupted = dense[:]
+                for _ in range(3):
+                    corrupted[rng.randrange(n)] = corrupted[rng.randrange(n)]
+                cases = {
+                    "random": [rng.randrange(n * n // 2 + 1) for _ in range(n)],
+                    "dense": dense,
+                    "sparse": [(n - 1) * order.index(v) for v in range(n)],
+                    "corrupted": corrupted,
+                    "all-equal": [7] * n,
+                }
+                for name, colors in cases.items():
+                    want = oracles.all_pairs_violations(tree, colors)
+                    got = verify_coloring(rv, Coloring(tuple(colors)))
+                    assert [(x.u, x.v, x.required, x.actual) for x in got] == want, (n, name)
+                    if name in found:
+                        found[name] += len(want)
+                    else:
+                        assert want == [], (n, name)
+        # every broken kind of coloring did produce violations to compare
+        assert all(found.values()), found
 
 
 class TestGreedyCompletion:
@@ -147,7 +187,7 @@ class TestExact:
             exact_hc(analyze(path(2)), limit=1)
 
     def test_bad_workers(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParamsError):
             exact_hc(analyze(path(4)), workers=0)
 
 
