@@ -1,8 +1,4 @@
-"""Pure-Python branch-and-bound kernel for the exact solver.
-
-Fallback used when the compiled extension is unavailable.  Both backends run
-the identical search -- same candidate order, same pruning, same budget
-accounting -- so explored-node counts match exactly between them.
+"""Branch-and-bound kernel for the exact solver, in pure Python.
 
 The search space is vertex orderings.  Colors are completed greedily along an
 ordering: each newly placed vertex takes the smallest color satisfying every
@@ -34,7 +30,8 @@ def bnb_exact(
 
     dist       flat row-major distance matrix, length n*n
     budget     maximum number of vertex placements, or -1 for unlimited
-    prefix     forced initial placements (distinct vertex ids)
+    prefix     forced initial placements (distinct vertex ids), pruned and
+               counted like any other placement
     incumbent  known upper bound to prune against, or -1 for none
 
     Returns ``(best_span, best_order, nodes, limit_hit)``; ``best_order`` is
@@ -46,6 +43,7 @@ def bnb_exact(
     used = [False] * n
     order = [0] * n
     forced = [[0] * n for _ in range(n + 1)]
+    forced_depth = len(prefix)
     state = {
         "nodes": 0,
         "limit_hit": False,
@@ -71,7 +69,11 @@ def bnb_exact(
         best = state["best_span"]
         if best >= 0 and pend >= best:
             return
-        cand.sort()
+        if m < forced_depth:
+            v = prefix[m]
+            cand = [(fm[v], v)]
+        else:
+            cand.sort()
         rem = n - m - 1
         fnext = forced[m + 1]
         for c, v in cand:
@@ -94,30 +96,7 @@ def bnb_exact(
             place(m + 1, c)
             used[v] = False
 
-    # forced prefix placements (used to partition the search for workers)
-    m = 0
-    last = 0
-    ok = True
-    for v in prefix:
-        if budget >= 0 and state["nodes"] >= budget:
-            state["limit_hit"] = True
-            ok = False
-            break
-        state["nodes"] += 1
-        c = forced[m][v]
-        used[v] = True
-        order[m] = v
-        fm = forced[m]
-        fnext = forced[m + 1]
-        base = v * n
-        for w in range(n):
-            fw = fm[w]
-            need = c + n - 1 - dist[base + w]
-            fnext[w] = need if need > fw else fw
-        last = c
-        m += 1
-    if ok:
-        place(m, last)
+    place(0, 0)
 
     if state["best_order"] is None:
         return -1, None, state["nodes"], state["limit_hit"]

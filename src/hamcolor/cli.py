@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Verbs: gen, analyze, color, exact, verify, compare, dot.  Exit codes:
-0 success, 1 parse/validation problem, 2 verification failure, 3 size or
-budget limit, 4 no certified ordering found, 5 internal error (a bug).
+0 success, 1 parse/validation problem (usage errors too), 2 verification
+failure, 3 size or budget limit, 4 no certified ordering found, 5 internal
+error (a bug).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from . import families
 from .bounds import compare_bounds, diameter_at_most_half, is_applicable
@@ -174,7 +176,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     tree, _ = load_tree(args.file)
     rv = analyze(tree)
-    res = exact_hc(rv, limit=args.limit, budget=args.budget, workers=args.threads)
+    res = exact_hc(rv, limit=args.limit, budget=args.budget)
     out = args.coloring_out or args.file + ".hc.coloring"
     _write(out, format_coloring(res.witness))
     _emit(
@@ -242,8 +244,17 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, a parse problem; argparse's 2 means a failed
+    verification here.  Subparsers inherit this class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamcolor",
         description="Hamiltonian chromatic numbers of trees: bounds, certified colorings, exact search.",
     )
@@ -272,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--limit", type=int, default=10, help="refuse trees larger than this (default 10)")
     p.add_argument("--budget", type=int, default=None, help="node budget; best-so-far on exhaustion")
-    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--coloring-out", help="witness file path (default FILE.hc.coloring)")
     p.set_defaults(func=_cmd_exact)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import diameter_at_most_half, lower_bound_weight, require_applicable
-from .errors import NegativeIncrementError, NotAPermutationError, SearchFailedError
+from .errors import InternalError, NegativeIncrementError, NotAPermutationError, SearchFailedError
 from .tree import RootedView
 
 
@@ -194,9 +194,9 @@ def search_ordering(rv: RootedView) -> Certificate:
     deepest unplaced vertex from an allowed branch (a different branch with one
     center, the opposite side with two), preferring branches with the most
     unplaced vertices and breaking ties by smallest branch id.  Returns the
-    ordering's certificate (the ordering is its ``.ordering``); certification
-    failure raises :class:`SearchFailedError` (which is not a proof that no
-    ordering exists).
+    ordering's certificate (the ordering is its ``.ordering``).
+    :class:`SearchFailedError` means only that the greedy ordering failed
+    certification, which is not a proof that no ordering exists.
 
     The branches wait in a heap keyed (-unplaced, branch id), one heap with
     one center and one per side with two, so each step costs O(log n) instead
@@ -224,7 +224,8 @@ def search_ordering(rv: RootedView) -> Certificate:
         side = w2
         for _ in range(rv.n - 2):
             if not heaps[side]:
-                raise SearchFailedError("ran out of vertices on one side of the center edge")
+                # each side holds n/2 - 1 vertices besides its center
+                raise InternalError("ran out of vertices on one side of the center edge")
             take(heaps[side], heapq.heappop(heaps[side])[1])
             side = w if side == w2 else w2
         order.append(w2)
@@ -235,7 +236,8 @@ def search_ordering(rv: RootedView) -> Certificate:
         for _ in range(rv.n - 1):
             held = heapq.heappop(heap) if heap and heap[0][1] == prev else None
             if not heap:
-                raise SearchFailedError("all unplaced vertices share one branch")
+                # every branch at a single weight center holds fewer than n/2 vertices
+                raise InternalError("all unplaced vertices share one branch")
             prev = heapq.heappop(heap)[1]
             take(heap, prev)
             if held is not None:

@@ -3,18 +3,14 @@
 ``exact_hc`` minimises, over all vertex orderings, the span of the greedy
 color completion along the ordering; the completion is pointwise minimal for
 a fixed ordering, so the overall minimum is the hamiltonian chromatic number.
-The search runs on a compiled kernel when the extension built, with an
-identical pure-Python fallback (query :func:`search_backend`).  Node budgets
-are deterministic, so runs are reproducible; with ``workers > 1`` the
-top-level (first, second) vertex choices are partitioned over processes, the
-budget is split evenly, and the combined answer equals the sequential one.
+The search runs on the pure-Python kernel in ``_bnb_py`` (reported by
+:func:`search_backend`).  Node budgets are deterministic, so runs are
+reproducible.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,26 +22,13 @@ from .errors import (
     TooLargeError,
 )
 from .ordering import Coloring, validate_ordering
+from . import _bnb_py as _kernel
 from .tree import RootedView
-
-if os.environ.get("HAMCOLOR_PURE_KERNEL"):
-    from . import _bnb_py as _kernel
-
-    _BACKEND = "python"
-else:
-    try:
-        from . import _bnb as _kernel  # type: ignore[no-redef]
-
-        _BACKEND = "cython"
-    except ImportError:
-        from . import _bnb_py as _kernel  # type: ignore[no-redef]
-
-        _BACKEND = "python"
 
 
 def search_backend() -> str:
-    """Name of the active search kernel: "cython" or "python"."""
-    return _BACKEND
+    """Name of the search kernel that ``exact`` reports: always "python"."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -122,57 +105,21 @@ def _flat_distances(rv: RootedView) -> array:
     return array("i", [d for row in dm for d in row])
 
 
-def _run_chunk(args: tuple) -> tuple[int, list[int] | None, int, bool]:
-    dist, n, budget, prefixes = args
-    best_span = -1
-    best_order = None
-    nodes = 0
-    hit = False
-    for p in prefixes:
-        span, order, used, limited = _kernel.bnb_exact(dist, n, budget - nodes if budget >= 0 else -1, p, best_span)
-        nodes += used
-        hit = hit or limited
-        if order is not None and (best_span < 0 or span < best_span):
-            best_span = span
-            best_order = order
-        if budget >= 0 and nodes >= budget:
-            hit = True
-            break
-    return best_span, best_order, nodes, hit
-
-
-def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None, workers: int = 1) -> ExactResult:
+def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> ExactResult:
     """Exact hamiltonian chromatic number by branch-and-bound over orderings.
 
     Refuses trees larger than ``limit`` vertices (raise the limit explicitly to
-    go bigger).  When a node ``budget`` is given and runs out, the best
-    completed coloring so far is returned with ``limit_hit`` set -- an upper
-    bound, not a certified optimum.
+    go bigger).  When a node ``budget`` (at least 0) is given and runs out, the
+    best completed coloring so far is returned with ``limit_hit`` set -- an
+    upper bound, not a certified optimum.
     """
     n = rv.n
     if n > limit:
         raise TooLargeError(f"n={n} exceeds the exact-search limit {limit}")
-    if workers < 1:
-        raise BadParamsError(f"workers must be >= 1, got {workers}")
+    if budget is not None and budget < 0:
+        raise BadParamsError(f"budget must be >= 0, got {budget}")
     dist = _flat_distances(rv)
-    b = -1 if budget is None else max(0, budget)
-    if workers == 1 or n < 4:
-        span, order, nodes, hit = _kernel.bnb_exact(dist, n, b, (), -1)
-    else:
-        prefixes = [(a, c) for a in range(n) for c in range(n) if a != c]
-        chunks: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
-        for i, p in enumerate(prefixes):
-            chunks[i % workers].append(p)
-        per_chunk = -1 if b < 0 else max(1, b // workers)
-        span, order, nodes, hit = -1, None, 0, False
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cspan, corder, cnodes, chit in pool.map(
-                _run_chunk, [(dist, n, per_chunk, chunk) for chunk in chunks]
-            ):
-                nodes += cnodes
-                hit = hit or chit
-                if corder is not None and (span < 0 or cspan < span):
-                    span, order = cspan, corder
+    span, order, nodes, hit = _kernel.bnb_exact(dist, n, -1 if budget is None else budget, (), -1)
     if order is None:
         # budget exhausted before any leaf: fall back to a greedy completion
         witness = min_span_for_order(rv, list(range(n)))

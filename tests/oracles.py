@@ -3,7 +3,8 @@
 Everything in here deliberately avoids the package's own distance,
 search and bound code so that test expectations do not inherit bugs
 from the code under test: distances come from networkx, minimum spans
-come from brute-force enumeration over whole color vectors, violations
+come from brute-force enumeration over whole color vectors or from an
+unpruned search over every vertex ordering, violations
 from a scan over all pairs, and the greedy ordering from a scan over
 every branch on every step.
 """
@@ -15,7 +16,7 @@ import random
 
 import networkx as nx
 
-from hamcolor.errors import SearchFailedError
+from hamcolor.errors import InternalError
 from hamcolor.tree import RootedView, Tree
 
 
@@ -74,6 +75,36 @@ def enumeration_hc(tree: Tree) -> int:
     return best
 
 
+def reference_hc(tree: Tree) -> int:
+    """Minimum span by a DFS over every placement sequence that prunes nothing.
+
+    Each placed vertex takes the least color meeting the distance condition
+    against every vertex placed before it.  Sorting any hamiltonian coloring
+    by color gives an ordering whose completion is pointwise no larger, so
+    the minimum over all n! orderings is hc.  Usable up to n = 8.
+    """
+    n = tree.n
+    dist = nx_distance_matrix(tree)
+    order: list[int] = []
+    color = [0] * n
+    spans: set[int] = set()
+
+    def extend() -> None:
+        if len(order) == n:
+            spans.add(max(color))
+            return
+        for v in range(n):
+            if v in order:
+                continue
+            color[v] = max([0] + [color[u] + n - 1 - dist[u][v] for u in order])
+            order.append(v)
+            extend()
+            order.pop()
+
+    extend()
+    return min(spans)
+
+
 def all_pairs_violations(tree: Tree, colors) -> list[tuple[int, int, int, int]]:
     """(u, v, required, actual) for every pair u < v with
     d(u, v) + |h(u) - h(v)| < n - 1, in (u, v) order, from networkx distances."""
@@ -93,8 +124,8 @@ def linear_scan_greedy(rv: RootedView) -> list[int]:
     """The greedy ordering of ``search_ordering`` before certification, found
     by scanning every branch on every step for the key (-unplaced, branch id).
 
-    Raises :class:`SearchFailedError` with the same messages when the greedy
-    runs out of allowed vertices.
+    Raises :class:`InternalError` with the same messages when the greedy runs
+    out of allowed vertices, which cannot happen on a tree.
     """
     queues: dict[int, list[int]] = {i: [] for i in range(len(rv.branch_roots))}
     for v in range(rv.n):
@@ -118,7 +149,7 @@ def linear_scan_greedy(rv: RootedView) -> list[int]:
                     if best is None or key < best:
                         best = key
             if best is None:
-                raise SearchFailedError("ran out of vertices on one side of the center edge")
+                raise InternalError("ran out of vertices on one side of the center edge")
             order.append(queues[best[1]].pop())
             side = w if side == w2 else w2
         order.append(w2)
@@ -134,7 +165,7 @@ def linear_scan_greedy(rv: RootedView) -> list[int]:
                 if best is None or key < best:
                     best = key
         if best is None:
-            raise SearchFailedError("all unplaced vertices share one branch")
+            raise InternalError("all unplaced vertices share one branch")
         prev = best[1]
         order.append(queues[prev].pop())
     return order

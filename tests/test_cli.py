@@ -61,8 +61,9 @@ class TestGen:
         assert code == 1
 
     def test_unknown_family_is_a_usage_error(self, run):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "wheel", "--params", "n=5"])
+        assert exc.value.code == 1
 
 
 class TestAnalyze:
@@ -228,20 +229,22 @@ class TestExact:
         code, _, _ = run("verify", path, path + ".hc.coloring")
         assert code == 0
 
-    def test_zero_threads_exit_1(self, run, tmp_path):
-        path = gen_file(run, tmp_path, "star", "n=4")
-        code, _, err = run("exact", path, "--threads", "0")
+    def test_negative_budget_exit_1(self, run, tmp_path):
+        path = gen_file(run, tmp_path, "star", "n=5")
+        code, out, err = run("exact", path, "--budget", "-5")
         assert code == 1
+        assert out == ""
         assert "error:" in err and "Traceback" not in err
 
-    def test_threads_agree(self, run, tmp_path):
-        path = gen_file(run, tmp_path, "star", "n=7")
-        code, out, _ = run("exact", "--json", path)
-        seq = json.loads(out)
-        code, out, _ = run("exact", "--json", path, "--threads", "2")
-        par = json.loads(out)
-        assert code == 0
-        assert par["hc"] == seq["hc"] == 25
+    def test_unknown_option_is_a_usage_error(self, run, tmp_path, capsys):
+        path = gen_file(run, tmp_path, "star", "n=4")
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", path, "--threads", "2"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--help"])
+        assert exc.value.code == 0
 
 
 class TestVerify:

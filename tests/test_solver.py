@@ -186,9 +186,15 @@ class TestExact:
         with pytest.raises(TooLargeError):
             exact_hc(analyze(path(2)), limit=1)
 
-    def test_bad_workers(self):
+    def test_matches_reference_search(self, corpus, exact_of):
+        trees = [t for n in range(1, 8) for t in corpus[n]] + corpus[8][::10]
+        assert len(trees) == 28
+        for t in trees:
+            assert exact_of(t).hc == oracles.reference_hc(t), t.edges
+
+    def test_negative_budget(self):
         with pytest.raises(BadParamsError):
-            exact_hc(analyze(path(4)), workers=0)
+            exact_hc(analyze(path(4)), budget=-1)
 
 
 class TestBudget:
@@ -223,20 +229,36 @@ class TestBudget:
         assert again.hc == full.hc
 
 
-class TestWorkers:
-    def test_parallel_matches_sequential(self, corpus, exact_of):
-        for t in corpus[7][:4] + [gen_a_tree(4)[0]]:
-            seq = exact_of(t)
-            par = exact_hc(analyze(t), workers=2)
-            assert par.hc == seq.hc
-            assert not verify_coloring(analyze(t), par.witness)
+class TestKernel:
+    """The kernel's incumbent and prefix arguments, called directly."""
 
-    def test_parallel_budget_still_sound(self):
-        rv = analyze(gen_a_tree(4)[0])
-        res = exact_hc(rv, budget=100, workers=2)
-        assert res.hc >= 30
-        assert not verify_coloring(rv, res.witness)
+    @staticmethod
+    def run(tree, prefix=(), incumbent=-1):
+        dist = solver._flat_distances(analyze(tree))
+        return solver._kernel.bnb_exact(dist, tree.n, -1, prefix, incumbent)
+
+    def test_incumbent(self, corpus, exact_of):
+        for t in corpus[6]:
+            hc = exact_of(t).hc
+            # nothing strictly beats the optimum
+            span, order, _, hit = self.run(t, incumbent=hc)
+            assert (span, order, hit) == (-1, None, False)
+            # a loose incumbent does not change the answer
+            assert self.run(t, incumbent=hc + 3)[0] == hc
+
+    def test_prefixes(self, corpus, exact_of):
+        t = corpus[6][2]
+        spans = []
+        for a in range(t.n):
+            for b in range(t.n):
+                if a != b:
+                    span, order, _, _ = self.run(t, prefix=(a, b))
+                    assert order[:2] == [a, b]
+                    assert min_span_for_order(analyze(t), order).span == span
+                    spans.append(span)
+        assert len(spans) == 30
+        assert min(spans) == exact_of(t).hc
 
 
 def test_backend_reported():
-    assert search_backend() in ("cython", "python")
+    assert search_backend() == "python"
