@@ -55,14 +55,12 @@ from .solver import (
     verify_coloring,
 )
 from .tree import (
-    BranchRelation,
     RootedView,
     Tree,
     all_vertex_weights,
     analyze,
     build_tree,
     graph_centers,
-    vertex_weight,
     weight_centers,
 )
 

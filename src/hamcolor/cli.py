@@ -17,16 +17,9 @@ from . import families
 from .bounds import compare_bounds, diameter_at_most_half, is_applicable
 from .errors import (
     BadParamsError,
-    BadVertexIdError,
     FormatError,
     HamcolorError,
-    IncompleteColoringError,
     InternalError,
-    NegativeColorError,
-    NegativeIncrementError,
-    NotApplicableError,
-    NotAPermutationError,
-    NotATreeError,
     SearchFailedError,
     TooLargeError,
 )
@@ -34,25 +27,13 @@ from .io import (
     format_coloring,
     format_ordering,
     format_tree,
+    load_coloring,
     load_tree,
-    parse_coloring_text,
     to_dot,
 )
 from .ordering import coloring_from_ordering, search_ordering
 from .solver import exact_hc, search_backend, verify_coloring
 from .tree import analyze, graph_centers
-
-_VALIDATION_ERRORS = (
-    FormatError,
-    NotATreeError,
-    BadVertexIdError,
-    BadParamsError,
-    NotApplicableError,
-    NotAPermutationError,
-    NegativeIncrementError,
-    IncompleteColoringError,
-    NegativeColorError,
-)
 
 
 def _emit(args: argparse.Namespace, data: dict) -> None:
@@ -195,8 +176,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     tree, _ = load_tree(args.tree)
-    with open(args.coloring, encoding="utf-8") as fh:
-        coloring = parse_coloring_text(fh.read(), tree.n)
+    coloring = load_coloring(args.coloring, tree.n)
     rv = analyze(tree)
     violations = verify_coloring(rv, coloring)
     data: dict = {"valid": not violations, "span": coloring.span}
@@ -232,10 +212,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     tree, _ = load_tree(args.file)
-    coloring = None
-    if args.coloring:
-        with open(args.coloring, encoding="utf-8") as fh:
-            coloring = parse_coloring_text(fh.read(), tree.n)
+    coloring = load_coloring(args.coloring, tree.n) if args.coloring else None
     text = to_dot(tree, coloring)
     if args.output:
         _write(args.output, text)
@@ -308,9 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 5

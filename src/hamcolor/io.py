@@ -67,9 +67,18 @@ def format_tree(tree: Tree, meta: dict[str, object] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """File contents as text; a byte that is not UTF-8 is a :class:`FormatError`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+
+
 def load_tree(path: str) -> tuple[Tree, dict[str, str]]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_tree_text(fh.read())
+    return parse_tree_text(_read_text(path))
 
 
 def parse_ordering_text(text: str, n: int) -> list[int]:
@@ -111,6 +120,10 @@ def parse_coloring_text(text: str, n: int) -> Coloring:
             raise FormatError(f"vertex {v} colored twice")
         colors[v] = c
     return Coloring(tuple(colors))  # type: ignore[arg-type]
+
+
+def load_coloring(path: str, n: int) -> Coloring:
+    return parse_coloring_text(_read_text(path), n)
 
 
 def format_coloring(coloring: Coloring) -> str:

@@ -148,11 +148,13 @@ def certify_alternation(rv: RootedView, order: Sequence[int]) -> Certificate:
     """Strongest alternation certificate ``order`` earns, in one pass.
 
     The sufficient conditions are the endpoint levels, consecutive vertices
-    sharing no ancestor (with two centers: on opposite sides of the center
-    edge) and consecutive distances at most n/2.  The kind is
-    "alternation_db" when the diameter is at most n/2, so the cap holds for
-    free, "alternation" when the cap is checked and holds, else "none" with
-    the first failure as the reason.
+    sharing no branch (with two centers: on opposite sides of the center
+    edge) and consecutive distances at most n/2.  Such a pair meets through
+    the center(s), so its distance is level(u) + level(v) + b, read from the
+    levels without a distance query.  The kind is "alternation_db" when the
+    diameter is at most n/2, so the cap holds for free, "alternation" when
+    the cap is checked and holds, else "none" with the first failure as the
+    reason.
     """
     require_applicable(rv.tree, "ordering certificates")
     o = validate_ordering(rv.n, order)
@@ -162,14 +164,15 @@ def certify_alternation(rv: RootedView, order: Sequence[int]) -> Certificate:
         reason = f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}"
         return Certificate("none", None, None, reason)
     check_cap = not diameter_at_most_half(rv.tree)
+    level, branch, side = rv.level, rv.branch, rv.side
     for i in range(n - 1):
         u, v = o[i], o[i + 1]
         reason = None
-        if rv.common_ancestor_level(u, v) != 0:
+        if branch[u] is not None and branch[u] == branch[v]:
             reason = f"positions {i},{i + 1}: vertices {u},{v} share a branch"
-        elif rv.bicentral and not rv.crosses_center_edge(u, v):
+        elif b and side[u] == side[v]:
             reason = f"positions {i},{i + 1}: vertices {u},{v} on the same side of the center edge"
-        elif check_cap and 2 * (d := rv.detour_distance(u, v)) > n:
+        elif check_cap and 2 * (d := level[u] + level[v] + b) > n:
             reason = f"positions {i},{i + 1}: distance {d} exceeds n/2"
         if reason is not None:
             return Certificate("none", None, None, reason)

@@ -108,12 +108,14 @@ def _flat_distances(rv: RootedView) -> array:
 def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> ExactResult:
     """Exact hamiltonian chromatic number by branch-and-bound over orderings.
 
-    Refuses trees larger than ``limit`` vertices (raise the limit explicitly to
-    go bigger).  When a node ``budget`` (at least 0) is given and runs out, the
-    best completed coloring so far is returned with ``limit_hit`` set -- an
-    upper bound, not a certified optimum.
+    Refuses trees larger than ``limit`` vertices (at least 1; raise the
+    limit explicitly to go bigger).  When a node ``budget`` (at least 0) is
+    given and runs out, the best completed coloring so far is returned with
+    ``limit_hit`` set -- an upper bound, not a certified optimum.
     """
     n = rv.n
+    if limit < 1:
+        raise BadParamsError(f"limit must be >= 1, got {limit}")
     if n > limit:
         raise TooLargeError(f"n={n} exceeds the exact-search limit {limit}")
     if budget is not None and budget < 0:

@@ -4,35 +4,27 @@ A tree is stored as an immutable adjacency structure over dense vertex ids
 0..n-1.  :func:`analyze` roots the tree at its weight center(s) -- the
 vertices minimising the total distance to all others -- and records, per
 vertex, its level (distance to the nearest weight center), its parent on the
-way down, the branch it belongs to, and which weight center owns it.  Those
-ingredients give the distance decomposition
-
-    d(u, v) = level(u) + level(v) - 2 * common_ancestor_level(u, v)
-              + crosses_center_edge(u, v)
-
-used throughout for bound arithmetic and ordering certificates.
+way down, the branch it belongs to, and which weight center owns it.
 
 A tree has either one weight center or two adjacent ones; in the latter case
 removing the joining edge leaves two components of equal order.  Vertices
 hanging off a child of a weight center form a *branch*; two branches rooted at
 the same center are *different*, two branches rooted at distinct centers are
-*opposite*.
+*opposite*.  Two vertices that share no branch meet only through the
+center(s), which gives the distance decomposition
+
+    d(u, v) = level(u) + level(v) + b,   b = 1 when u and v sit on opposite
+                                         sides of the center edge, else 0,
+
+used throughout for bound arithmetic and ordering certificates.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
 from .errors import BadVertexIdError, InternalError, NotATreeError
-
-
-class BranchRelation(str, Enum):
-    SAME = "same"
-    DIFFERENT = "different"
-    OPPOSITE = "opposite"
-    INVOLVES_CENTER = "involves_center"
 
 
 class Tree:
@@ -138,11 +130,6 @@ def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     return Tree(n, edges)
 
 
-def vertex_weight(tree: Tree, v: int) -> int:
-    """Total distance from ``v`` to every vertex of the tree."""
-    return sum(tree.distances_from(v))
-
-
 def all_vertex_weights(tree: Tree) -> list[int]:
     """Total-distance weights of all vertices in O(n) by rerooting.
 
@@ -231,56 +218,27 @@ class RootedView:
         """Vertices of one branch, ascending by id."""
         return [v for v in range(self.n) if self.branch[v] == branch_id]
 
-    def common_ancestor_level(self, u: int, v: int) -> int:
-        """Deepest level shared by the ancestor chains of ``u`` and ``v``.
+    def detour_distance(self, u: int, v: int) -> int:
+        """Path distance from levels; equals plain BFS distance on trees.
 
-        Every vertex counts as an ancestor of itself; the chain of a vertex
-        runs up to its owning weight center.  Vertices owned by different
-        weight centers share no ancestors, giving 0.
+        Vertices in different branches, or a weight center with any vertex,
+        meet through the center(s): level(u) + level(v), plus 1 when the path
+        crosses the center edge.  That is O(1).  Only two vertices of one
+        branch walk up to their deepest common ancestor.
         """
         self.tree.check_vertex(u)
         self.tree.check_vertex(v)
-        if self.side[u] != self.side[v]:
-            return 0
+        level = self.level
+        bu = self.branch[u]
+        if bu is None or bu != self.branch[v]:
+            return level[u] + level[v] + (self.bicentral and self.side[u] != self.side[v])
         a, b = u, v
         while a != b:
-            if self.level[a] < self.level[b]:
+            if level[a] < level[b]:
                 b = self.parent[b]  # type: ignore[assignment]
             else:
                 a = self.parent[a]  # type: ignore[assignment]
-        return self.level[a]
-
-    def crosses_center_edge(self, u: int, v: int) -> bool:
-        """True when the u-v path uses the edge joining two weight centers."""
-        self.tree.check_vertex(u)
-        self.tree.check_vertex(v)
-        return self.bicentral and self.side[u] != self.side[v]
-
-    def detour_distance(self, u: int, v: int) -> int:
-        """Path distance computed from levels, shared-ancestor depth and the
-        center-edge crossing; equals plain BFS distance on trees."""
-        self.tree.check_vertex(u)
-        self.tree.check_vertex(v)
-        if u == v:
-            return 0
-        d = self.level[u] + self.level[v] - 2 * self.common_ancestor_level(u, v)
-        if self.crosses_center_edge(u, v):
-            d += 1
-        return d
-
-    def branch_relation(self, u: int, v: int) -> BranchRelation:
-        """Classify how the branches of two distinct vertices relate."""
-        self.tree.check_vertex(u)
-        self.tree.check_vertex(v)
-        if u == v:
-            raise BadVertexIdError("branch relation needs two distinct vertices")
-        if u in self.weight_centers or v in self.weight_centers:
-            return BranchRelation.INVOLVES_CENTER
-        if self.branch[u] == self.branch[v]:
-            return BranchRelation.SAME
-        if self.side[u] != self.side[v]:
-            return BranchRelation.OPPOSITE
-        return BranchRelation.DIFFERENT
+        return level[u] + level[v] - 2 * level[a]
 
 
 def analyze(tree: Tree) -> RootedView:

@@ -236,6 +236,15 @@ class TestExact:
         assert out == ""
         assert "error:" in err and "Traceback" not in err
 
+    def test_bad_limit_exit_1(self, run, tmp_path):
+        path = str(tmp_path / "one.tree")
+        open(path, "w").write("1\n")
+        for limit in ("-3", "0"):
+            code, out, err = run("exact", path, "--limit", limit)
+            assert code == 1
+            assert out == ""
+            assert f"error: limit must be >= 1, got {limit}" in err
+
     def test_unknown_option_is_a_usage_error(self, run, tmp_path, capsys):
         path = gen_file(run, tmp_path, "star", "n=4")
         with pytest.raises(SystemExit) as exc:
@@ -272,8 +281,29 @@ class TestVerify:
         assert code == 1
 
 
+class TestNonUtf8Input:
+    def test_exit_1_without_traceback(self, run, tmp_path):
+        good = gen_file(run, tmp_path, "star", "n=4")
+        bad_tree = tmp_path / "bad.tree"
+        bad_tree.write_bytes(b"4\n0 1\n0 2\n0 3 \xff\n")
+        bad_coloring = tmp_path / "bad.coloring"
+        bad_coloring.write_bytes(b"0 0\n1 2\n2 3\n3 \xff4\n")
+        for argv in (
+            ("color", str(bad_tree)),
+            ("analyze", str(bad_tree)),
+            ("dot", str(bad_tree)),
+            ("verify", good, str(bad_coloring)),
+            ("dot", good, str(bad_coloring)),
+        ):
+            code, out, err = run(*argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "not UTF-8" in err and "Traceback" not in err
+
+
 class TestScale:
-    """``color`` and ``verify`` on n ~ 10^4 without any n x n distance matrix."""
+    """``color`` and ``verify`` on n ~ 10^4 without any n x n distance matrix,
+    on a shallow star and a-tree and on a caterpillar 1,250 levels deep."""
 
     def test_no_distance_matrix(self, run, tmp_path, monkeypatch):
         star = gen_star(10_000)[0]
@@ -281,7 +311,11 @@ class TestScale:
         random.Random(7).shuffle(perm)
         plain = str(tmp_path / "star.tree")
         open(plain, "w").write(format_tree(Tree(star.n, [(perm[u], perm[v]) for u, v in star.edges])))
-        paths = [plain, gen_file(run, tmp_path, "a-tree", "d=140", "a140.tree")]
+        paths = [
+            plain,
+            gen_file(run, tmp_path, "a-tree", "d=140", "a140.tree"),
+            gen_file(run, tmp_path, "caterpillar", "m=2501,d=5", "cat2501.tree"),  # depth 1,250
+        ]
 
         def no_matrix(self):
             raise AssertionError("distance matrix built")

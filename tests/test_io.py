@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hamcolor.errors import FormatError, NotATreeError
+from hamcolor.errors import FormatError, HamcolorError, NotATreeError
 from hamcolor.io import (
     format_coloring,
     format_ordering,
     format_tree,
+    load_coloring,
     load_tree,
     parse_coloring_text,
     parse_ordering_text,
@@ -113,6 +115,26 @@ class TestColoringFormat:
             parse_coloring_text("0 0 9\n1 1\n2 2\n", 3)
         with pytest.raises(FormatError):
             parse_coloring_text("0 zero\n1 1\n2 2\n", 3)
+
+
+class TestLoadFuzz:
+    def test_file_bytes_raise_only_package_errors(self, tmp_path):
+        # raw bytes, or bytes built from parser tokens and broken UTF-8
+        path = tmp_path / "fuzz"
+        tokens = [b"0", b"1", b"2", b"3", b"-", b" ", b"\n", b"#", b":", b"x", b"\xff", b"\xc3", b"\xe2\x82"]
+        file_bytes = st.one_of(st.binary(max_size=64), st.lists(st.sampled_from(tokens), max_size=40).map(b"".join))
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(file_bytes, st.integers(1, 4))
+        def check(data, n):
+            path.write_bytes(data)
+            for load in (load_tree, lambda p: load_coloring(p, n)):
+                try:
+                    load(str(path))
+                except HamcolorError:
+                    pass
+
+        check()
 
 
 class TestDot:

@@ -22,7 +22,7 @@ from hamcolor.ordering import (
     validate_ordering,
 )
 from hamcolor.solver import verify_coloring
-from hamcolor.tree import Tree, analyze
+from hamcolor.tree import RootedView, Tree, analyze
 
 
 def spider_331() -> Tree:
@@ -32,6 +32,17 @@ def spider_331() -> Tree:
 
 def path(n: int) -> Tree:
     return Tree(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def certify_without_distances(monkeypatch, rv, order):
+    """``certify_alternation`` with every distance query made to fail."""
+
+    def no_query(self, u, v):
+        raise AssertionError(f"distance query {u},{v}")
+
+    with monkeypatch.context() as m:
+        m.setattr(RootedView, "detour_distance", no_query)
+        return certify_alternation(rv, order)
 
 
 class TestColoring:
@@ -148,21 +159,22 @@ class TestCertificates:
         assert cert.claimed_span == 9
         assert cert.ordering == (0, 1, 2, 3, 4)
 
-    def test_long_spider_needs_plain_certificate(self):
+    def test_long_spider_needs_plain_certificate(self, monkeypatch):
+        # the distance cap is checked from levels alone
         rv = analyze(spider_331())
         order = [0, 3, 7, 6, 1, 5, 2, 4]
         assert not diameter_at_most_half(rv.tree)
-        cert = certify_alternation(rv, order)
+        cert = certify_without_distances(monkeypatch, rv, order)
         assert cert.kind == "alternation"
         assert cert.claimed_span == 24
         col = coloring_from_ordering(rv, order)
         assert col.colors == (0, 13, 20, 4, 24, 17, 10, 7)
         assert not verify_coloring(rv, col)
 
-    def test_distance_cap_rejection(self):
+    def test_distance_cap_rejection(self, monkeypatch):
         # the two deep leg tips sit 6 apart, over n/2 = 4
         rv = analyze(spider_331())
-        cert = certify_alternation(rv, [0, 3, 6, 1, 5, 2, 7, 4])
+        cert = certify_without_distances(monkeypatch, rv, [0, 3, 6, 1, 5, 2, 7, 4])
         assert cert.kind == "none"
         assert "exceeds n/2" in cert.reason
 

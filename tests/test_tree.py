@@ -2,14 +2,13 @@ import pytest
 
 import oracles
 from hamcolor.errors import BadVertexIdError, NotATreeError
+from hamcolor.families import gen_broom, gen_caterpillar
 from hamcolor.tree import (
-    BranchRelation,
     Tree,
     all_vertex_weights,
     analyze,
     build_tree,
     graph_centers,
-    vertex_weight,
     weight_centers,
 )
 
@@ -88,8 +87,7 @@ class TestDistances:
 class TestWeights:
     def test_broom_hub_weight(self):
         t = broom_10_4()
-        assert vertex_weight(t, 0) == 12
-        assert vertex_weight(t, 0) == oracles.nx_transmission(t, 0)
+        assert all_vertex_weights(t)[0] == 12 == oracles.nx_transmission(t, 0)
 
     def test_reroot_weights_match_direct(self, corpus, rng):
         trees = corpus[7] + corpus[8] + [oracles.random_tree(20, rng) for _ in range(5)]
@@ -164,36 +162,18 @@ class TestRootedView:
                     left = sum(1 for v in range(t.n) if rv.side[v] == w1)
                     assert left == t.n // 2
 
-    def test_common_ancestor_levels(self):
-        rv = analyze(broom_10_4())
-        assert rv.common_ancestor_level(2, 3) == 2  # 2 is an ancestor of 3
-        assert rv.common_ancestor_level(3, 3) == 3  # every vertex is its own ancestor
-        assert rv.common_ancestor_level(3, 4) == 0  # different branches
-        assert rv.common_ancestor_level(0, 3) == 0  # the center is the chain top
-
-    def test_common_ancestor_across_center_edge(self):
-        rv = analyze(double_star())
-        assert rv.common_ancestor_level(2, 5) == 0  # opposite sides share nothing
-        assert rv.common_ancestor_level(2, 3) == 0  # same side, different branches
-
     def test_deep_shared_prefix(self):
         # branch 0-1-2 forking into 3 and 4, counterweight leaves on 0
         t = Tree(9, [(0, 1), (1, 2), (2, 3), (2, 4), (0, 5), (0, 6), (0, 7), (0, 8)])
         rv = analyze(t)
         assert rv.weight_centers == {0}
-        assert rv.common_ancestor_level(3, 4) == rv.level[2] == 2
-
-    def test_crosses_center_edge(self):
-        rv = analyze(double_star())
-        assert rv.crosses_center_edge(2, 5)
-        assert rv.crosses_center_edge(0, 1)
-        assert not rv.crosses_center_edge(2, 3)
-        single = analyze(broom_10_4())
-        assert not single.crosses_center_edge(3, 4)
+        assert rv.detour_distance(3, 4) == 2  # they meet at vertex 2 on level 2
 
     def test_detour_distance_matches_bfs(self, corpus, rng):
         trees = [t for n in range(1, 9) for t in corpus[n]]
         trees += [oracles.random_tree(15, rng) for _ in range(5)]
+        # deep branches: bicentral broom (depth 19), one-center and bicentral caterpillars
+        trees += [gen_broom(40, 30)[0], gen_caterpillar(41, 4)[0], gen_caterpillar(40, 4)[0]]
         for t in trees:
             rv = analyze(t)
             dist = oracles.nx_distance_matrix(t)
@@ -201,21 +181,9 @@ class TestRootedView:
                 for v in range(t.n):
                     assert rv.detour_distance(u, v) == dist[u][v]
 
-    def test_branch_relation(self):
-        rv = analyze(broom_10_4())
-        assert rv.branch_relation(2, 3) is BranchRelation.SAME
-        assert rv.branch_relation(3, 4) is BranchRelation.DIFFERENT
-        assert rv.branch_relation(0, 3) is BranchRelation.INVOLVES_CENTER
-        both = analyze(double_star())
-        assert both.branch_relation(2, 5) is BranchRelation.OPPOSITE
-        assert both.branch_relation(2, 3) is BranchRelation.DIFFERENT
-        assert both.branch_relation(0, 5) is BranchRelation.INVOLVES_CENTER
-        with pytest.raises(BadVertexIdError):
-            rv.branch_relation(3, 3)
-
     def test_vertex_checks(self):
         rv = analyze(broom_10_4())
         with pytest.raises(BadVertexIdError):
             rv.detour_distance(0, 10)
         with pytest.raises(BadVertexIdError):
-            rv.common_ancestor_level(-1, 0)
+            rv.detour_distance(-1, 0)
