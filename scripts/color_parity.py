@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Check that ``hamcolor color --json`` behaves the same at a git revision
-and in the working tree.
+"""Check that ``hamcolor color --json`` and ``hamcolor exact --json`` behave
+the same at a git revision and in the working tree.
 
-Extracts ``src/`` of REV with ``git archive``, then runs ``color --json`` on
-one fixed input set once with each source tree, each in a fresh interpreter,
-and compares stdout, stderr, exit code and the written coloring file, call by
-call.  The inputs: five large family shapes (star n=1500, caterpillar m=201
-d=5, a-tree d=30, broom n=465 d=30 and broom n=600 d=25), each with its
-family metadata and relabelled without it, plus seeded Prufer trees with n
-from 4 to 40.  Exits 1 and names the first differing inputs on a mismatch.
+Extracts ``src/`` of REV with ``git archive``, then runs the verbs on one
+fixed input set once with each source tree, each in a fresh interpreter, and
+compares stdout, stderr, exit code and the written coloring or witness file,
+call by call.  ``color`` runs on five large family shapes (star n=1500,
+caterpillar m=201 d=5, a-tree d=30, broom n=465 d=30 and broom n=600 d=25),
+each with its family metadata and relabelled without it, plus seeded Prufer
+trees with n from 4 to 40.  ``exact`` runs on the 18 instances of
+``perfbench/pinned.json`` (read, never written), whose search takes some
+seconds per side.  Exits 1 and names the first differing inputs on a
+mismatch.
 
     python3 scripts/color_parity.py HEAD
     python3 scripts/color_parity.py HEAD~1 --prufer 300
@@ -28,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+PINNED = REPO / "perfbench" / "pinned.json"
 SHAPES = [
     ("star", {"n": 1500}),
     ("caterpillar", {"m": 201, "d": 5}),
@@ -76,22 +80,27 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
         rng = random.Random(i)
         edges = _prufer_edges([rng.randrange(n) for _ in range(n - 2)])
         (workdir / f"prufer{i:03d}_n{n}.tree").write_text(_tree_text(n, edges))
+    (workdir / "exact").mkdir()
+    for inst in json.loads(PINNED.read_text())["instances"]:
+        (workdir / "exact" / f"{inst['name']}.tree").write_text(_tree_text(inst["n"], inst["edges"]))
 
 
 def run_side(src: Path, workdir: Path) -> dict:
-    """Worker: run ``color --json`` on every input with the package at ``src``."""
+    """Worker: run ``color --json`` on every top-level input and ``exact
+    --json`` on every input under ``exact/``, with the package at ``src``."""
     sys.path.insert(0, str(src))
     from hamcolor.cli import main
 
     results = {}
-    for path in sorted(workdir.glob("*.tree")):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["color", "--json", str(path)])
-        colored = Path(str(path) + ".coloring")
-        written = colored.read_text() if colored.exists() else None
-        colored.unlink(missing_ok=True)
-        results[path.name] = [code, out.getvalue(), err.getvalue(), written]
+    for verb, pattern, suffix in (("color", "*.tree", ".coloring"), ("exact", "exact/*.tree", ".hc.coloring")):
+        for path in sorted(workdir.glob(pattern)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([verb, "--json", str(path)])
+            colored = Path(str(path) + suffix)
+            written = colored.read_text() if colored.exists() else None
+            colored.unlink(missing_ok=True)
+            results[f"{verb} {path.name}"] = [code, out.getvalue(), err.getvalue(), written]
     return results
 
 
@@ -120,14 +129,16 @@ def main() -> int:
             sides.append(json.loads(proc.stdout))
     old, new = sides
     differ = [name for name in old if old[name] != new.get(name)]
-    codes: dict[int, int] = {}
-    for code, *_ in old.values():
-        codes[code] = codes.get(code, 0) + 1
-    print(f"{len(old)} inputs, exit codes at {args.rev}: {dict(sorted(codes.items()))}")
+    for verb in ("color", "exact"):
+        codes: dict[int, int] = {}
+        for name, (code, *_) in old.items():
+            if name.startswith(verb + " "):
+                codes[code] = codes.get(code, 0) + 1
+        print(f"{verb}: {sum(codes.values())} inputs, exit codes at {args.rev}: {dict(sorted(codes.items()))}")
     if differ or set(new) != set(old):
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
         return 1
-    print("identical: stdout, stderr, exit code and coloring file on every input")
+    print("identical: stdout, stderr, exit code and coloring or witness file on every input")
     return 0
 
 

@@ -116,13 +116,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _family_spec_from_meta(tree, meta: dict[str, str]):
-    """Regenerate the family instance recorded in tree-file metadata."""
+    """Regenerate the family instance recorded in tree-file metadata; the
+    order the parameters give is compared first, so a false claim costs
+    nothing to reject."""
     if "family" not in meta or "params" not in meta:
         return None
-    gen_tree, spec = families.generate(meta["family"], _parse_params(meta["params"]))
-    if gen_tree.edges != tree.edges or gen_tree.n != tree.n:
-        raise FormatError("tree does not match its family metadata")
-    return spec
+    family, params = meta["family"], _parse_params(meta["params"])
+    if families.expected_order(family, params) == tree.n:
+        gen_tree, spec = families.generate(family, params)
+        if gen_tree.edges == tree.edges:
+            return spec
+    raise FormatError("tree does not match its family metadata")
 
 
 def _cmd_color(args: argparse.Namespace) -> int:

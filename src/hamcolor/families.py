@@ -18,7 +18,8 @@ known, the expected order, total level and hamiltonian chromatic number:
 * caterpillars: spine 0..m-1, every inner spine vertex brought up to degree d
                 by legs, which take ids m.. grouped by spine vertex.
 
-``family_certificate`` produces the certificate of an ordering whose induced
+``expected_order`` gives the order of an instance from its parameters without
+building it.  ``family_certificate`` produces the certificate of an ordering whose induced
 coloring attains the weight-center lower bound; ``family_ordering`` returns
 just that ordering.
 """
@@ -51,19 +52,30 @@ def _as_int(x: Fraction, what: str) -> int:
     return int(x)
 
 
-def gen_star(n: int) -> tuple[Tree, FamilySpec]:
-    """Star on n >= 3 vertices; hub 0."""
+def _star_order(n: int) -> int:
     if not isinstance(n, int) or n < 3:
         raise BadParamsError(f"star needs n >= 3, got {n!r}")
+    return n
+
+
+def gen_star(n: int) -> tuple[Tree, FamilySpec]:
+    """Star on n >= 3 vertices; hub 0."""
+    expected_n = _star_order(n)
     tree = Tree(n, [(0, i) for i in range(1, n)])
     spec = FamilySpec(
         family="star",
         params={"n": n},
-        expected_n=n,
+        expected_n=expected_n,
         expected_hc=(n - 2) ** 2,
         expected_total_level=n - 1,
     )
     return tree, spec
+
+
+def _broom_order(n: int, d: int) -> int:
+    if not isinstance(n, int) or not isinstance(d, int) or not n > d >= 2:
+        raise BadParamsError(f"broom needs n > d >= 2, got n={n!r}, d={d!r}")
+    return n
 
 
 def gen_broom(n: int, d: int) -> tuple[Tree, FamilySpec]:
@@ -72,8 +84,7 @@ def gen_broom(n: int, d: int) -> tuple[Tree, FamilySpec]:
     Ids: path 0..d-1 (0 is the hub), leaves d..n-1.  The expected fields are
     filled only for the two recognised one-parameter sub-families.
     """
-    if not isinstance(n, int) or not isinstance(d, int) or not n > d >= 2:
-        raise BadParamsError(f"broom needs n > d >= 2, got n={n!r}, d={d!r}")
+    expected_n = _broom_order(n, d)
     edges = [(i, i + 1) for i in range(d - 1)]
     edges += [(0, i) for i in range(d, n)]
     tree = Tree(n, edges)
@@ -94,7 +105,7 @@ def gen_broom(n: int, d: int) -> tuple[Tree, FamilySpec]:
     spec = FamilySpec(
         family=family,
         params={"n": n, "d": d},
-        expected_n=n,
+        expected_n=expected_n,
         expected_hc=hc,
         expected_total_level=total,
     )
@@ -129,17 +140,22 @@ def _grow_a_tree(
     return nxt, new_pendants, (new_left, new_right)
 
 
+def _a_tree_order(d: int) -> int:
+    if not isinstance(d, int) or d < 2:
+        raise BadParamsError(f"a-tree needs index d >= 2, got {d!r}")
+    k = d // 2
+    return 2 * k**2 if d % 2 == 0 else 2 * k * (k + 1) + 1
+
+
 def gen_a_tree(d: int) -> tuple[Tree, FamilySpec]:
     """A-tree with index d >= 2 (single edge at d=2, 4-leaf star at d=3).
 
     The generated tree has diameter d - 1.
     """
-    if not isinstance(d, int) or d < 2:
-        raise BadParamsError(f"a-tree needs index d >= 2, got {d!r}")
+    expected_n = _a_tree_order(d)
     if d % 2 == 0:
         k = d // 2
         n, edges, pendants, ends = 2, [(0, 1)], [0, 1], (0, 1)
-        expected_n = 2 * k**2
         total = _as_int(Fraction(k * (k - 1) * (4 * k + 1), 3), "a-tree total level")
         hc = _as_int(
             Fraction(2 * (k - 1) * (6 * k**3 + 2 * k**2 - 4 * k - 3), 3), "a-tree span"
@@ -147,7 +163,6 @@ def gen_a_tree(d: int) -> tuple[Tree, FamilySpec]:
     else:
         k = (d - 1) // 2
         n, edges, pendants, ends = 5, [(0, i) for i in range(1, 5)], [1, 2, 3, 4], (1, 2)
-        expected_n = 2 * k * (k + 1) + 1
         total = _as_int(Fraction(2 * k * (k + 1) * (2 * k + 1), 3), "a-tree total level")
         hc = _as_int(Fraction(4 * k * (k + 1) * (3 * k**2 + k - 1), 3), "a-tree span") + 1
     for _ in range(k - 1):
@@ -165,14 +180,19 @@ def gen_a_tree(d: int) -> tuple[Tree, FamilySpec]:
     return tree, spec
 
 
+def _caterpillar_order(m: int, d: int) -> int:
+    if not isinstance(m, int) or not isinstance(d, int) or m < 3 or d < 3:
+        raise BadParamsError(f"caterpillar needs m >= 3 and d >= 3, got m={m!r}, d={d!r}")
+    return m + (m - 2) * (d - 2)
+
+
 def gen_caterpillar(m: int, d: int) -> tuple[Tree, FamilySpec]:
     """Caterpillar: spine of m >= 3 vertices, inner spine vertices of degree d >= 3.
 
     Ids: spine 0..m-1, then d-2 legs per inner spine vertex, grouped by spine
     position.  m=3 gives the star on d+1 vertices.
     """
-    if not isinstance(m, int) or not isinstance(d, int) or m < 3 or d < 3:
-        raise BadParamsError(f"caterpillar needs m >= 3 and d >= 3, got m={m!r}, d={d!r}")
+    expected_n = _caterpillar_order(m, d)
     edges = [(i, i + 1) for i in range(m - 1)]
     nxt = m
     for s in range(1, m - 1):
@@ -182,7 +202,6 @@ def gen_caterpillar(m: int, d: int) -> tuple[Tree, FamilySpec]:
     tree = Tree(nxt, edges)
     if m % 2 == 1:
         k = (m - 1) // 2
-        expected_n = (2 * k - 1) * (d - 1) + 2
         total = (k * (k + 1) - 1) * (d - 1) + 1
         hc = _as_int(
             Fraction(2 * d - 3, 2 * d - 2) * (expected_n - 2) ** 2 + Fraction(d - 1, 2),
@@ -190,7 +209,6 @@ def gen_caterpillar(m: int, d: int) -> tuple[Tree, FamilySpec]:
         )
     else:
         k = m // 2
-        expected_n = 2 * k * (d - 1) - 2 * (d - 2)
         total = k * (k - 1) * (d - 1)
         hc = _as_int(
             Fraction(2 * d - 3, 2 * d - 2) * (expected_n - 2) ** 2, "caterpillar span"
@@ -207,21 +225,38 @@ def gen_caterpillar(m: int, d: int) -> tuple[Tree, FamilySpec]:
     return tree, spec
 
 
-def generate(family: str, params: dict[str, int]) -> tuple[Tree, FamilySpec]:
-    """Dispatch by family name ("a-tree" and "a_tree" both accepted)."""
+# family -> (parameter names, order from the parameters, generator)
+_FAMILIES = {
+    "star": (("n",), _star_order, gen_star),
+    "broom": (("n", "d"), _broom_order, gen_broom),
+    "a_tree": (("d",), _a_tree_order, gen_a_tree),
+    "caterpillar": (("m", "d"), _caterpillar_order, gen_caterpillar),
+}
+
+
+def _lookup(family: str, params: dict[str, int]):
     f = family.replace("-", "_")
+    f = "broom" if f in ("broom_even", "broom_odd") else f
+    if f not in _FAMILIES:
+        raise BadParamsError(f"unknown family {family!r}")
+    names, order, gen = _FAMILIES[f]
     try:
-        if f == "star":
-            return gen_star(params["n"])
-        if f in ("broom", "broom_even", "broom_odd"):
-            return gen_broom(params["n"], params["d"])
-        if f == "a_tree":
-            return gen_a_tree(params["d"])
-        if f == "caterpillar":
-            return gen_caterpillar(params["m"], params["d"])
+        return order, gen, [params[k] for k in names]
     except KeyError as e:
         raise BadParamsError(f"family {family!r} needs parameter {e.args[0]!r}") from None
-    raise BadParamsError(f"unknown family {family!r}")
+
+
+def generate(family: str, params: dict[str, int]) -> tuple[Tree, FamilySpec]:
+    """Dispatch by family name ("a-tree" and "a_tree" both accepted)."""
+    _, gen, args = _lookup(family, params)
+    return gen(*args)
+
+
+def expected_order(family: str, params: dict[str, int]) -> int:
+    """Order of the tree ``generate(family, params)`` would build, computed
+    from the parameters without building it; bad ones raise as there."""
+    order, _, args = _lookup(family, params)
+    return order(*args)
 
 
 def closed_form_hc(spec: FamilySpec) -> int:

@@ -10,7 +10,8 @@ ordering and add, at each step,
 where b is 1 for two weight centers and 0 for one.  This module provides
 
 * ``check_spacing``       -- the exact pairwise condition: the induced coloring
-                             is optimal if and only if it holds;
+                             is optimal if and only if it holds (pairs beyond
+                             consecutive ones go to ``verify_coloring``);
 * ``certify_alternation`` -- the one certificate check, a cheaper sufficient
                              condition: endpoint levels, branch alternation of
                              consecutive vertices, and consecutive distances at
@@ -94,33 +95,34 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> SpacingCheck:
         d(x_i, x_j) >= sum_{t=i}^{j-1} (level(x_t) + level(x_{t+1}))
                        - (j - i) * (n - 1 - b) + (n - 1).
 
-    Returns the first violating pair of positions, scanning i then j.
+    A consecutive pair needs d >= level + level + b, so it must share no
+    branch (two centers: lie on opposite sides), read as in
+    ``certify_alternation``.  Then every increment n - 1 - d is >= 0, the
+    colors rise, and ``verify_coloring``'s window checks the other pairs.
+    Reported: the first failing consecutive pair, else the first (i, j).
     """
+    from .solver import verify_coloring  # solver imports this module
+
     require_applicable(rv.tree, "ordering certificates")
     o = validate_ordering(rv.n, order)
     n = rv.n
     b = 1 if rv.bicentral else 0
     if not _endpoint_levels_ok(rv, o):
-        return SpacingCheck(
-            False,
-            None,
-            f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}",
-        )
-    lev = [rv.level[v] for v in o]
-    prefix = [0] * n
-    for m in range(1, n):
-        prefix[m] = prefix[m - 1] + lev[m - 1] + lev[m]
-    dm = rv.tree.distance_matrix()
-    step = n - 1 - b
-    for i in range(n - 1):
-        row = dm[o[i]]
-        for j in range(i + 1, n):
-            rhs = prefix[j] - prefix[i] - (j - i) * step + (n - 1)
-            if row[o[j]] < rhs:
-                return SpacingCheck(
-                    False, (i, j), f"positions {i},{j}: distance {row[o[j]]} < required {rhs}"
-                )
-    return SpacingCheck(True)
+        return SpacingCheck(False, None, f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}")
+    level, branch, side = rv.level, rv.branch, rv.side
+    pos = [0] * n
+    for i, (u, v) in enumerate(zip(o, o[1:])):
+        pos[v] = i + 1
+        if (branch[u] is not None and branch[u] == branch[v]) or (b and side[u] == side[v]):
+            d, need = rv.detour_distance(u, v), level[u] + level[v] + b
+            return SpacingCheck(False, (i, i + 1), f"positions {i},{i + 1}: distance {d} < required {need}")
+    bad = verify_coloring(rv, coloring_from_ordering(rv, o))
+    if not bad:
+        return SpacingCheck(True)
+    x = min(bad, key=lambda x: sorted((pos[x.u], pos[x.v])))
+    i, j = sorted((pos[x.u], pos[x.v]))
+    reason = f"positions {i},{j}: distance {n - 1 - x.required} < required {n - 1 - x.actual}"
+    return SpacingCheck(False, (i, j), reason)
 
 
 def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:

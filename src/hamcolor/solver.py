@@ -1,5 +1,9 @@
 """Coloring verification and the exact solver.
 
+``verify_coloring``'s color window is the one check of the hamiltonian
+condition over vertex pairs (``check_spacing`` reuses it); only ``exact_hc``
+builds an n x n distance matrix.
+
 ``exact_hc`` minimises, over all vertex orderings, the span of the greedy
 color completion along the ordering; the completion is pointwise minimal for
 a fixed ordering, so the overall minimum is the hamiltonian chromatic number.
@@ -83,19 +87,20 @@ def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
 def min_span_for_order(rv: RootedView, order: Sequence[int]) -> Coloring:
     """Greedy completion: each vertex takes the least color consistent with
     everything placed before it.  Minimal among colorings whose sorted vertex
-    order refines ``order`` (ties allowed); always a valid coloring."""
+    order refines ``order`` (ties allowed); always a valid coloring.  Colors
+    rise along ``order`` and a vertex asks at most n - 2 above its own, so the
+    placed vertices are scanned newest-first until one is that far below."""
     o = validate_ordering(rv.n, order)
     n = rv.n
-    dm = rv.tree.distance_matrix()
     colors = [0] * n
     for i in range(1, n):
         v = o[i]
-        row = dm[v]
         c = 0
-        for j in range(i):
-            lo = colors[o[j]] + n - 1 - row[o[j]]
-            if lo > c:
-                c = lo
+        for j in range(i - 1, -1, -1):
+            u = o[j]
+            if colors[u] + n - 2 <= c:
+                break
+            c = max(c, colors[u] + n - 1 - rv.detour_distance(u, v))
         colors[v] = c
     return Coloring(tuple(colors))
 

@@ -63,7 +63,6 @@ class Tree:
         # connectivity; with exactly n-1 edges this also rules out cycles
         if len(self.bfs([0])[2]) < n:
             raise NotATreeError("graph is not connected")
-        self._dist_matrix: list[list[int]] | None = None
 
     def check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or not (0 <= v < self.n):
@@ -93,15 +92,9 @@ class Tree:
                     order.append(v)
         return dist, parent, order
 
-    def distances_from(self, src: int) -> list[int]:
-        """BFS distances from ``src``; -1 marks unreachable vertices."""
-        return self.bfs([src])[0]
-
     def distance_matrix(self) -> list[list[int]]:
-        """All-pairs distances (cached; treat as read-only)."""
-        if self._dist_matrix is None:
-            self._dist_matrix = [self.distances_from(v) for v in range(self.n)]
-        return self._dist_matrix
+        """All-pairs distances, n BFS runs: O(n^2) time and memory."""
+        return [self.bfs([v])[0] for v in range(self.n)]
 
     @cached_property
     def max_degree(self) -> int:
@@ -109,7 +102,7 @@ class Tree:
 
     @cached_property
     def _diameter_path(self) -> list[int]:
-        da = self.distances_from(0)
+        da = self.bfs([0])[0]
         a = da.index(max(da))
         db, parent, _ = self.bfs([a])
         path = [db.index(max(db))]

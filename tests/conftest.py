@@ -3,6 +3,9 @@ import random
 import networkx as nx
 import pytest
 
+import oracles
+from hamcolor.bounds import is_applicable
+from hamcolor.families import gen_a_tree, gen_broom, gen_caterpillar, gen_star
 from hamcolor.solver import ExactResult, exact_hc
 from hamcolor.tree import RootedView, Tree, analyze
 
@@ -42,6 +45,49 @@ def exact_of():
         return cache[key]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def ordering_cases(corpus) -> list[tuple[RootedView, list[list[int]], list[tuple[int, ...]]]]:
+    """(view, networkx distances, orderings) for every applicable tree of the
+    n <= 8 corpus, seeded Prufer trees with n 4..40 and family shapes.  The
+    orderings: random ones (every other one with valid endpoints), the
+    uncertified greedy ordering, and that greedy broken by swapping two inner
+    positions."""
+    rng = random.Random(61)
+    trees = [t for n in range(4, 9) for t in corpus[n]]
+    trees += [oracles.random_tree(n, rng) for n in range(4, 41) for _ in range(2)]
+    trees += [
+        shape[0]
+        for shape in (
+            gen_star(9), gen_broom(10, 4), gen_broom(15, 5), gen_broom(12, 7), gen_a_tree(5),
+            gen_a_tree(8), gen_caterpillar(5, 4), gen_caterpillar(6, 3), gen_caterpillar(7, 5),
+        )
+    ]
+    cases = []
+    for t in trees:
+        if not is_applicable(t):
+            continue
+        rv = analyze(t)
+        centers = sorted(rv.weight_centers)
+        last = [centers[1]] if rv.bicentral else [v for v in range(t.n) if rv.level[v] == 1]
+        orders = []
+        for trial in range(6):
+            order = list(range(t.n))
+            rng.shuffle(order)
+            if trial % 2 == 0:
+                tail = rng.choice(last)
+                order = [centers[0]] + [v for v in order if v not in (centers[0], tail)] + [tail]
+            orders.append(tuple(order))
+        greedy = oracles.linear_scan_greedy(rv)
+        orders.append(tuple(greedy))
+        for _ in range(3):
+            i, j = rng.sample(range(1, t.n - 1), 2)
+            broken = list(greedy)
+            broken[i], broken[j] = broken[j], broken[i]
+            orders.append(tuple(broken))
+        cases.append((rv, oracles.nx_distance_matrix(t), orders))
+    return cases
 
 
 @pytest.fixture

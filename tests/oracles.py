@@ -4,9 +4,9 @@ Everything in here deliberately avoids the package's own distance,
 search and bound code so that test expectations do not inherit bugs
 from the code under test: distances come from networkx, minimum spans
 come from brute-force enumeration over whole color vectors or from an
-unpruned search over every vertex ordering, violations
-from a scan over all pairs, and the greedy ordering from a scan over
-every branch on every step.
+unpruned search over every vertex ordering, violations, the spacing
+condition and the greedy completion from scans over all pairs, and the
+greedy ordering from a scan over every branch on every step.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import random
 import networkx as nx
 
 from hamcolor.errors import InternalError
+from hamcolor.ordering import SpacingCheck
 from hamcolor.tree import RootedView, Tree
 
 
@@ -118,6 +119,45 @@ def all_pairs_violations(tree: Tree, colors) -> list[tuple[int, int, int, int]]:
             if gap < need:
                 out.append((u, v, need, gap))
     return out
+
+
+def all_pairs_spacing(rv: RootedView, order, dist=None) -> SpacingCheck:
+    """The spacing condition of ``check_spacing`` over every pair of positions,
+    with prefix sums of levels and networkx distances (``dist``, when given).
+
+    Reports the endpoint failure without positions, else the first violating
+    pair scanning i then j.
+    """
+    n = rv.n
+    o = list(order)
+    b = 1 if rv.bicentral else 0
+    if rv.level[o[0]] + rv.level[o[-1]] != 1 - b:
+        return SpacingCheck(False, None, f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}")
+    dist = dist or nx_distance_matrix(rv.tree)
+    lev = [rv.level[v] for v in o]
+    prefix = [0] * n
+    for m in range(1, n):
+        prefix[m] = prefix[m - 1] + lev[m - 1] + lev[m]
+    step = n - 1 - b
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            rhs = prefix[j] - prefix[i] - (j - i) * step + (n - 1)
+            d = dist[o[i]][o[j]]
+            if d < rhs:
+                return SpacingCheck(False, (i, j), f"positions {i},{j}: distance {d} < required {rhs}")
+    return SpacingCheck(True)
+
+
+def all_pairs_min_span(tree: Tree, order, dist=None) -> list[int]:
+    """Greedy completion along ``order``: each vertex takes the least color
+    meeting the distance condition against every vertex placed before it,
+    from networkx distances (``dist``, when given)."""
+    n = tree.n
+    dist = dist or nx_distance_matrix(tree)
+    colors = [0] * n
+    for i, v in enumerate(order):
+        colors[v] = max([0] + [colors[u] + n - 1 - dist[u][v] for u in order[:i]])
+    return colors
 
 
 def linear_scan_greedy(rv: RootedView) -> list[int]:

@@ -193,6 +193,26 @@ class TestColor:
         assert code == 5
         assert "internal error" in err
 
+    def test_false_order_claim_builds_nothing_larger(self, run, tmp_path, monkeypatch):
+        # the claimed order is rejected from the params, before any family
+        # instance is built
+        built = []
+        init = Tree.__init__
+
+        def recording_init(self, n, edges):
+            built.append(n)
+            init(self, n, edges)
+
+        monkeypatch.setattr(Tree, "__init__", recording_init)
+        for family, params in (("star", "n=3000"), ("caterpillar", "m=300,d=5"), ("a-tree", "d=40")):
+            path = str(tmp_path / "claim.tree")
+            open(path, "w").write(f"# family: {family}\n# params: {params}\n4\n0 1\n0 2\n0 3\n")
+            built.clear()
+            code, out, err = run("color", path)
+            assert code == 1 and out == ""
+            assert "error: tree does not match its family metadata" in err
+            assert built and max(built) == 4, (family, built)
+
     def test_tampered_metadata_exit_1(self, run, tmp_path):
         path = str(tmp_path / "lie.tree")
         open(path, "w").write("# family: star\n# params: n=4\n4\n0 1\n1 2\n1 3\n")

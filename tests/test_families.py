@@ -5,6 +5,7 @@ from hamcolor.errors import BadParamsError, NotApplicableError
 from hamcolor.families import (
     FamilySpec,
     closed_form_hc,
+    expected_order,
     family_certificate,
     family_ordering,
     gen_a_tree,
@@ -158,6 +159,25 @@ class TestGenerate:
             generate("star", {})
         with pytest.raises(BadParamsError):
             generate("wheel", {"n": 5})
+
+    def test_expected_order_without_building(self):
+        # the order that generate would build, and the error it would raise
+        cases = [("star", {"n": n}) for n in range(3, 9)]
+        cases += [(f, {"n": n, "d": d}) for f in ("broom", "broom_even") for n in range(3, 12) for d in range(2, n)]
+        cases += [(f, {"d": d}) for f in ("a-tree", "a_tree") for d in range(2, 12)]
+        cases += [("caterpillar", {"m": m, "d": d}) for m in range(3, 10) for d in range(3, 7)]
+        for family, params in cases:
+            t, spec = generate(family, params)
+            assert expected_order(family, params) == t.n == spec.expected_n, (family, params)
+        bad = [("star", {"n": 2}), ("star", {}), ("broom", {"n": 4, "d": 4}), ("broom_odd", {"d": 3}),
+               ("a-tree", {"d": 1}), ("caterpillar", {"m": 2, "d": 3}), ("caterpillar", {"m": 4}),
+               ("wheel", {"n": 5})]
+        for family, params in bad:
+            with pytest.raises(BadParamsError) as gen_err:
+                generate(family, params)
+            with pytest.raises(BadParamsError) as order_err:
+                expected_order(family, params)
+            assert str(order_err.value) == str(gen_err.value)
 
     def test_closed_form_lookup(self):
         assert closed_form_hc(generate("star", {"n": 6})[1]) == 16

@@ -119,7 +119,8 @@ class TestColoringFormat:
 
 class TestLoadFuzz:
     def test_file_bytes_raise_only_package_errors(self, tmp_path):
-        # raw bytes, or bytes built from parser tokens and broken UTF-8
+        # raw bytes, or bytes built from parser tokens and broken UTF-8; the
+        # ordering parser takes text, so it gets the bytes with stray ones escaped
         path = tmp_path / "fuzz"
         tokens = [b"0", b"1", b"2", b"3", b"-", b" ", b"\n", b"#", b":", b"x", b"\xff", b"\xc3", b"\xe2\x82"]
         file_bytes = st.one_of(st.binary(max_size=64), st.lists(st.sampled_from(tokens), max_size=40).map(b"".join))
@@ -128,7 +129,12 @@ class TestLoadFuzz:
         @given(file_bytes, st.integers(1, 4))
         def check(data, n):
             path.write_bytes(data)
-            for load in (load_tree, lambda p: load_coloring(p, n)):
+            loaders = (
+                load_tree,
+                lambda p: load_coloring(p, n),
+                lambda p: parse_ordering_text(data.decode("utf-8", "surrogateescape"), n),
+            )
+            for load in loaders:
                 try:
                     load(str(path))
                 except HamcolorError:

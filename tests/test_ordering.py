@@ -15,13 +15,14 @@ from hamcolor.errors import (
 from hamcolor.families import gen_a_tree, gen_broom, gen_caterpillar, gen_star
 from hamcolor.ordering import (
     Coloring,
+    SpacingCheck,
     certify_alternation,
     check_spacing,
     coloring_from_ordering,
     search_ordering,
     validate_ordering,
 )
-from hamcolor.solver import verify_coloring
+from hamcolor.solver import min_span_for_order, verify_coloring
 from hamcolor.tree import RootedView, Tree, analyze
 
 
@@ -102,6 +103,48 @@ class TestCheckSpacing:
                 attained = exact_of(t).hc == lower_bound_weight(rv)
                 found = any(check_spacing(rv, p).ok for p in permutations(range(n)))
                 assert found == attained
+
+    def test_matches_all_pairs_oracle(self, ordering_cases):
+        # the verdict always equals the all-pairs oracle's; the reported pair
+        # and reason too, unless a consecutive pair fails: then it is the
+        # first such pair (i, i + 1), whose bound is level + level + b
+        seen = set()
+        for rv, dist, orders in ordering_cases:
+            b = 1 if rv.bicentral else 0
+            for order in orders:
+                want = oracles.all_pairs_spacing(rv, order, dist)
+                got = check_spacing(rv, order)
+                assert got.ok == want.ok
+                steps = [
+                    (i, dist[u][v], rv.level[u] + rv.level[v] + b)
+                    for i, (u, v) in enumerate(zip(order, order[1:]))
+                ]
+                failing = [(i, d, need) for i, d, need in steps if d < need]
+                if want.ok or want.violation is None or not failing:
+                    assert got == want, (rv.tree, order)
+                    kind = "ok" if want.ok else "endpoints" if want.violation is None else "window"
+                else:
+                    i, d, need = failing[0]
+                    reason = f"positions {i},{i + 1}: distance {d} < required {need}"
+                    assert got == SpacingCheck(False, (i, i + 1), reason), (rv.tree, order)
+                    kind = "consecutive"
+                seen.add(kind)
+        assert seen == {"ok", "endpoints", "window", "consecutive"}
+
+    def test_deep_caterpillar_without_matrix(self, monkeypatch):
+        # n = 9,998 at depth 1,250: no n x n matrix, and the window keeps the
+        # scans near linear
+        rv = analyze(gen_caterpillar(2501, 5)[0])
+        order = list(search_ordering(rv).ordering)
+
+        def no_matrix(self):
+            raise AssertionError("distance matrix built")
+
+        monkeypatch.setattr(Tree, "distance_matrix", no_matrix)
+        assert check_spacing(rv, order).ok
+        assert min_span_for_order(rv, order) == coloring_from_ordering(rv, order)
+        order[1], order[2] = order[2], order[1]
+        assert check_spacing(rv, order).violation == (2, 3)
 
 
 class TestColoringFromOrdering:

@@ -110,6 +110,17 @@ class TestGreedyCompletion:
                     rng.shuffle(order)
                     assert not verify_coloring(rv, min_span_for_order(rv, order))
 
+    def test_matches_all_pairs_oracle(self, corpus, ordering_cases, rng):
+        cases = list(ordering_cases)
+        for n in range(1, 9):
+            for t in corpus[n]:
+                orders = [tuple(rng.sample(range(n), n)) for _ in range(4)]
+                cases.append((analyze(t), oracles.nx_distance_matrix(t), orders))
+        for rv, dist, orders in cases:
+            for order in orders:
+                want = oracles.all_pairs_min_span(rv.tree, order, dist)
+                assert list(min_span_for_order(rv, order).colors) == want, (rv.tree, order)
+
     def test_never_beats_arithmetic_on_certified_orderings(self, corpus):
         from hamcolor.errors import SearchFailedError
         from hamcolor.ordering import coloring_from_ordering, search_ordering
