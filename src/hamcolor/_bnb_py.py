@@ -7,16 +7,53 @@ minimising the completed span over all orderings yields the exact answer.
 Because tree distances never exceed n-1, greedy colors never decrease along
 the ordering and the span of a partial placement is simply the last color.
 
-Pruning: a partial placement is abandoned when the incumbent span cannot be
-beaten, using two sound lower bounds -- the forced color already accumulated
-on any unplaced vertex, and the last color plus one unit per remaining vertex
-(valid whenever the diameter is below n-1, which forces strictly increasing
-colors).
+The weight center(s) and the levels L below them are read off the distance
+matrix (minimum row sums give the centers, a level is the distance to the
+nearest one); b is 1 when there are two centers.  Every path between two
+vertices may detour through the center(s), so d(u, v) <= L(u) + L(v) + b.
+
+Five pruning rules, each sound for the reason given:
+
+1. Pending color.  An unplaced vertex already forced to color p ends at p or
+   later, so the span is at least p; a node whose largest pending color
+   reaches the incumbent is abandoned.
+2. Minimum step.  When the diameter is below n-1, each placement raises the
+   color by at least one, so placing v at color c with ``rem`` vertices left
+   gives a span of at least c + rem; candidates come sorted by color, so the
+   scan stops at the first one this rules out.
+3. Suffix bound.  Consecutive vertices of an ordering differ in color by at
+   least n-1-d(u, v) >= n-1-b-L(u)-L(v).  Summed over the rest of the
+   ordering, placing v at color c with ``rem`` vertices left and unplaced
+   level sum S gives a span of at least c + rem*(n-1-b) - L(v) - 2*S: the
+   weight-center bound applied to every suffix.  It is not monotone in c, so
+   a candidate it rules out is skipped and the scan goes on.
+4. Twin symmetry.  Two vertices are twins when their distance rows agree
+   except toward each other (sibling leaves, in a tree).  Swapping two twins
+   is an isometry, so it maps orderings to orderings of the same span, and
+   twins are placed in ascending id order.  Placements inside a forced
+   ``prefix`` ignore the rule; any permutation of the twins outside the
+   prefix fixes the prefix, so the rule stays sound after it.
+5. Target stop.  At the root the suffix bound reads
+   (n-1)*(n-1-b) + (1-b) - 2*sum(L), the weight-center lower bound (the 1-b
+   because a lone center cannot be both ends of the ordering; 0 when n = 1).
+   Once the incumbent reaches it, nothing can beat it and the search ends.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from .bounds import bound_formula
+
+
+def weight_levels(dist: Sequence[int], n: int) -> tuple[list[int], bool]:
+    """Levels below the weight center(s), and whether there are two, from the
+    flat distance matrix of a tree."""
+    sums = [sum(dist[v * n:(v + 1) * n]) for v in range(n)]
+    lo = min(sums)
+    centers = [v for v in range(n) if sums[v] == lo]
+    level = [min(dist[w * n + v] for w in centers) for v in range(n)]
+    return level, len(centers) == 2
 
 
 def bnb_exact(
@@ -28,7 +65,7 @@ def bnb_exact(
 ):
     """Minimise the greedy-completion span over all vertex orderings.
 
-    dist       flat row-major distance matrix, length n*n
+    dist       flat row-major distance matrix of a tree, length n*n
     budget     maximum number of vertex placements, or -1 for unlimited
     prefix     forced initial placements (distinct vertex ids), pruned and
                counted like any other placement
@@ -40,6 +77,17 @@ def bnb_exact(
     """
     maxd = max(dist) if n > 1 else 0
     min_step = 1 if maxd <= n - 2 else 0
+    level, bicentral = weight_levels(dist, n)
+    step = n - 2 if bicentral else n - 1
+    target = bound_formula(n, bicentral, sum(level))
+    # twin_before[v]: the largest twin of v below it, which must be placed first
+    twin_before = [-1] * n
+    for v in range(n):
+        row_v = dist[v * n:(v + 1) * n]
+        for u in range(v):
+            row_u = dist[u * n:(u + 1) * n]
+            if all(row_u[w] == row_v[w] for w in range(n) if w != u and w != v):
+                twin_before[v] = u
     used = [False] * n
     order = [0] * n
     forced = [[0] * n for _ in range(n + 1)]
@@ -47,15 +95,17 @@ def bnb_exact(
     state = {
         "nodes": 0,
         "limit_hit": False,
+        "stop": 0 <= incumbent <= target,
         "best_span": incumbent,
         "best_order": None,
     }
 
-    def place(m: int, last: int) -> None:
+    def place(m: int, last: int, unplaced_level: int) -> None:
         if m == n:
             if state["best_span"] < 0 or last < state["best_span"]:
                 state["best_span"] = last
                 state["best_order"] = order[:]
+                state["stop"] = last <= target
             return
         fm = forced[m]
         cand = []
@@ -63,9 +113,11 @@ def bnb_exact(
         for v in range(n):
             if not used[v]:
                 c = fm[v]
-                cand.append((c, v))
                 if c > pend:
                     pend = c
+                t = twin_before[v]
+                if t < 0 or used[t]:
+                    cand.append((c, v))
         best = state["best_span"]
         if best >= 0 and pend >= best:
             return
@@ -80,10 +132,13 @@ def bnb_exact(
             best = state["best_span"]
             if best >= 0 and c + rem * min_step >= best:
                 break
-            if state["limit_hit"]:
+            if state["stop"]:
                 return
+            rest = unplaced_level - level[v]
+            if best >= 0 and c + rem * step - level[v] - 2 * rest >= best:
+                continue
             if budget >= 0 and state["nodes"] >= budget:
-                state["limit_hit"] = True
+                state["limit_hit"] = state["stop"] = True
                 return
             state["nodes"] += 1
             used[v] = True
@@ -93,10 +148,11 @@ def bnb_exact(
                 fw = fm[w]
                 need = c + n - 1 - dist[base + w]
                 fnext[w] = need if need > fw else fw
-            place(m + 1, c)
+            place(m + 1, c, rest)
             used[v] = False
 
-    place(0, 0)
+    if not state["stop"]:
+        place(0, 0, sum(level))
 
     if state["best_order"] is None:
         return -1, None, state["nodes"], state["limit_hit"]

@@ -10,7 +10,9 @@ distance minimisers), `lower_bound_center` at the classical graph centers
 (eccentricity minimisers).  The weight version dominates and is the one
 certified by ordering certificates; both are only meaningful on trees with
 n >= 4 and maximum degree >= 3 (paths are excluded), though callers may force
-evaluation of the raw formula on anything.
+evaluation of the raw formula on anything.  Forced, both are valid lower
+bounds on every tree: the 1 - b term needs two distinct ends of an ordering,
+so a one-vertex tree gets 0.
 """
 
 from __future__ import annotations
@@ -40,12 +42,18 @@ def _require_applicable(tree: Tree, force: bool) -> None:
         require_applicable(tree, "bounds", "; pass force=True for the raw value")
 
 
+def bound_formula(n: int, bicentral: bool, total_level: int) -> int:
+    """(n - 1) * (n - 1 - b) + (1 - b) - 2 * total_level, and 0 when n = 1."""
+    if n == 1:
+        return 0
+    b = 1 if bicentral else 0
+    return (n - 1) * (n - 1 - b) + (1 - b) - 2 * total_level
+
+
 def lower_bound_weight(rv: RootedView, *, force: bool = False) -> int:
     """Weight-center lower bound on the hamiltonian chromatic number."""
     _require_applicable(rv.tree, force)
-    n = rv.n
-    b = 1 if rv.bicentral else 0
-    return (n - 1) * (n - 1 - b) + (1 - b) - 2 * rv.total_level
+    return bound_formula(rv.n, rv.bicentral, rv.total_level)
 
 
 def center_total_level(tree: Tree) -> int:
@@ -56,9 +64,7 @@ def center_total_level(tree: Tree) -> int:
 def lower_bound_center(tree: Tree, *, force: bool = False) -> int:
     """Graph-center lower bound; never exceeds the weight-center bound."""
     _require_applicable(tree, force)
-    n = tree.n
-    b = 1 if len(graph_centers(tree)) == 2 else 0
-    return (n - 1) * (n - 1 - b) + (1 - b) - 2 * center_total_level(tree)
+    return bound_formula(tree.n, len(graph_centers(tree)) == 2, center_total_level(tree))
 
 
 def diameter_at_most_half(tree: Tree) -> bool:

@@ -167,7 +167,10 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     _emit(
         args,
         {
-            "hc": res.hc,
+            # a span the search did not prove optimal is only an upper bound
+            ("hc" if res.proved_optimal else "ub"): res.hc,
+            "lb": res.lb,
+            "proved_optimal": res.proved_optimal,
             "explored": res.explored,
             "limit_hit": res.limit_hit,
             "backend": search_backend(),

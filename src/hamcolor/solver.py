@@ -18,6 +18,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
+from .bounds import lower_bound_weight
 from .errors import (
     BadParamsError,
     IncompleteColoringError,
@@ -45,10 +46,19 @@ class Violation:
 
 @dataclass(frozen=True)
 class ExactResult:
+    """``hc`` is the witness span: the optimum when ``proved_optimal``, else
+    an upper bound.  ``lb`` is the forced weight-center bound, and a span is
+    proved when the search was exhausted or the span meets ``lb``."""
+
     hc: int
     witness: Coloring
     explored: int
     limit_hit: bool
+    lb: int
+
+    @property
+    def proved_optimal(self) -> bool:
+        return not self.limit_hit or self.hc == self.lb
 
 
 def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
@@ -116,7 +126,8 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> Exac
     Refuses trees larger than ``limit`` vertices (at least 1; raise the
     limit explicitly to go bigger).  When a node ``budget`` (at least 0) is
     given and runs out, the best completed coloring so far is returned with
-    ``limit_hit`` set -- an upper bound, not a certified optimum.
+    ``limit_hit`` set -- an upper bound, not a certified optimum unless it
+    meets ``lb``.
     """
     n = rv.n
     if limit < 1:
@@ -125,13 +136,17 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> Exac
         raise TooLargeError(f"n={n} exceeds the exact-search limit {limit}")
     if budget is not None and budget < 0:
         raise BadParamsError(f"budget must be >= 0, got {budget}")
+    lb = lower_bound_weight(rv, force=True)
     dist = _flat_distances(rv)
     span, order, nodes, hit = _kernel.bnb_exact(dist, n, -1 if budget is None else budget, (), -1)
     if order is None:
         # budget exhausted before any leaf: fall back to a greedy completion
         witness = min_span_for_order(rv, list(range(n)))
-        return ExactResult(witness.span, witness, nodes, True)
-    witness = min_span_for_order(rv, order)
-    if witness.span != span:
-        raise InternalError(f"kernel span {span} disagrees with greedy completion {witness.span}")
-    return ExactResult(span, witness, nodes, hit)
+        span, hit = witness.span, True
+    else:
+        witness = min_span_for_order(rv, order)
+        if witness.span != span:
+            raise InternalError(f"kernel span {span} disagrees with greedy completion {witness.span}")
+    if span < lb:
+        raise InternalError(f"span {span} is below the weight-center bound {lb}")
+    return ExactResult(span, witness, nodes, hit, lb)

@@ -6,13 +6,16 @@ from the code under test: distances come from networkx, minimum spans
 come from brute-force enumeration over whole color vectors or from an
 unpruned search over every vertex ordering, violations, the spacing
 condition and the greedy completion from scans over all pairs, and the
-greedy ordering from a scan over every branch on every step.
+greedy ordering from a scan over every branch on every step.  ``bnb_exact``
+is the search kernel as it was before it pruned with the weight-center bound,
+kept verbatim as an oracle for the pruning rules added since.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Sequence
 
 import networkx as nx
 
@@ -104,6 +107,96 @@ def reference_hc(tree: Tree) -> int:
 
     extend()
     return min(spans)
+
+
+def bnb_exact(
+    dist: Sequence[int],
+    n: int,
+    budget: int = -1,
+    prefix: Sequence[int] = (),
+    incumbent: int = -1,
+):
+    """Minimise the greedy-completion span over all vertex orderings.
+
+    dist       flat row-major distance matrix, length n*n
+    budget     maximum number of vertex placements, or -1 for unlimited
+    prefix     forced initial placements (distinct vertex ids), pruned and
+               counted like any other placement
+    incumbent  known upper bound to prune against, or -1 for none
+
+    Returns ``(best_span, best_order, nodes, limit_hit)``; ``best_order`` is
+    None (and ``best_span`` -1) when no complete ordering beat the incumbent
+    or the budget ran out first.
+    """
+    maxd = max(dist) if n > 1 else 0
+    min_step = 1 if maxd <= n - 2 else 0
+    used = [False] * n
+    order = [0] * n
+    forced = [[0] * n for _ in range(n + 1)]
+    forced_depth = len(prefix)
+    state = {
+        "nodes": 0,
+        "limit_hit": False,
+        "best_span": incumbent,
+        "best_order": None,
+    }
+
+    def place(m: int, last: int) -> None:
+        if m == n:
+            if state["best_span"] < 0 or last < state["best_span"]:
+                state["best_span"] = last
+                state["best_order"] = order[:]
+            return
+        fm = forced[m]
+        cand = []
+        pend = -1
+        for v in range(n):
+            if not used[v]:
+                c = fm[v]
+                cand.append((c, v))
+                if c > pend:
+                    pend = c
+        best = state["best_span"]
+        if best >= 0 and pend >= best:
+            return
+        if m < forced_depth:
+            v = prefix[m]
+            cand = [(fm[v], v)]
+        else:
+            cand.sort()
+        rem = n - m - 1
+        fnext = forced[m + 1]
+        for c, v in cand:
+            best = state["best_span"]
+            if best >= 0 and c + rem * min_step >= best:
+                break
+            if state["limit_hit"]:
+                return
+            if budget >= 0 and state["nodes"] >= budget:
+                state["limit_hit"] = True
+                return
+            state["nodes"] += 1
+            used[v] = True
+            order[m] = v
+            base = v * n
+            for w in range(n):
+                fw = fm[w]
+                need = c + n - 1 - dist[base + w]
+                fnext[w] = need if need > fw else fw
+            place(m + 1, c)
+            used[v] = False
+
+    place(0, 0)
+
+    if state["best_order"] is None:
+        return -1, None, state["nodes"], state["limit_hit"]
+    return state["best_span"], state["best_order"], state["nodes"], state["limit_hit"]
+
+
+def pre_bound_hc(tree: Tree) -> int:
+    """hc from the pre-bound kernel ``bnb_exact`` on networkx distances."""
+    flat = [d for row in nx_distance_matrix(tree) for d in row]
+    return bnb_exact(flat, tree.n)[0]
 
 
 def all_pairs_violations(tree: Tree, colors) -> list[tuple[int, int, int, int]]:
@@ -213,11 +306,15 @@ def linear_scan_greedy(rv: RootedView) -> list[int]:
 
 def random_tree(n: int, rng: random.Random) -> Tree:
     """Uniform random labelled tree from a Prufer sequence."""
+    return prufer_tree(n, [rng.randrange(n) for _ in range(n - 2)])
+
+
+def prufer_tree(n: int, seq: Sequence[int]) -> Tree:
+    """The labelled tree on n vertices with Prufer sequence ``seq`` (n - 2 ids)."""
     if n == 1:
         return Tree(1, [])
     if n == 2:
         return Tree(2, [(0, 1)])
-    seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:
         degree[v] += 1

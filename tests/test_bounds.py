@@ -44,6 +44,9 @@ class TestApplicability:
         # P_3: one center, total level 2: 2*2 + 1 - 4 = 1
         assert lower_bound_weight(analyze(path(3)), force=True) == 1
         assert lower_bound_center(path(3), force=True) == 1
+        # one vertex: hc = 0, and the 1 - b term needs two distinct ends
+        assert lower_bound_weight(analyze(path(1)), force=True) == 0
+        assert lower_bound_center(path(1), force=True) == 0
 
 
 class TestWeightBound:

@@ -228,6 +228,8 @@ class TestExact:
         assert code == 0
         data = json.loads(out)
         assert data["hc"] == 9
+        assert data["lb"] == 9
+        assert data["proved_optimal"] is True
         assert data["limit_hit"] is False
         assert data["witness_span"] == 9
         code, _, _ = run("verify", path, path + ".hc.coloring")
@@ -239,12 +241,21 @@ class TestExact:
         assert code == 3
 
     def test_budget_exit_3_with_upper_bound(self, run, tmp_path):
-        path = gen_file(run, tmp_path, "a-tree", "d=4")
+        # the path on 10 vertices (hc 34) needs about 9k nodes
+        path = str(tmp_path / "p10.tree")
+        open(path, "w").write("10\n" + "".join(f"{i} {i + 1}\n" for i in range(9)))
         code, out, _ = run("exact", "--json", path, "--budget", "50")
         assert code == 3
         data = json.loads(out)
         assert data["limit_hit"] is True
-        assert data["hc"] >= 30
+        assert data["ub"] >= 34
+        # an unproved span is never printed as hc
+        assert "hc" not in data
+        assert data["proved_optimal"] is False
+        assert data["lb"] <= 34
+        code, out, _ = run("exact", path, "--budget", "50")
+        assert code == 3
+        assert "ub:" in out and "hc:" not in out
         # the witness file still holds a valid coloring
         code, _, _ = run("verify", path, path + ".hc.coloring")
         assert code == 0
@@ -370,6 +381,17 @@ class TestCompare:
         code, out, _ = run("compare", "--json", "--force", path)
         assert code == 0
         assert json.loads(out)["applicable"] is False
+
+    def test_one_vertex_forced_bounds_are_zero(self, run, tmp_path):
+        path = str(tmp_path / "one.tree")
+        open(path, "w").write("1\n")
+        code, out, _ = run("compare", "--force", path)
+        assert code == 0
+        assert "lb_weight: 0\n" in out and "lb_center: 0\n" in out
+        code, out, _ = run("exact", "--json", path)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["hc"], data["lb"], data["proved_optimal"]) == (0, 0, True)
 
 
 class TestDot:

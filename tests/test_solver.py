@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from hamcolor.bounds import is_applicable, lower_bound_weight
@@ -176,10 +177,35 @@ class TestExact:
                 assert res.explored > 0
 
     def test_never_below_the_bound(self, corpus, exact_of):
-        for n in range(4, 9):
+        # forced, the bound holds on every tree: paths and n <= 3 included
+        for n in range(1, 9):
             for t in corpus[n]:
-                if is_applicable(t):
-                    assert exact_of(t).hc >= lower_bound_weight(analyze(t))
+                lb = lower_bound_weight(analyze(t), force=True)
+                res = exact_of(t)
+                assert res.lb == lb
+                assert res.hc >= lb, t.edges
+
+    def test_span_below_the_bound_is_internal_error(self, monkeypatch):
+        rv = analyze(gen_star(5)[0])
+        monkeypatch.setattr(solver, "lower_bound_weight", lambda rv, force: 10)
+        with pytest.raises(InternalError):
+            exact_hc(rv)
+
+    def test_tight_trees_stop_at_the_bound(self):
+        # hc = lb on both; the first descent reaches the bound and ends the search
+        for tree in (gen_star(8)[0], gen_broom(9, 4)[0]):
+            res = exact_hc(analyze(tree))
+            assert res.hc == res.lb
+            assert res.proved_optimal and not res.limit_hit
+            assert res.explored <= 10
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 9).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0))
+        .map(lambda seq: (n, seq))))
+    def test_matches_pre_bound_kernel(self, case):
+        tree = oracles.prufer_tree(*case)
+        assert exact_hc(analyze(tree)).hc == oracles.pre_bound_hc(tree), tree.edges
 
     def test_relabeling_invariance(self, rng):
         base = gen_a_tree(4)[0]
@@ -210,11 +236,13 @@ class TestExact:
 
 class TestBudget:
     def test_exhaustion_reports_upper_bound(self):
-        rv = analyze(gen_a_tree(4)[0])
+        # the path on 10 vertices (hc 34) needs about 9k nodes
+        rv = analyze(path(10))
         res = exact_hc(rv, budget=50)
         assert res.limit_hit
         assert res.explored <= 50
-        assert res.hc >= 30
+        assert res.hc >= 34
+        assert not res.proved_optimal
         assert not verify_coloring(rv, res.witness)
         assert res.witness.span == res.hc
 
@@ -225,6 +253,8 @@ class TestBudget:
         assert res.explored == 0
         assert res.hc == min_span_for_order(rv, list(range(5))).span
         assert not verify_coloring(rv, res.witness)
+        # the identity ordering happens to meet the bound, which proves it
+        assert res.hc == res.lb and res.proved_optimal
 
     def test_runs_are_deterministic(self):
         rv = analyze(gen_a_tree(4)[0])
@@ -241,7 +271,8 @@ class TestBudget:
 
 
 class TestKernel:
-    """The kernel's incumbent and prefix arguments, called directly."""
+    """The kernel's incumbent and prefix arguments and its weight levels,
+    called directly."""
 
     @staticmethod
     def run(tree, prefix=(), incumbent=-1):
@@ -257,8 +288,18 @@ class TestKernel:
             # a loose incumbent does not change the answer
             assert self.run(t, incumbent=hc + 3)[0] == hc
 
+    def test_weight_levels_match_the_rooted_view(self, corpus):
+        for n in range(1, 9):
+            for t in corpus[n]:
+                rv = analyze(t)
+                level, bicentral = solver._kernel.weight_levels(solver._flat_distances(rv), n)
+                assert (tuple(level), bicentral) == (rv.level, rv.bicentral)
+
     def test_prefixes(self, corpus, exact_of):
         t = corpus[6][2]
+        # sibling leaves 2, 3 and 4, 5 are twins, so prefixes such as (3, 2)
+        # force a twin pair in descending order
+        assert t.adj[2] == t.adj[3] == (1,) and t.adj[4] == t.adj[5] == (0,)
         spans = []
         for a in range(t.n):
             for b in range(t.n):
