@@ -9,10 +9,12 @@ compares the calls one by one.  ``color`` runs on five large family shapes
 n=600 d=25), each with its family metadata and relabelled without it, plus
 seeded Prufer trees with n from 4 to 40; its stdout, stderr, exit code and
 written coloring file must be identical.  ``exact`` runs on the 18 instances
-of ``perfbench/pinned.json`` (read, never written); its exit code and ``hc``
-must be identical, while the explored-node count and the witness may differ
-between search strategies, so the node counts are printed side by side.
-Exits 1 and names the first differing inputs on a mismatch.
+of ``perfbench/pinned.json`` (read, never written) and, with ``--limit 12``,
+on the paths with n = 11 and 12 and four seeded Prufer trees with n = 12 and
+hc > lb; its exit code and ``hc`` must be identical, while the explored-node
+count and the witness may differ between search strategies, so the node
+counts are printed side by side with their total for each set.  Exits 1 and
+names the first differing inputs on a mismatch.
 
     python3 scripts/color_parity.py HEAD
     python3 scripts/color_parity.py HEAD~1 --prufer 300
@@ -40,6 +42,14 @@ SHAPES = [
     ("broom", {"n": 465, "d": 30}),
     ("broom", {"n": 600, "d": 25}),
 ]
+# seeds of Prufer trees with n = 12 and hc > lb, for exact past the benchmark's n <= 10
+EXACT12_SEEDS = (5, 113, 153, 243)
+# (label, inputs, argv before the file, suffix of the written coloring)
+RUNS = (
+    ("color", "*.tree", ["color", "--json"], ".coloring"),
+    ("exact", "exact/*.tree", ["exact", "--json"], ".hc.coloring"),
+    ("exact", "exact12/*.tree", ["exact", "--json", "--limit", "12"], ".hc.coloring"),
+)
 
 
 def _prufer_edges(seq: list[int]) -> list[tuple[int, int]]:
@@ -84,24 +94,30 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
     (workdir / "exact").mkdir()
     for inst in json.loads(PINNED.read_text())["instances"]:
         (workdir / "exact" / f"{inst['name']}.tree").write_text(_tree_text(inst["n"], inst["edges"]))
+    (workdir / "exact12").mkdir()
+    for n in (11, 12):
+        (workdir / "exact12" / f"path{n}.tree").write_text(_tree_text(n, [(i, i + 1) for i in range(n - 1)]))
+    for seed in EXACT12_SEEDS:
+        rng = random.Random(seed)
+        edges = _prufer_edges([rng.randrange(12) for _ in range(10)])
+        (workdir / "exact12" / f"prufer_s{seed}_n12.tree").write_text(_tree_text(12, edges))
 
 
 def run_side(src: Path, workdir: Path) -> dict:
-    """Worker: run ``color --json`` on every top-level input and ``exact
-    --json`` on every input under ``exact/``, with the package at ``src``."""
+    """Worker: make every call of ``RUNS`` with the package at ``src``."""
     sys.path.insert(0, str(src))
     from hamcolor.cli import main
 
     results = {}
-    for verb, pattern, suffix in (("color", "*.tree", ".coloring"), ("exact", "exact/*.tree", ".hc.coloring")):
+    for label, pattern, argv, suffix in RUNS:
         for path in sorted(workdir.glob(pattern)):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([verb, "--json", str(path)])
+                code = main(argv + [str(path)])
             colored = Path(str(path) + suffix)
             written = colored.read_text() if colored.exists() else None
             colored.unlink(missing_ok=True)
-            results[f"{verb} {path.name}"] = [code, out.getvalue(), err.getvalue(), written]
+            results[f"{label} {path.relative_to(workdir)}"] = [code, out.getvalue(), err.getvalue(), written]
     return results
 
 
@@ -136,10 +152,16 @@ def main() -> int:
             return result[0], json.loads(result[1]).get("hc")
         return result
 
+    totals: dict[str, list[int]] = {}
     for name in sorted(old):
         if name.startswith("exact ") and name in new and old[name][0] == new[name][0] == 0:
             nodes = [json.loads(side[name][1])["explored"] for side in (old, new)]
             print(f"{name}: explored {nodes[0]} -> {nodes[1]}")
+            total = totals.setdefault(name.split("/")[0], [0, 0])
+            total[0] += nodes[0]
+            total[1] += nodes[1]
+    for inputs, (before, after) in totals.items():
+        print(f"{inputs}/: explored in total {before} -> {after}")
     differ = [name for name in old if name not in new or key(name, old[name]) != key(name, new[name])]
     for verb in ("color", "exact"):
         codes: dict[int, int] = {}

@@ -12,21 +12,23 @@ matrix (minimum row sums give the centers, a level is the distance to the
 nearest one); b is 1 when there are two centers.  Every path between two
 vertices may detour through the center(s), so d(u, v) <= L(u) + L(v) + b.
 
-Five pruning rules, each sound for the reason given:
+Six pruning rules, each sound for the reason given:
 
 1. Pending color.  An unplaced vertex already forced to color p ends at p or
    later, so the span is at least p; a node whose largest pending color
    reaches the incumbent is abandoned.
 2. Minimum step.  When the diameter is below n-1, each placement raises the
    color by at least one, so placing v at color c with ``rem`` vertices left
-   gives a span of at least c + rem; candidates come sorted by color, so the
-   scan stops at the first one this rules out.
+   gives a span of at least c + rem; a candidate this rules out is skipped
+   and the scan goes on, because candidates are not visited in color order.
 3. Suffix bound.  Consecutive vertices of an ordering differ in color by at
    least n-1-d(u, v) >= n-1-b-L(u)-L(v).  Summed over the rest of the
-   ordering, placing v at color c with ``rem`` vertices left and unplaced
-   level sum S gives a span of at least c + rem*(n-1-b) - L(v) - 2*S: the
-   weight-center bound applied to every suffix.  It is not monotone in c, so
-   a candidate it rules out is skipped and the scan goes on.
+   ordering, placing v at color c with ``rem`` >= 1 vertices left and
+   unplaced level sum S gives a span of at least
+   c + rem*(n-1-b) - L(v) - 2*S + L(last): the weight-center bound applied
+   to every suffix.  L(last) is at least the least level among the unplaced
+   vertices other than v, and at least L(first) under rule 6.  A candidate
+   it rules out is skipped.
 4. Twin symmetry.  Two vertices are twins when their distance rows agree
    except toward each other (sibling leaves, in a tree).  Swapping two twins
    is an isometry, so it maps orderings to orderings of the same span, and
@@ -37,6 +39,17 @@ Five pruning rules, each sound for the reason given:
    (n-1)*(n-1-b) + (1-b) - 2*sum(L), the weight-center lower bound (the 1-b
    because a lone center cannot be both ends of the ordering; 0 when n = 1).
    Once the incumbent reaches it, nothing can beat it and the search ends.
+6. Reversal.  If an ordering's greedy completion h has span s, then s - h is
+   a valid coloring whose colors rise along the reversed ordering, so the
+   reversed ordering completes to a span of at most s (and so exactly s).
+   Some optimal ordering therefore has L(first) <= L(last), and rule 3 may
+   count L(first) for L(last).  Twin swaps preserve levels, so rules 4 and 6
+   hold together.  A forced ``prefix`` turns the rule off: the reverse of an
+   ordering that starts with the prefix does not.
+
+Candidates are visited by (c + L(v), c, v): c + L(v) is the part of rule 3's
+bound that varies with v, so the orderings it favours, and with them good
+incumbents, come first.
 """
 
 from __future__ import annotations
@@ -110,39 +123,55 @@ def bnb_exact(
         fm = forced[m]
         cand = []
         pend = -1
+        # lo1 <= lo2: the two least levels among the unplaced vertices
+        lo1 = lo2 = n
         for v in range(n):
             if not used[v]:
                 c = fm[v]
                 if c > pend:
                     pend = c
+                lv = level[v]
+                if lv < lo2:
+                    if lv < lo1:
+                        lo1, lo2 = lv, lo1
+                    else:
+                        lo2 = lv
                 t = twin_before[v]
                 if t < 0 or used[t]:
-                    cand.append((c, v))
+                    cand.append((c + lv, c, v))
         best = state["best_span"]
         if best >= 0 and pend >= best:
             return
         if m < forced_depth:
             v = prefix[m]
-            cand = [(fm[v], v)]
+            cand = [(0, fm[v], v)]
         else:
             cand.sort()
         rem = n - m - 1
         fnext = forced[m + 1]
-        for c, v in cand:
+        for _, c, v in cand:
             best = state["best_span"]
-            if best >= 0 and c + rem * min_step >= best:
-                break
             if state["stop"]:
                 return
-            rest = unplaced_level - level[v]
-            if best >= 0 and c + rem * step - level[v] - 2 * rest >= best:
-                continue
+            lv = level[v]
+            rest = unplaced_level - lv
+            order[m] = v  # before the bound, which reads order[0]
+            if best >= 0:
+                if c + rem * min_step >= best:
+                    continue
+                if rem:
+                    # the last vertex's level: the least among the other
+                    # unplaced vertices, and at least L(first) by rule 6
+                    end = lo2 if lv == lo1 else lo1
+                    if not forced_depth and level[order[0]] > end:
+                        end = level[order[0]]
+                    if c + rem * step - lv - 2 * rest + end >= best:
+                        continue
             if budget >= 0 and state["nodes"] >= budget:
                 state["limit_hit"] = state["stop"] = True
                 return
             state["nodes"] += 1
             used[v] = True
-            order[m] = v
             base = v * n
             for w in range(n):
                 fw = fm[w]

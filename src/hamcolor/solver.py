@@ -126,8 +126,9 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> Exac
     Refuses trees larger than ``limit`` vertices (at least 1; raise the
     limit explicitly to go bigger).  When a node ``budget`` (at least 0) is
     given and runs out, the best completed coloring so far is returned with
-    ``limit_hit`` set -- an upper bound, not a certified optimum unless it
-    meets ``lb``.
+    ``limit_hit`` set.  The result's ``hc`` is then only an upper bound on
+    the hamiltonian chromatic number unless ``proved_optimal`` (its span
+    meets ``lb``); read ``proved_optimal`` before ``hc``.
     """
     n = rv.n
     if limit < 1:

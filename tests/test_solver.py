@@ -1,4 +1,7 @@
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +27,26 @@ from hamcolor.solver import (
 from hamcolor.tree import Tree, analyze
 
 
+PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json"
+# explored nodes per pinned instance, at most
+NODES = {
+    "star8": 8, "broom9_d4": 9, "path9": 384, "path10": 824,
+    "rand9_tight0": 9, "rand9_tight1": 9, "rand9_tight2": 9, "rand9_tight3": 9,
+    "rand9_tight4": 9, "rand9_tight5": 9, "rand9_tight6": 9,
+    "rand8_gap0": 71, "rand8_gap1": 71, "rand8_gap2": 70, "rand8_gap3": 70,
+    "rand8_gap4": 71, "rand8_gap5": 71, "rand8_gap6": 70,
+}
+
+
 def path(n: int) -> Tree:
     return Tree(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def double_broom(k: int, a: int, b: int) -> Tree:
+    """A k-vertex path 0..k-1 with a leaves on vertex 0 and b on vertex k-1."""
+    edges = [(i, i + 1) for i in range(k - 1)]
+    edges += [(0, k + i) for i in range(a)] + [(k - 1, k + a + i) for i in range(b)]
+    return Tree(k + a + b, edges)
 
 
 class TestVerifyColoring:
@@ -191,13 +212,33 @@ class TestExact:
         with pytest.raises(InternalError):
             exact_hc(rv)
 
-    def test_tight_trees_stop_at_the_bound(self):
-        # hc = lb on both; the first descent reaches the bound and ends the search
-        for tree in (gen_star(8)[0], gen_broom(9, 4)[0]):
-            res = exact_hc(analyze(tree))
-            assert res.hc == res.lb
+    def test_pinned_instances_within_node_counts(self):
+        # the benchmark's instances: tight ones stop at the bound after one
+        # descent (n nodes), gap ones exhaust the search
+        pinned = json.loads(PINNED.read_text())["instances"]
+        assert set(NODES) == {inst["name"] for inst in pinned}
+        for inst in pinned:
+            res = exact_hc(analyze(Tree(inst["n"], [tuple(e) for e in inst["edges"]])))
+            assert res.hc == inst["hc"], inst["name"]
             assert res.proved_optimal and not res.limit_hit
-            assert res.explored <= 10
+            assert (res.hc == res.lb) == (inst["class"] == "tight"), inst["name"]
+            assert res.explored <= NODES[inst["name"]], (inst["name"], res.explored)
+
+    def test_endpoint_shapes_match_oracles(self):
+        # paths, brooms and double brooms, whose ends decide the span; random
+        # Prufer trees seldom draw them
+        shapes = [path(n) for n in range(2, 10)]
+        shapes += [gen_broom(n, d)[0] for n, d in ((6, 4), (7, 5), (8, 5), (9, 7))]
+        shapes += [double_broom(k, a, b) for k, a, b in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (4, 2, 2), (5, 2, 2))]
+        bicentral = 0
+        for t in shapes:
+            rv = analyze(t)
+            bicentral += rv.bicentral
+            hc = exact_hc(rv).hc
+            assert hc == oracles.pre_bound_hc(t), t.edges
+            if t.n <= 8:
+                assert hc == oracles.reference_hc(t), t.edges
+        assert bicentral == 9
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 9).flatmap(
@@ -296,20 +337,27 @@ class TestKernel:
                 assert (tuple(level), bicentral) == (rv.level, rv.bicentral)
 
     def test_prefixes(self, corpus, exact_of):
+        # in corpus[6][2], sibling leaves 2, 3 and 4, 5 are twins, so prefixes
+        # such as (3, 2) force a twin pair in descending order; three other
+        # trees have prefixes whose best completions all end at a level below
+        # L(first), where the reversal rule must stay off
         t = corpus[6][2]
-        # sibling leaves 2, 3 and 4, 5 are twins, so prefixes such as (3, 2)
-        # force a twin pair in descending order
         assert t.adj[2] == t.adj[3] == (1,) and t.adj[4] == t.adj[5] == (0,)
-        spans = []
-        for a in range(t.n):
-            for b in range(t.n):
-                if a != b:
-                    span, order, _, _ = self.run(t, prefix=(a, b))
-                    assert order[:2] == [a, b]
-                    assert min_span_for_order(analyze(t), order).span == span
-                    spans.append(span)
-        assert len(spans) == 30
-        assert min(spans) == exact_of(t).hc
+        for t in corpus[6]:
+            rv = analyze(t)
+            spans = []
+            for a, b in itertools.permutations(range(t.n), 2):
+                span, order, _, _ = self.run(t, prefix=(a, b))
+                assert order[:2] == [a, b]
+                assert min_span_for_order(rv, order).span == span
+                # the best of the 24 orderings that start with the prefix
+                rest = [v for v in range(t.n) if v not in (a, b)]
+                assert span == min(
+                    min_span_for_order(rv, (a, b) + tail).span for tail in itertools.permutations(rest)
+                ), (t.edges, a, b)
+                spans.append(span)
+            assert len(spans) == 30
+            assert min(spans) == exact_of(t).hc
 
 
 def test_backend_reported():
