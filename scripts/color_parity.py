@@ -13,8 +13,9 @@ of ``perfbench/pinned.json`` (read, never written) and, with ``--limit 12``,
 on the paths with n = 11 and 12 and four seeded Prufer trees with n = 12 and
 hc > lb; its exit code and ``hc`` must be identical, while the explored-node
 count and the witness may differ between search strategies, so the node
-counts are printed side by side with their total for each set.  Exits 1 and
-names the first differing inputs on a mismatch.
+counts are printed side by side with their total for each set, and so are
+the exit-code counts of each verb.  Exits 1 and names the first differing
+inputs on a mismatch.
 
     python3 scripts/color_parity.py HEAD
     python3 scripts/color_parity.py HEAD~1 --prufer 300
@@ -31,6 +32,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -164,11 +166,11 @@ def main() -> int:
         print(f"{inputs}/: explored in total {before} -> {after}")
     differ = [name for name in old if name not in new or key(name, old[name]) != key(name, new[name])]
     for verb in ("color", "exact"):
-        codes: dict[int, int] = {}
-        for name, (code, *_) in old.items():
-            if name.startswith(verb + " "):
-                codes[code] = codes.get(code, 0) + 1
-        print(f"{verb}: {sum(codes.values())} inputs, exit codes at {args.rev}: {dict(sorted(codes.items()))}")
+        before, after = (
+            dict(sorted(Counter(res[0] for name, res in side.items() if name.startswith(verb + " ")).items()))
+            for side in (old, new)
+        )
+        print(f"{verb}: {sum(before.values())} inputs, exit codes at {args.rev}: {before}, working tree: {after}")
     if differ or set(new) != set(old):
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
         return 1

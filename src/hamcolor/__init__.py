@@ -39,8 +39,6 @@ from .families import (
 from .ordering import (
     Certificate,
     Coloring,
-    SpacingCheck,
-    certify_alternation,
     check_spacing,
     coloring_from_ordering,
     search_ordering,

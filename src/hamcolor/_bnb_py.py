@@ -12,42 +12,38 @@ matrix (minimum row sums give the centers, a level is the distance to the
 nearest one); b is 1 when there are two centers.  Every path between two
 vertices may detour through the center(s), so d(u, v) <= L(u) + L(v) + b.
 
-Six pruning rules, each sound for the reason given:
+Five pruning rules, each sound for the reason given:
 
 1. Pending color.  An unplaced vertex already forced to color p ends at p or
    later, so the span is at least p; a node whose largest pending color
    reaches the incumbent is abandoned.
-2. Minimum step.  When the diameter is below n-1, each placement raises the
-   color by at least one, so placing v at color c with ``rem`` vertices left
-   gives a span of at least c + rem; a candidate this rules out is skipped
-   and the scan goes on, because candidates are not visited in color order.
-3. Suffix bound.  Consecutive vertices of an ordering differ in color by at
+2. Suffix bound.  Consecutive vertices of an ordering differ in color by at
    least n-1-d(u, v) >= n-1-b-L(u)-L(v).  Summed over the rest of the
    ordering, placing v at color c with ``rem`` >= 1 vertices left and
    unplaced level sum S gives a span of at least
    c + rem*(n-1-b) - L(v) - 2*S + L(last): the weight-center bound applied
    to every suffix.  L(last) is at least the least level among the unplaced
-   vertices other than v, and at least L(first) under rule 6.  A candidate
-   it rules out is skipped.
-4. Twin symmetry.  Two vertices are twins when their distance rows agree
+   vertices other than v, and at least L(first) under rule 5.  A candidate
+   it rules out is skipped and the scan goes on.
+3. Twin symmetry.  Two vertices are twins when their distance rows agree
    except toward each other (sibling leaves, in a tree).  Swapping two twins
    is an isometry, so it maps orderings to orderings of the same span, and
    twins are placed in ascending id order.  Placements inside a forced
    ``prefix`` ignore the rule; any permutation of the twins outside the
    prefix fixes the prefix, so the rule stays sound after it.
-5. Target stop.  At the root the suffix bound reads
+4. Target stop.  At the root the suffix bound reads
    (n-1)*(n-1-b) + (1-b) - 2*sum(L), the weight-center lower bound (the 1-b
    because a lone center cannot be both ends of the ordering; 0 when n = 1).
    Once the incumbent reaches it, nothing can beat it and the search ends.
-6. Reversal.  If an ordering's greedy completion h has span s, then s - h is
+5. Reversal.  If an ordering's greedy completion h has span s, then s - h is
    a valid coloring whose colors rise along the reversed ordering, so the
    reversed ordering completes to a span of at most s (and so exactly s).
-   Some optimal ordering therefore has L(first) <= L(last), and rule 3 may
-   count L(first) for L(last).  Twin swaps preserve levels, so rules 4 and 6
+   Some optimal ordering therefore has L(first) <= L(last), and rule 2 may
+   count L(first) for L(last).  Twin swaps preserve levels, so rules 3 and 5
    hold together.  A forced ``prefix`` turns the rule off: the reverse of an
    ordering that starts with the prefix does not.
 
-Candidates are visited by (c + L(v), c, v): c + L(v) is the part of rule 3's
+Candidates are visited by (c + L(v), c, v): c + L(v) is the part of rule 2's
 bound that varies with v, so the orderings it favours, and with them good
 incumbents, come first.
 """
@@ -88,8 +84,6 @@ def bnb_exact(
     None (and ``best_span`` -1) when no complete ordering beat the incumbent
     or the budget ran out first.
     """
-    maxd = max(dist) if n > 1 else 0
-    min_step = 1 if maxd <= n - 2 else 0
     level, bicentral = weight_levels(dist, n)
     step = n - 2 if bicentral else n - 1
     target = bound_formula(n, bicentral, sum(level))
@@ -156,17 +150,14 @@ def bnb_exact(
             lv = level[v]
             rest = unplaced_level - lv
             order[m] = v  # before the bound, which reads order[0]
-            if best >= 0:
-                if c + rem * min_step >= best:
+            if best >= 0 and rem:
+                # the last vertex's level: the least among the other
+                # unplaced vertices, and at least L(first) by rule 5
+                end = lo2 if lv == lo1 else lo1
+                if not forced_depth and level[order[0]] > end:
+                    end = level[order[0]]
+                if c + rem * step - lv - 2 * rest + end >= best:
                     continue
-                if rem:
-                    # the last vertex's level: the least among the other
-                    # unplaced vertices, and at least L(first) by rule 6
-                    end = lo2 if lv == lo1 else lo1
-                    if not forced_depth and level[order[0]] > end:
-                        end = level[order[0]]
-                    if c + rem * step - lv - 2 * rest + end >= best:
-                        continue
             if budget >= 0 and state["nodes"] >= budget:
                 state["limit_hit"] = state["stop"] = True
                 return

@@ -19,9 +19,9 @@ known, the expected order, total level and hamiltonian chromatic number:
                 by legs, which take ids m.. grouped by spine vertex.
 
 ``expected_order`` gives the order of an instance from its parameters without
-building it.  ``family_certificate`` produces the certificate of an ordering whose induced
-coloring attains the weight-center lower bound; ``family_ordering`` returns
-just that ordering.
+building it.  ``family_certificate`` returns the ``check_spacing``
+certificate of an ordering whose induced coloring attains the weight-center
+lower bound; ``family_ordering`` returns just that ordering.
 """
 
 from __future__ import annotations
@@ -340,8 +340,8 @@ def family_certificate(spec: FamilySpec, rv: RootedView) -> _ord.Certificate:
         order = _a_tree_ordering(rv)
     else:
         raise BadParamsError(f"unknown family {spec.family!r}")
-    cert = _ord.certify_alternation(rv, order)
-    if cert.kind == "none":
+    cert = _ord.check_spacing(rv, order)
+    if not cert.ok:
         raise InternalError(f"{spec.family} ordering failed certification: {cert.reason}")
     return cert
 

@@ -9,18 +9,13 @@ ordering and add, at each step,
 
 where b is 1 for two weight centers and 0 for one.  This module provides
 
-* ``check_spacing``       -- the exact pairwise condition: the induced coloring
-                             is optimal if and only if it holds (pairs beyond
-                             consecutive ones go to ``verify_coloring``);
-* ``certify_alternation`` -- the one certificate check, a cheaper sufficient
-                             condition: endpoint levels, branch alternation of
-                             consecutive vertices, and consecutive distances at
-                             most n/2.  It returns the strongest kind earned:
-                             "alternation_db" on trees whose diameter is at most
-                             n/2 (the distance cap then holds for free),
-                             "alternation" otherwise, or "none";
-* ``search_ordering``     -- a deterministic greedy that tries to build a
-                             certified ordering and returns its certificate.
+* ``check_spacing``   -- the one certificate check, the paper's necessary and
+                         sufficient condition: the induced coloring attains
+                         the bound if and only if it holds.  It returns a
+                         ``Certificate`` holding the ordering and the coloring
+                         it verified, or the first failure;
+* ``search_ordering`` -- a deterministic greedy that builds one ordering and
+                         returns its certificate.
 
 Everything here requires n >= 4 and maximum degree >= 3.
 """
@@ -29,9 +24,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
-from .bounds import diameter_at_most_half, lower_bound_weight, require_applicable
+from .bounds import lower_bound_weight, require_applicable
 from .errors import InternalError, NegativeIncrementError, NotAPermutationError, SearchFailedError
 from .tree import RootedView
 
@@ -51,25 +46,21 @@ class Coloring:
 
 
 @dataclass(frozen=True)
-class SpacingCheck:
+class Certificate:
+    """Verdict of :func:`check_spacing` on an ordering.
+
+    When ``ok``, ``ordering`` and ``coloring`` hold the ordering and its
+    induced coloring, verified to attain the weight-center lower bound.
+    Otherwise ``reason`` says why not, and ``violation`` is the failing pair
+    of positions (None when the endpoint levels fail).
+    """
+
     ok: bool
     violation: tuple[int, int] | None = None
     reason: str | None = None
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of certifying an ordering.
-
-    ``kind`` is "alternation_db", "alternation" or "none"; any kind other
-    than "none" claims the induced coloring attains the weight-center lower
-    bound, recorded in ``claimed_span``.
-    """
-
-    kind: str
-    ordering: tuple[int, ...] | None
-    claimed_span: int | None
-    reason: str | None = None
+    ordering: tuple[int, ...] | None = None
+    coloring: Coloring | None = None
+    kind: ClassVar[str] = "spacing"
 
 
 def validate_ordering(n: int, order: Sequence[int]) -> list[int]:
@@ -87,8 +78,9 @@ def _endpoint_levels_ok(rv: RootedView, order: Sequence[int]) -> bool:
     return rv.level[order[0]] + rv.level[order[-1]] == want
 
 
-def check_spacing(rv: RootedView, order: Sequence[int]) -> SpacingCheck:
-    """Exact pairwise condition for the induced coloring to be optimal.
+def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
+    """Certify ``order``: the exact condition for its induced coloring to
+    attain the weight-center lower bound.
 
     Beyond the endpoint levels, every pair i < j must satisfy
 
@@ -96,10 +88,12 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> SpacingCheck:
                        - (j - i) * (n - 1 - b) + (n - 1).
 
     A consecutive pair needs d >= level + level + b, so it must share no
-    branch (two centers: lie on opposite sides), read as in
-    ``certify_alternation``.  Then every increment n - 1 - d is >= 0, the
-    colors rise, and ``verify_coloring``'s window checks the other pairs.
-    Reported: the first failing consecutive pair, else the first (i, j).
+    branch (two centers: lie on opposite sides), read from ``branch`` and
+    ``side`` without a distance query.  Then every increment n - 1 - d is
+    >= 0, the colors rise, and ``verify_coloring``'s window checks the other
+    pairs.  Reported: the first failing consecutive pair, else the first
+    (i, j).  On success the certificate holds the ordering and the coloring
+    that was verified.
     """
     from .solver import verify_coloring  # solver imports this module
 
@@ -108,21 +102,25 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> SpacingCheck:
     n = rv.n
     b = 1 if rv.bicentral else 0
     if not _endpoint_levels_ok(rv, o):
-        return SpacingCheck(False, None, f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}")
+        return Certificate(False, None, f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}")
     level, branch, side = rv.level, rv.branch, rv.side
     pos = [0] * n
     for i, (u, v) in enumerate(zip(o, o[1:])):
         pos[v] = i + 1
         if (branch[u] is not None and branch[u] == branch[v]) or (b and side[u] == side[v]):
             d, need = rv.detour_distance(u, v), level[u] + level[v] + b
-            return SpacingCheck(False, (i, i + 1), f"positions {i},{i + 1}: distance {d} < required {need}")
-    bad = verify_coloring(rv, coloring_from_ordering(rv, o))
+            return Certificate(False, (i, i + 1), f"positions {i},{i + 1}: distance {d} < required {need}")
+    coloring = coloring_from_ordering(rv, o)
+    bad = verify_coloring(rv, coloring)
     if not bad:
-        return SpacingCheck(True)
+        # the span is (n-1)(n-1-b) - 2*total_level plus the endpoint levels
+        if coloring.span != (lb := lower_bound_weight(rv)):
+            raise InternalError(f"certified span {coloring.span} != weight-center bound {lb}")
+        return Certificate(True, ordering=tuple(o), coloring=coloring)
     x = min(bad, key=lambda x: sorted((pos[x.u], pos[x.v])))
     i, j = sorted((pos[x.u], pos[x.v]))
     reason = f"positions {i},{j}: distance {n - 1 - x.required} < required {n - 1 - x.actual}"
-    return SpacingCheck(False, (i, j), reason)
+    return Certificate(False, (i, j), reason)
 
 
 def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
@@ -146,42 +144,6 @@ def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def certify_alternation(rv: RootedView, order: Sequence[int]) -> Certificate:
-    """Strongest alternation certificate ``order`` earns, in one pass.
-
-    The sufficient conditions are the endpoint levels, consecutive vertices
-    sharing no branch (with two centers: on opposite sides of the center
-    edge) and consecutive distances at most n/2.  Such a pair meets through
-    the center(s), so its distance is level(u) + level(v) + b, read from the
-    levels without a distance query.  The kind is "alternation_db" when the
-    diameter is at most n/2, so the cap holds for free, "alternation" when
-    the cap is checked and holds, else "none" with the first failure as the
-    reason.
-    """
-    require_applicable(rv.tree, "ordering certificates")
-    o = validate_ordering(rv.n, order)
-    n = rv.n
-    b = 1 if rv.bicentral else 0
-    if not _endpoint_levels_ok(rv, o):
-        reason = f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}"
-        return Certificate("none", None, None, reason)
-    check_cap = not diameter_at_most_half(rv.tree)
-    level, branch, side = rv.level, rv.branch, rv.side
-    for i in range(n - 1):
-        u, v = o[i], o[i + 1]
-        reason = None
-        if branch[u] is not None and branch[u] == branch[v]:
-            reason = f"positions {i},{i + 1}: vertices {u},{v} share a branch"
-        elif b and side[u] == side[v]:
-            reason = f"positions {i},{i + 1}: vertices {u},{v} on the same side of the center edge"
-        elif check_cap and 2 * (d := level[u] + level[v] + b) > n:
-            reason = f"positions {i},{i + 1}: distance {d} exceeds n/2"
-        if reason is not None:
-            return Certificate("none", None, None, reason)
-    kind = "alternation" if check_cap else "alternation_db"
-    return Certificate(kind, tuple(o), lower_bound_weight(rv))
-
-
 def _branch_queues(rv: RootedView) -> dict[int, list[int]]:
     """Per-branch stacks popping deepest-first (ties to the smaller id)."""
     queues: dict[int, list[int]] = {i: [] for i in range(len(rv.branch_roots))}
@@ -199,9 +161,9 @@ def search_ordering(rv: RootedView) -> Certificate:
     deepest unplaced vertex from an allowed branch (a different branch with one
     center, the opposite side with two), preferring branches with the most
     unplaced vertices and breaking ties by smallest branch id.  Returns the
-    ordering's certificate (the ordering is its ``.ordering``).
-    :class:`SearchFailedError` means only that the greedy ordering failed
-    certification, which is not a proof that no ordering exists.
+    ordering's :func:`check_spacing` certificate.  :class:`SearchFailedError`
+    means only that this one ordering fails the condition, which is not a
+    proof that no ordering passes it (nor that hc exceeds the bound).
 
     The branches wait in a heap keyed (-unplaced, branch id), one heap with
     one center and one per side with two, so each step costs O(log n) instead
@@ -247,7 +209,7 @@ def search_ordering(rv: RootedView) -> Certificate:
             take(heap, prev)
             if held is not None:
                 heapq.heappush(heap, held)
-    cert = certify_alternation(rv, order)
-    if cert.kind == "none":
+    cert = check_spacing(rv, order)
+    if not cert.ok:
         raise SearchFailedError(f"greedy ordering failed certification: {cert.reason}")
     return cert

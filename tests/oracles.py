@@ -5,22 +5,28 @@ search and bound code so that test expectations do not inherit bugs
 from the code under test: distances come from networkx, minimum spans
 come from brute-force enumeration over whole color vectors or from an
 unpruned search over every vertex ordering, violations, the spacing
-condition and the greedy completion from scans over all pairs, and the
-greedy ordering from a scan over every branch on every step.  ``bnb_exact``
-is the search kernel as it was before it pruned with the weight-center bound,
-kept verbatim as an oracle for the pruning rules added since.
+condition (with its coloring, from prefix sums) and the greedy completion
+from scans over all pairs, and the greedy ordering from a scan over every
+branch on every step.  ``bnb_exact`` is the search kernel as it was before
+it pruned with the weight-center bound, kept verbatim as an oracle for the
+pruning rules added since.  ``certify_alternation`` is the package's former
+certificate check, a weaker sufficient condition read from the package's
+levels and bounds, kept as the reference that ``check_spacing`` accepts every
+ordering it accepted.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from typing import Sequence
 
 import networkx as nx
 
+from hamcolor.bounds import diameter_at_most_half, lower_bound_weight, require_applicable
 from hamcolor.errors import InternalError
-from hamcolor.ordering import SpacingCheck
+from hamcolor.ordering import Certificate, Coloring, validate_ordering
 from hamcolor.tree import RootedView, Tree
 
 
@@ -214,18 +220,19 @@ def all_pairs_violations(tree: Tree, colors) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def all_pairs_spacing(rv: RootedView, order, dist=None) -> SpacingCheck:
+def all_pairs_spacing(rv: RootedView, order, dist=None) -> Certificate:
     """The spacing condition of ``check_spacing`` over every pair of positions,
     with prefix sums of levels and networkx distances (``dist``, when given).
 
     Reports the endpoint failure without positions, else the first violating
-    pair scanning i then j.
+    pair scanning i then j.  On success the coloring is read off the prefix
+    sums: position m gets m * (n - 1 - b) - prefix[m].
     """
     n = rv.n
     o = list(order)
     b = 1 if rv.bicentral else 0
     if rv.level[o[0]] + rv.level[o[-1]] != 1 - b:
-        return SpacingCheck(False, None, f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}")
+        return Certificate(False, None, f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}")
     dist = dist or nx_distance_matrix(rv.tree)
     lev = [rv.level[v] for v in o]
     prefix = [0] * n
@@ -237,8 +244,63 @@ def all_pairs_spacing(rv: RootedView, order, dist=None) -> SpacingCheck:
             rhs = prefix[j] - prefix[i] - (j - i) * step + (n - 1)
             d = dist[o[i]][o[j]]
             if d < rhs:
-                return SpacingCheck(False, (i, j), f"positions {i},{j}: distance {d} < required {rhs}")
-    return SpacingCheck(True)
+                return Certificate(False, (i, j), f"positions {i},{j}: distance {d} < required {rhs}")
+    colors = [0] * n
+    for m, v in enumerate(o):
+        colors[v] = m * step - prefix[m]
+    return Certificate(True, ordering=tuple(o), coloring=Coloring(tuple(colors)))
+
+
+@dataclass(frozen=True)
+class AlternationCertificate:
+    """Outcome of :func:`certify_alternation`.
+
+    ``kind`` is "alternation_db", "alternation" or "none"; any kind other
+    than "none" claims the induced coloring attains the weight-center lower
+    bound, recorded in ``claimed_span``.
+    """
+
+    kind: str
+    ordering: tuple[int, ...] | None
+    claimed_span: int | None
+    reason: str | None = None
+
+
+def certify_alternation(rv: RootedView, order: Sequence[int]) -> AlternationCertificate:
+    """The certificate check the package used before ``check_spacing``, kept
+    as a reference: a sufficient condition that accepts fewer orderings.
+
+    The sufficient conditions are the endpoint levels, consecutive vertices
+    sharing no branch (with two centers: on opposite sides of the center
+    edge) and consecutive distances at most n/2.  Such a pair meets through
+    the center(s), so its distance is level(u) + level(v) + b, read from the
+    levels without a distance query.  The kind is "alternation_db" when the
+    diameter is at most n/2, so the cap holds for free, "alternation" when
+    the cap is checked and holds, else "none" with the first failure as the
+    reason.
+    """
+    require_applicable(rv.tree, "ordering certificates")
+    o = validate_ordering(rv.n, order)
+    n = rv.n
+    b = 1 if rv.bicentral else 0
+    if rv.level[o[0]] + rv.level[o[-1]] != 1 - b:
+        reason = f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}"
+        return AlternationCertificate("none", None, None, reason)
+    check_cap = not diameter_at_most_half(rv.tree)
+    level, branch, side = rv.level, rv.branch, rv.side
+    for i in range(n - 1):
+        u, v = o[i], o[i + 1]
+        reason = None
+        if branch[u] is not None and branch[u] == branch[v]:
+            reason = f"positions {i},{i + 1}: vertices {u},{v} share a branch"
+        elif b and side[u] == side[v]:
+            reason = f"positions {i},{i + 1}: vertices {u},{v} on the same side of the center edge"
+        elif check_cap and 2 * (d := level[u] + level[v] + b) > n:
+            reason = f"positions {i},{i + 1}: distance {d} exceeds n/2"
+        if reason is not None:
+            return AlternationCertificate("none", None, None, reason)
+    kind = "alternation" if check_cap else "alternation_db"
+    return AlternationCertificate(kind, tuple(o), lower_bound_weight(rv))
 
 
 def all_pairs_min_span(tree: Tree, order, dist=None) -> list[int]:

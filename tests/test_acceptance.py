@@ -19,11 +19,7 @@ from hamcolor.families import (
     gen_caterpillar,
     gen_star,
 )
-from hamcolor.ordering import (
-    certify_alternation,
-    coloring_from_ordering,
-    search_ordering,
-)
+from hamcolor.ordering import coloring_from_ordering, search_ordering
 from hamcolor.solver import verify_coloring
 from hamcolor.tree import analyze
 
@@ -32,12 +28,10 @@ def certified_span(tree, spec=None) -> int:
     """Span of the certified ordering for a tree (family route when given)."""
     rv = analyze(tree)
     cert = family_certificate(spec, rv) if spec is not None else search_ordering(rv)
-    assert cert.kind != "none"
-    assert certify_alternation(rv, cert.ordering) == cert
-    col = coloring_from_ordering(rv, cert.ordering)
-    assert not verify_coloring(rv, col)
-    assert col.span == cert.claimed_span
-    return col.span
+    assert cert.ok and cert.kind == "spacing"
+    assert cert.coloring == coloring_from_ordering(rv, cert.ordering)
+    assert not verify_coloring(rv, cert.coloring)
+    return cert.coloring.span
 
 
 def test_c01_even_a_tree_closed_forms(exact_of):

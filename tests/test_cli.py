@@ -5,12 +5,11 @@ import subprocess
 
 import pytest
 
-from hamcolor import cli, ordering
+from hamcolor import cli, families, ordering, solver
 from hamcolor.cli import main
 from hamcolor.bounds import lower_bound_weight
 from hamcolor.families import gen_star
 from hamcolor.io import format_tree, parse_coloring_text, parse_tree_text
-from hamcolor.ordering import Coloring
 from hamcolor.tree import RootedView, Tree, analyze
 
 
@@ -120,7 +119,7 @@ class TestColor:
         code, out, _ = run("color", "--json", path)
         assert code == 0
         data = json.loads(out)
-        assert data["certificate"] == "alternation_db"
+        assert data["certificate"] == "spacing"
         assert data["span"] == 58
         assert data["colors"][0] == 0
         coloring = parse_coloring_text(open(path + ".coloring").read(), 10)
@@ -159,19 +158,25 @@ class TestColor:
         assert code == 1
 
     def test_one_analysis_and_one_certificate_per_call(self, run, tmp_path, monkeypatch):
-        counts = {"analyses": 0, "certificates": 0}
-        init, certify = RootedView.__init__, ordering.certify_alternation
+        # one check_spacing, which builds and verifies the coloring once;
+        # color writes that coloring without recomputing it
+        counts = dict.fromkeys(("analyses", "checks", "colorings", "verifies"), 0)
 
-        def counting_init(self, tree):
-            counts["analyses"] += 1
-            init(self, tree)
+        def counting(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
 
-        def counting_certify(rv, order):
-            counts["certificates"] += 1
-            return certify(rv, order)
+            return wrapped
 
-        monkeypatch.setattr(RootedView, "__init__", counting_init)
-        monkeypatch.setattr(ordering, "certify_alternation", counting_certify)
+        monkeypatch.setattr(RootedView, "__init__", counting("analyses", RootedView.__init__))
+        monkeypatch.setattr(ordering, "check_spacing", counting("checks", ordering.check_spacing))
+        color = counting("colorings", ordering.coloring_from_ordering)
+        monkeypatch.setattr(ordering, "coloring_from_ordering", color)
+        monkeypatch.setattr(cli, "coloring_from_ordering", color, raising=False)
+        verify = counting("verifies", solver.verify_coloring)
+        monkeypatch.setattr(solver, "verify_coloring", verify)
+        monkeypatch.setattr(cli, "verify_coloring", verify)
         plain = str(tmp_path / "b.tree")
         open(plain, "w").write("9\n0 1\n1 2\n2 3\n0 4\n0 5\n0 6\n0 7\n0 8\n")
         paths = [
@@ -180,18 +185,33 @@ class TestColor:
             plain,
         ]
         for path in paths:
-            counts.update(analyses=0, certificates=0)
+            counts.update(dict.fromkeys(counts, 0))
             code, _, _ = run("color", path)
             assert code == 0
-            assert counts == {"analyses": 1, "certificates": 1}, path
+            assert counts == {"analyses": 1, "checks": 1, "colorings": 1, "verifies": 1}, path
 
     def test_internal_error_exit_5(self, run, tmp_path, monkeypatch):
-        path = gen_file(run, tmp_path, "star", "n=5")
-        # a coloring that fails the self-check: leaves 1 and 2 get colors 1 apart
-        monkeypatch.setattr(cli, "coloring_from_ordering", lambda rv, order: Coloring(tuple(range(rv.n))))
+        path = gen_file(run, tmp_path, "broom", "n=10,d=4")
+        # a recognised broom whose construction puts two path vertices side
+        # by side: a failed certificate there is a bug, not a search failure
+        monkeypatch.setattr(families, "_broom_ordering", lambda n, d: [0, 3, 2, 4, 1, 5, 6, 7, 8, 9])
         code, _, err = run("color", path)
         assert code == 5
         assert "internal error" in err
+        assert "broom_even ordering failed certification" in err
+
+    def test_newly_certified_tree(self, run, tmp_path):
+        # the greedy ordering meets the exact condition; the former n/2
+        # distance cap rejected it (exit 4)
+        path = str(tmp_path / "t5.tree")
+        open(path, "w").write("5\n0 1\n1 2\n0 3\n0 4\n")
+        code, out, _ = run("color", "--json", path)
+        assert code == 0
+        data = json.loads(out)
+        assert data["span"] == 7 and data["colors"] == [0, 5, 2, 3, 7]
+        code, out, _ = run("exact", "--json", path)
+        assert code == 0
+        assert json.loads(out)["hc"] == 7 == json.loads(out)["lb"]
 
     def test_false_order_claim_builds_nothing_larger(self, run, tmp_path, monkeypatch):
         # the claimed order is rejected from the params, before any family

@@ -14,7 +14,7 @@ from hamcolor.families import (
     gen_star,
     generate,
 )
-from hamcolor.ordering import certify_alternation, coloring_from_ordering
+from hamcolor.ordering import coloring_from_ordering
 from hamcolor.solver import verify_coloring
 from hamcolor.tree import analyze, weight_centers
 
@@ -23,11 +23,10 @@ def certified_span(tree, spec) -> int:
     """Span of the certified family coloring, after re-verifying it."""
     rv = analyze(tree)
     cert = family_certificate(spec, rv)
-    assert cert.kind != "none"
-    assert certify_alternation(rv, cert.ordering) == cert
-    col = coloring_from_ordering(rv, cert.ordering)
-    assert not verify_coloring(rv, col)
-    return col.span
+    assert cert.ok and cert.kind == "spacing"
+    assert cert.coloring == coloring_from_ordering(rv, cert.ordering)
+    assert not verify_coloring(rv, cert.coloring)
+    return cert.coloring.span
 
 
 class TestStar:

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 
-from hamcolor.bounds import diameter_at_most_half, is_applicable, lower_bound_weight
+from hamcolor.bounds import is_applicable, lower_bound_weight
 from hamcolor.errors import (
     NegativeIncrementError,
     NotApplicableError,
@@ -14,16 +14,15 @@ from hamcolor.errors import (
 )
 from hamcolor.families import gen_a_tree, gen_broom, gen_caterpillar, gen_star
 from hamcolor.ordering import (
+    Certificate,
     Coloring,
-    SpacingCheck,
-    certify_alternation,
     check_spacing,
     coloring_from_ordering,
     search_ordering,
     validate_ordering,
 )
 from hamcolor.solver import min_span_for_order, verify_coloring
-from hamcolor.tree import RootedView, Tree, analyze
+from hamcolor.tree import Tree, analyze
 
 
 def spider_331() -> Tree:
@@ -33,17 +32,6 @@ def spider_331() -> Tree:
 
 def path(n: int) -> Tree:
     return Tree(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def certify_without_distances(monkeypatch, rv, order):
-    """``certify_alternation`` with every distance query made to fail."""
-
-    def no_query(self, u, v):
-        raise AssertionError(f"distance query {u},{v}")
-
-    with monkeypatch.context() as m:
-        m.setattr(RootedView, "detour_distance", no_query)
-        return certify_alternation(rv, order)
 
 
 class TestColoring:
@@ -126,7 +114,7 @@ class TestCheckSpacing:
                 else:
                     i, d, need = failing[0]
                     reason = f"positions {i},{i + 1}: distance {d} < required {need}"
-                    assert got == SpacingCheck(False, (i, i + 1), reason), (rv.tree, order)
+                    assert got == Certificate(False, (i, i + 1), reason), (rv.tree, order)
                     kind = "consecutive"
                 seen.add(kind)
         assert seen == {"ok", "endpoints", "window", "consecutive"}
@@ -195,52 +183,41 @@ class TestColoringFromOrdering:
 
 
 class TestCertificates:
-    def test_star_gets_db_certificate(self):
+    def test_star_certificate(self):
         rv = analyze(gen_star(5)[0])
-        cert = certify_alternation(rv, [0, 1, 2, 3, 4])
-        assert cert.kind == "alternation_db"
-        assert cert.claimed_span == 9
+        cert = check_spacing(rv, [0, 1, 2, 3, 4])
+        assert cert.ok and cert.kind == "spacing"
         assert cert.ordering == (0, 1, 2, 3, 4)
+        assert cert.coloring == Coloring((0, 3, 5, 7, 9))
 
-    def test_long_spider_needs_plain_certificate(self, monkeypatch):
-        # the distance cap is checked from levels alone
+    def test_long_spider_certificate(self):
+        # the diameter 6 exceeds n/2 = 4; the exact condition needs no cap
         rv = analyze(spider_331())
         order = [0, 3, 7, 6, 1, 5, 2, 4]
-        assert not diameter_at_most_half(rv.tree)
-        cert = certify_without_distances(monkeypatch, rv, order)
-        assert cert.kind == "alternation"
-        assert cert.claimed_span == 24
-        col = coloring_from_ordering(rv, order)
-        assert col.colors == (0, 13, 20, 4, 24, 17, 10, 7)
-        assert not verify_coloring(rv, col)
-
-    def test_distance_cap_rejection(self, monkeypatch):
-        # the two deep leg tips sit 6 apart, over n/2 = 4
-        rv = analyze(spider_331())
-        cert = certify_without_distances(monkeypatch, rv, [0, 3, 6, 1, 5, 2, 7, 4])
-        assert cert.kind == "none"
-        assert "exceeds n/2" in cert.reason
+        cert = check_spacing(rv, order)
+        assert cert.ok and cert.ordering == tuple(order)
+        assert cert.coloring.colors == (0, 13, 20, 4, 24, 17, 10, 7)
+        assert cert.coloring.span == 24 == lower_bound_weight(rv)
+        assert not verify_coloring(rv, cert.coloring)
 
     def test_same_branch_rejection(self):
         rv = analyze(gen_broom(6, 3)[0])
-        cert = certify_alternation(rv, [0, 2, 1, 3, 4, 5])
-        assert cert.kind == "none"
-        assert "share a branch" in cert.reason
+        cert = check_spacing(rv, [0, 2, 1, 3, 4, 5])
+        assert cert == Certificate(False, (1, 2), "positions 1,2: distance 1 < required 3")
 
     def test_same_side_rejection_when_bicentral(self):
         # double star: 2,3 hang off one center, so they may not be adjacent
         rv = analyze(Tree(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]))
-        cert = certify_alternation(rv, [0, 2, 3, 6, 5, 7, 4, 1])
-        assert cert.kind == "none"
-        assert "same side" in cert.reason
+        cert = check_spacing(rv, [0, 5, 2, 3, 6, 4, 7, 1])
+        assert cert == Certificate(False, (2, 3), "positions 2,3: distance 2 < required 3")
 
     def test_needs_applicable_tree(self):
         rv = analyze(path(6))
         with pytest.raises(NotApplicableError):
-            certify_alternation(rv, [2, 5, 0, 4, 1, 3])
+            check_spacing(rv, [2, 5, 0, 4, 1, 3])
 
     def test_certified_orderings_pass_spacing(self, corpus):
-        # the alternation conditions imply the pairwise condition
+        # the greedy's certificate is the all-pairs oracle's, coloring included
         for n in range(4, 9):
             for t in corpus[n]:
                 if not is_applicable(t):
@@ -250,25 +227,36 @@ class TestCertificates:
                     cert = search_ordering(rv)
                 except SearchFailedError:
                     continue
-                assert cert.kind != "none"
-                assert check_spacing(rv, cert.ordering).ok
+                assert cert == oracles.all_pairs_spacing(rv, cert.ordering)
 
-    def test_kind_follows_diameter(self, corpus, rng):
-        # when the diameter fits in n/2 the cap can never fire, so every
-        # accepted ordering earns "alternation_db"; otherwise "alternation"
-        seen = set()
-        for t in corpus[6] + corpus[7]:
-            if not is_applicable(t):
-                continue
-            rv = analyze(t)
-            kind = "alternation_db" if diameter_at_most_half(t) else "alternation"
-            order = list(range(t.n))
-            for _ in range(30):
-                rng.shuffle(order)
-                got = certify_alternation(rv, order).kind
-                assert got in ("none", kind)
-                seen.add(got)
-        assert seen == {"none", "alternation_db", "alternation"}  # every branch exercised
+    def test_accepts_every_ordering_the_alternation_check_accepted(self, ordering_cases):
+        # the former check is a sufficient condition, so the exact one accepts
+        # whatever it accepted, with the coloring the former color path wrote;
+        # every accepted coloring is valid at the weight-center bound
+        rng = random.Random(47)
+        cases = [(rv, orders) for rv, _, orders in ordering_cases]
+        for n in range(4, 41):
+            for _ in range(4):
+                t = oracles.random_tree(n, rng)
+                if is_applicable(t):
+                    rv = analyze(t)
+                    cases.append((rv, [oracles.linear_scan_greedy(rv)]))
+        both = only_new = 0
+        for rv, orders in cases:
+            for order in orders:
+                old = oracles.certify_alternation(rv, order)
+                new = check_spacing(rv, order)
+                if old.kind != "none":
+                    both += 1
+                    assert new.ok, (rv.tree, order)
+                    assert new.coloring == coloring_from_ordering(rv, order)
+                    assert new.coloring.span == old.claimed_span
+                elif new.ok:
+                    only_new += 1
+                if new.ok:
+                    assert not oracles.all_pairs_violations(rv.tree, new.coloring.colors)
+                    assert new.coloring.span == lower_bound_weight(rv)
+        assert both > 100 and only_new > 10, (both, only_new)
 
 
 class TestSpacingSoundness:
@@ -302,7 +290,7 @@ class TestSearchOrdering:
         rv = analyze(gen_star(6)[0])
         cert = search_ordering(rv)
         assert cert.ordering == (0, 1, 2, 3, 4, 5)
-        assert cert.kind == "alternation_db" and cert.claimed_span == 16
+        assert cert.kind == "spacing" and cert.coloring.span == 16
 
     def test_broom_greedy(self):
         rv = analyze(gen_broom(9, 4)[0])
@@ -316,9 +304,10 @@ class TestSearchOrdering:
             search_ordering(analyze(path(5)))
 
     def test_long_spider_fails_even_though_ordering_exists(self):
-        # greedy pairs the two deep tips early and trips the distance cap;
-        # test_long_spider_needs_plain_certificate shows a certificate exists
-        with pytest.raises(SearchFailedError):
+        # greedy places the two deep tips at positions 1 and 3, too close in
+        # color for their distance; test_long_spider_certificate shows a
+        # certified ordering exists
+        with pytest.raises(SearchFailedError, match="positions 1,3: distance 1 < required 4"):
             search_ordering(analyze(spider_331()))
 
     def test_corpus_successes_are_optimal(self, corpus, exact_of):
@@ -337,13 +326,13 @@ class TestSearchOrdering:
                 assert not verify_coloring(rv, col)
                 assert col.span == lower_bound_weight(rv)
                 assert exact_of(t).hc == col.span
-        assert succeeded == 20  # of the 40 applicable trees on up to 8 vertices
+        assert succeeded == 26  # of the 40 applicable trees on up to 8 vertices
 
     def test_heap_matches_linear_scan(self, corpus):
         def expected(rv):
             order = oracles.linear_scan_greedy(rv)
-            cert = certify_alternation(rv, order)
-            if cert.kind == "none":
+            cert = check_spacing(rv, order)
+            if not cert.ok:
                 return "fail", f"greedy ordering failed certification: {cert.reason}"
             return "ok", tuple(order)
 
