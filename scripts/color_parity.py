@@ -14,8 +14,10 @@ on the paths with n = 11 and 12 and four seeded Prufer trees with n = 12 and
 hc > lb; its exit code and ``hc`` must be identical, while the explored-node
 count and the witness may differ between search strategies, so the node
 counts are printed side by side with their total for each set, and so are
-the exit-code counts of each verb.  Exits 1 and names the first differing
-inputs on a mismatch.
+the exit-code counts of each verb and the total wall time its in-process
+``main`` calls took on each side (informational: a change in fixed per-call
+cost shows there, and it decides nothing).  Exits 1 and names the first
+differing inputs on a mismatch.
 
     python3 scripts/color_parity.py HEAD
     python3 scripts/color_parity.py HEAD~1 --prufer 300
@@ -32,6 +34,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -105,22 +108,26 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
         (workdir / "exact12" / f"prufer_s{seed}_n12.tree").write_text(_tree_text(12, edges))
 
 
-def run_side(src: Path, workdir: Path) -> dict:
-    """Worker: make every call of ``RUNS`` with the package at ``src``."""
+def run_side(src: Path, workdir: Path) -> tuple[dict, dict]:
+    """Worker: make every call of ``RUNS`` with the package at ``src``;
+    returns the results by call and the seconds spent in ``main`` by verb."""
     sys.path.insert(0, str(src))
     from hamcolor.cli import main
 
     results = {}
+    seconds: dict[str, float] = {}
     for label, pattern, argv, suffix in RUNS:
         for path in sorted(workdir.glob(pattern)):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                start = time.perf_counter()
                 code = main(argv + [str(path)])
+                seconds[label] = seconds.get(label, 0.0) + time.perf_counter() - start
             colored = Path(str(path) + suffix)
             written = colored.read_text() if colored.exists() else None
             colored.unlink(missing_ok=True)
             results[f"{label} {path.relative_to(workdir)}"] = [code, out.getvalue(), err.getvalue(), written]
-    return results
+    return results, seconds
 
 
 def main() -> int:
@@ -146,7 +153,7 @@ def main() -> int:
             proc = subprocess.run([sys.executable, __file__, args.rev, "--worker", str(src), str(workdir)],
                                   check=True, capture_output=True, text=True)
             sides.append(json.loads(proc.stdout))
-    old, new = sides
+    (old, old_seconds), (new, new_seconds) = sides
 
     def key(name: str, result: list):
         """What must match: all of it, but only exit code and hc for exact."""
@@ -170,7 +177,8 @@ def main() -> int:
             dict(sorted(Counter(res[0] for name, res in side.items() if name.startswith(verb + " ")).items()))
             for side in (old, new)
         )
-        print(f"{verb}: {sum(before.values())} inputs, exit codes at {args.rev}: {before}, working tree: {after}")
+        print(f"{verb}: {sum(before.values())} inputs, exit codes at {args.rev}: {before}, working tree: {after}; "
+              f"main wall time {old_seconds.get(verb, 0.0):.2f} s -> {new_seconds.get(verb, 0.0):.2f} s")
     if differ or set(new) != set(old):
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
         return 1

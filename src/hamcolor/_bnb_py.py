@@ -26,11 +26,22 @@ Five pruning rules, each sound for the reason given:
    vertices other than v, and at least L(first) under rule 5.  A candidate
    it rules out is skipped and the scan goes on.
 3. Twin symmetry.  Two vertices are twins when their distance rows agree
-   except toward each other (sibling leaves, in a tree).  Swapping two twins
-   is an isometry, so it maps orderings to orderings of the same span, and
-   twins are placed in ascending id order.  Placements inside a forced
-   ``prefix`` ignore the rule; any permutation of the twins outside the
-   prefix fixes the prefix, so the rule stays sound after it.
+   except toward each other.  Swapping two twins is an isometry, so it maps
+   orderings to orderings of the same span, and twins are placed in
+   ascending id order.  Placements inside a forced ``prefix`` ignore the
+   rule; any permutation of the twins outside the prefix fixes the prefix,
+   so the rule stays sound after it.  In a tree with n >= 3 the twins are
+   exactly the leaves with a common neighbour, which ``twin_before`` finds
+   in O(n^2) instead of comparing rows in O(n^3).  Leaves u, v of p are
+   twins, since every path from either to another vertex w passes through
+   p, so d(u, w) = 1 + d(p, w) = d(v, w).  Conversely, let u, v be twins.
+   Some neighbour w of u is not v: otherwise u is a leaf of v, and v's
+   other neighbour x (n >= 3) has d(u, x) = 2 != 1 = d(v, x).  Then
+   d(v, w) = d(u, w) = 1, so u and v share the neighbour w and are not
+   adjacent (no triangle).  Any other neighbour x of u would have
+   d(v, x) = 1 and close the cycle u x v w, so u is a leaf of w, and so is
+   v by symmetry.  With n = 2 the rows agree vacuously: the two vertices
+   are twins.
 4. Target stop.  At the root the suffix bound reads
    (n-1)*(n-1-b) + (1-b) - 2*sum(L), the weight-center lower bound (the 1-b
    because a lone center cannot be both ends of the ordering; 0 when n = 1).
@@ -65,6 +76,24 @@ def weight_levels(dist: Sequence[int], n: int) -> tuple[list[int], bool]:
     return level, len(centers) == 2
 
 
+def twin_before(dist: Sequence[int], n: int) -> list[int]:
+    """For each vertex v, the largest twin of v below it, or -1: the previous
+    leaf with v's neighbour (module docstring, rule 3), from the flat
+    distance matrix of a tree."""
+    before = [-1] * n
+    if n == 2:
+        before[1] = 0
+        return before
+    last_leaf: dict[int, int] = {}  # neighbour -> its largest leaf so far
+    for v in range(n):
+        row = dist[v * n:(v + 1) * n]
+        if row.count(1) == 1:
+            p = row.index(1)
+            before[v] = last_leaf.get(p, -1)
+            last_leaf[p] = v
+    return before
+
+
 def bnb_exact(
     dist: Sequence[int],
     n: int,
@@ -87,14 +116,8 @@ def bnb_exact(
     level, bicentral = weight_levels(dist, n)
     step = n - 2 if bicentral else n - 1
     target = bound_formula(n, bicentral, sum(level))
-    # twin_before[v]: the largest twin of v below it, which must be placed first
-    twin_before = [-1] * n
-    for v in range(n):
-        row_v = dist[v * n:(v + 1) * n]
-        for u in range(v):
-            row_u = dist[u * n:(u + 1) * n]
-            if all(row_u[w] == row_v[w] for w in range(n) if w != u and w != v):
-                twin_before[v] = u
+    # before[v]: the largest twin of v below it, which must be placed first
+    before = twin_before(dist, n)
     used = [False] * n
     order = [0] * n
     forced = [[0] * n for _ in range(n + 1)]
@@ -130,7 +153,7 @@ def bnb_exact(
                         lo1, lo2 = lv, lo1
                     else:
                         lo2 = lv
-                t = twin_before[v]
+                t = before[v]
                 if t < 0 or used[t]:
                     cand.append((c + lv, c, v))
         best = state["best_span"]

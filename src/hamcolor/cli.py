@@ -5,11 +5,15 @@ Verbs: gen, analyze, color, exact, verify, compare, dot.  Exit codes:
 failure, 3 size or budget limit, 4 the greedy ordering fails the spacing
 condition (not a proof that hc exceeds the lower bound), 5 internal error
 (a bug).  ``color`` writes the coloring that ``check_spacing`` verified.
+
+``main(argv)`` may be called any number of times in one process: the
+argument parser is built on the first call and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import NoReturn
@@ -61,10 +65,13 @@ def _parse_params(raw: str) -> dict[str, int]:
         if not item:
             continue
         key, sep, val = item.partition("=")
+        key = key.strip()
         if not sep:
             raise BadParamsError(f"parameter {item!r} is not key=value")
+        if key in params:
+            raise BadParamsError(f"parameter {key!r} is given twice")
         try:
-            params[key.strip()] = int(val)
+            params[key] = int(val)
         except ValueError:
             raise BadParamsError(f"parameter {item!r} needs an integer value") from None
     return params
@@ -232,7 +239,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call and returned
+    by every later one; callers must not mutate it.  Reuse is safe because
+    parsing keeps no state in it: ``parse_args`` returns a fresh namespace,
+    and help and usage are formatted when printed, to the current stderr."""
     parser = _Parser(
         prog="hamcolor",
         description="Hamiltonian chromatic numbers of trees: bounds, certified colorings, exact search.",

@@ -240,6 +240,9 @@ def _lookup(family: str, params: dict[str, int]):
     if f not in _FAMILIES:
         raise BadParamsError(f"unknown family {family!r}")
     names, order, gen = _FAMILIES[f]
+    unknown = [k for k in params if k not in names]
+    if unknown:
+        raise BadParamsError(f"family {family!r} takes no parameter {unknown[0]!r}")
     try:
         return order, gen, [params[k] for k in names]
     except KeyError as e:

@@ -9,10 +9,11 @@ condition (with its coloring, from prefix sums) and the greedy completion
 from scans over all pairs, and the greedy ordering from a scan over every
 branch on every step.  ``bnb_exact`` is the search kernel as it was before
 it pruned with the weight-center bound, kept verbatim as an oracle for the
-pruning rules added since.  ``certify_alternation`` is the package's former
-certificate check, a weaker sufficient condition read from the package's
-levels and bounds, kept as the reference that ``check_spacing`` accepts every
-ordering it accepted.
+pruning rules added since; ``twin_before`` is the twin rule as the kernel
+first had it, a comparison of distance rows.  ``certify_alternation`` is the
+package's former certificate check, a weaker sufficient condition read from
+the package's levels and bounds, kept as the reference that ``check_spacing``
+accepts every ordering it accepted.
 """
 
 from __future__ import annotations
@@ -197,6 +198,21 @@ def bnb_exact(
     if state["best_order"] is None:
         return -1, None, state["nodes"], state["limit_hit"]
     return state["best_span"], state["best_order"], state["nodes"], state["limit_hit"]
+
+
+def twin_before(dist: Sequence[int], n: int) -> list[int]:
+    """The kernel's twin rule as it first shipped, by comparing distance rows:
+    for each vertex v, the largest u < v whose row agrees with v's except
+    toward u and v, or -1."""
+    # twin_before[v]: the largest twin of v below it, which must be placed first
+    twin_before = [-1] * n
+    for v in range(n):
+        row_v = dist[v * n:(v + 1) * n]
+        for u in range(v):
+            row_u = dist[u * n:(u + 1) * n]
+            if all(row_u[w] == row_v[w] for w in range(n) if w != u and w != v):
+                twin_before[v] = u
+    return twin_before
 
 
 def pre_bound_hc(tree: Tree) -> int:

@@ -1,10 +1,15 @@
+import argparse
 import json
+import os
 import random
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hamcolor
 from hamcolor import cli, families, ordering, solver
 from hamcolor.cli import main
 from hamcolor.bounds import lower_bound_weight
@@ -58,6 +63,14 @@ class TestGen:
         assert code == 1
         code, _, _ = run("gen", "--family", "star", "--params", "n=five")
         assert code == 1
+
+    def test_unknown_or_repeated_param_exit_1(self, run):
+        # neither is dropped or overridden silently
+        for params, msg in (("n=5,q=3", "takes no parameter 'q'"), ("n=5,n=6", "'n' is given twice")):
+            code, out, err = run("gen", "--family", "star", "--params", params)
+            assert code == 1
+            assert out == ""
+            assert msg in err
 
     def test_unknown_family_is_a_usage_error(self, run):
         with pytest.raises(SystemExit) as exc:
@@ -241,6 +254,15 @@ class TestColor:
         assert "does not match" in err
 
 
+    def test_unknown_or_repeated_metadata_param_exit_1(self, run, tmp_path):
+        path = str(tmp_path / "star.tree")
+        for params in ("n=5,q=3", "n=5,n=5"):
+            open(path, "w").write(f"# family: star\n# params: {params}\n5\n0 1\n0 2\n0 3\n0 4\n")
+            code, _, err = run("color", path)
+            assert code == 1
+            assert "error:" in err
+
+
 class TestExact:
     def test_star_exact(self, run, tmp_path):
         path = gen_file(run, tmp_path, "star", "n=5")
@@ -305,6 +327,82 @@ class TestExact:
         with pytest.raises(SystemExit) as exc:
             main(["exact", "--help"])
         assert exc.value.code == 0
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and keeps no state in it
+    between calls."""
+
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        """A list that grows by one for every ``ArgumentParser`` constructed."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return built
+
+    def test_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_second_call_builds_no_parser(self, run, tmp_path, parsers_built):
+        path = gen_file(run, tmp_path, "star", "n=5")
+        del parsers_built[:]
+        assert run("exact", path)[0] == 0
+        assert parsers_built == []
+        # the counter does see a build
+        cli.build_parser.__wrapped__()
+        assert len(parsers_built) == 9
+
+    def test_calls_share_no_state(self, run, tmp_path):
+        path = gen_file(run, tmp_path, "star", "n=9")
+        assert run("exact", "--limit", "5", path)[0] == 3
+        assert run("exact", path)[0] == 0
+        code, out, _ = run("exact", "--json", path)
+        assert code == 0 and json.loads(out)["hc"] == 49
+        code, out, _ = run("exact", path)
+        assert code == 0
+        assert "hc: 49" in out.splitlines()
+
+    def test_usage_errors_in_a_row(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["exact"])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: hamcolor exact")
+            assert "error: the following arguments are required: file" in err
+
+    def test_help_after_a_call(self, run, tmp_path, capsys):
+        path = gen_file(run, tmp_path, "star", "n=4")
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--help"])
+        assert exc.value.code == 0
+        assert "--budget" in capsys.readouterr().out
+
+    def test_import_builds_no_parser(self):
+        # a fresh interpreter, since this one has built the parser already
+        probe = (
+            "import argparse, json\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import hamcolor, hamcolor.cli\n"
+            "on_import = len(built)\n"
+            "hamcolor.cli.build_parser()\n"
+            "print(json.dumps([on_import, len(built)]))\n"
+        )
+        src = str(Path(hamcolor.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert json.loads(proc.stdout) == [0, 9]
 
 
 class TestVerify:

@@ -170,7 +170,7 @@ class TestGenerate:
             assert expected_order(family, params) == t.n == spec.expected_n, (family, params)
         bad = [("star", {"n": 2}), ("star", {}), ("broom", {"n": 4, "d": 4}), ("broom_odd", {"d": 3}),
                ("a-tree", {"d": 1}), ("caterpillar", {"m": 2, "d": 3}), ("caterpillar", {"m": 4}),
-               ("wheel", {"n": 5})]
+               ("wheel", {"n": 5}), ("star", {"n": 5, "q": 3}), ("broom", {"n": 9, "d": 4, "m": 3})]
         for family, params in bad:
             with pytest.raises(BadParamsError) as gen_err:
                 generate(family, params)

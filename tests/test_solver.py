@@ -3,6 +3,7 @@ import json
 import random
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -335,6 +336,23 @@ class TestKernel:
                 rv = analyze(t)
                 level, bicentral = solver._kernel.weight_levels(solver._flat_distances(rv), n)
                 assert (tuple(level), bicentral) == (rv.level, rv.bicentral)
+
+    def test_twins_match_the_row_comparison(self, corpus):
+        # every non-isomorphic tree with n <= 10, relabelled
+        rng = random.Random(11)
+        trees = [t for n in range(1, 9) for t in corpus[n]]
+        trees += [Tree(n, [(int(u), int(v)) for u, v in g.edges()]) for n in (9, 10) for g in nx.nonisomorphic_trees(n)]
+        assert len(trees) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106
+        twins = 0
+        for t in trees:
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+            flat = [d for row in oracles.nx_distance_matrix(t) for d in row]
+            before = solver._kernel.twin_before(solver._flat_distances(analyze(t)), t.n)
+            assert before == oracles.twin_before(flat, t.n), t.edges
+            twins += sum(u >= 0 for u in before)
+        assert twins > 0
 
     def test_prefixes(self, corpus, exact_of):
         # in corpus[6][2], sibling leaves 2, 3 and 4, 5 are twins, so prefixes
