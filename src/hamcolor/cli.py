@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import NoReturn
 
@@ -54,8 +55,20 @@ def _emit(args: argparse.Namespace, data: dict) -> None:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write ``text`` to ``path`` over its old bytes, not after truncating it.
+
+    Opening an existing file with ``O_TRUNC`` frees its blocks, and on ext4
+    (``auto_da_alloc``) closing a file truncated that way starts its
+    writeback inside the call, which makes rewriting a file slow and uneven.
+    So the file is opened without ``O_TRUNC``, written from the start, and
+    cut to the new length only when the old one was longer.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        old_size = os.fstat(fh.fileno()).st_size
+        fh.write(data)
+        if old_size > len(data):
+            fh.truncate()
 
 
 def _parse_params(raw: str) -> dict[str, int]:

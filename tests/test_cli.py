@@ -53,6 +53,22 @@ class TestGen:
         assert meta["family"] == "broom_even"
         assert meta["expected_hc"] == "58"
 
+    def test_rewrite_leaves_only_the_new_bytes(self, run, tmp_path):
+        # output files are overwritten in place: a shorter text cuts the old
+        # file to its own length, a longer one extends it
+        path = str(tmp_path / "t.tree")
+        inode = os.stat(gen_file(run, tmp_path, "star", "n=30")).st_ino
+        for params in ("n=3", "n=12"):
+            _, expected, _ = run("gen", "--family", "star", "--params", params)
+            gen_file(run, tmp_path, "star", params)
+            assert open(path).read() == expected
+            assert os.stat(path).st_ino == inode
+
+    def test_writes_to_a_device(self, run):
+        code, _, err = run("gen", "--family", "star", "--params", "n=5", "-o", os.devnull)
+        assert code == 0
+        assert err == ""
+
     def test_bad_params_exit_1(self, run):
         code, _, err = run("gen", "--family", "broom", "--params", "n=4,d=4")
         assert code == 1
