@@ -15,9 +15,11 @@ hc > lb; its exit code and ``hc`` must be identical, while the explored-node
 count and the witness may differ between search strategies, so the node
 counts are printed side by side with their total for each set, and so are
 the exit-code counts of each verb and the total wall time its in-process
-``main`` calls took on each side (informational: a change in fixed per-call
-cost shows there, and it decides nothing).  Exits 1 and names the first
-differing inputs on a mismatch.
+``main`` calls took on each side, and for each exact set the kernel
+throughput on each side: its explored total divided by the wall time of its
+``main`` calls (informational: a change in fixed per-call cost or in the
+kernel's node rate shows there, and it decides nothing).  Exits 1 and names
+the first differing inputs on a mismatch.
 
     python3 scripts/color_parity.py HEAD
     python3 scripts/color_parity.py HEAD~1 --prufer 300
@@ -110,7 +112,7 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
 
 def run_side(src: Path, workdir: Path) -> tuple[dict, dict]:
     """Worker: make every call of ``RUNS`` with the package at ``src``;
-    returns the results by call and the seconds spent in ``main`` by verb."""
+    returns the results and the seconds spent in ``main``, both by call."""
     sys.path.insert(0, str(src))
     from hamcolor.cli import main
 
@@ -118,15 +120,16 @@ def run_side(src: Path, workdir: Path) -> tuple[dict, dict]:
     seconds: dict[str, float] = {}
     for label, pattern, argv, suffix in RUNS:
         for path in sorted(workdir.glob(pattern)):
+            name = f"{label} {path.relative_to(workdir)}"
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 start = time.perf_counter()
                 code = main(argv + [str(path)])
-                seconds[label] = seconds.get(label, 0.0) + time.perf_counter() - start
+                seconds[name] = time.perf_counter() - start
             colored = Path(str(path) + suffix)
             written = colored.read_text() if colored.exists() else None
             colored.unlink(missing_ok=True)
-            results[f"{label} {path.relative_to(workdir)}"] = [code, out.getvalue(), err.getvalue(), written]
+            results[name] = [code, out.getvalue(), err.getvalue(), written]
     return results, seconds
 
 
@@ -161,24 +164,28 @@ def main() -> int:
             return result[0], json.loads(result[1]).get("hc")
         return result
 
-    totals: dict[str, list[int]] = {}
+    # per set of exact inputs: explored nodes and main wall time, each side
+    totals: dict[str, list[list[float]]] = {}
     for name in sorted(old):
         if name.startswith("exact ") and name in new and old[name][0] == new[name][0] == 0:
             nodes = [json.loads(side[name][1])["explored"] for side in (old, new)]
             print(f"{name}: explored {nodes[0]} -> {nodes[1]}")
-            total = totals.setdefault(name.split("/")[0], [0, 0])
-            total[0] += nodes[0]
-            total[1] += nodes[1]
-    for inputs, (before, after) in totals.items():
-        print(f"{inputs}/: explored in total {before} -> {after}")
+            total = totals.setdefault(name.split("/")[0], [[0, 0.0], [0, 0.0]])
+            for side_total, explored, seconds in zip(total, nodes, (old_seconds[name], new_seconds[name])):
+                side_total[0] += explored
+                side_total[1] += seconds
+    for inputs, ((before, before_s), (after, after_s)) in totals.items():
+        print(f"{inputs}/: explored in total {before} -> {after}; "
+              f"throughput {before / before_s:,.0f} -> {after / after_s:,.0f} nodes/s of main wall time")
     differ = [name for name in old if name not in new or key(name, old[name]) != key(name, new[name])]
     for verb in ("color", "exact"):
         before, after = (
             dict(sorted(Counter(res[0] for name, res in side.items() if name.startswith(verb + " ")).items()))
             for side in (old, new)
         )
+        wall = [sum(t for name, t in side.items() if name.startswith(verb + " ")) for side in (old_seconds, new_seconds)]
         print(f"{verb}: {sum(before.values())} inputs, exit codes at {args.rev}: {before}, working tree: {after}; "
-              f"main wall time {old_seconds.get(verb, 0.0):.2f} s -> {new_seconds.get(verb, 0.0):.2f} s")
+              f"main wall time {wall[0]:.2f} s -> {wall[1]:.2f} s")
     if differ or set(new) != set(old):
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
         return 1

@@ -15,8 +15,8 @@ vertices may detour through the center(s), so d(u, v) <= L(u) + L(v) + b.
 Five pruning rules, each sound for the reason given:
 
 1. Pending color.  An unplaced vertex already forced to color p ends at p or
-   later, so the span is at least p; a node whose largest pending color
-   reaches the incumbent is abandoned.
+   later, so the span is at least p; a placement that forces some color to
+   the incumbent is counted but not descended into.
 2. Suffix bound.  Consecutive vertices of an ordering differ in color by at
    least n-1-d(u, v) >= n-1-b-L(u)-L(v).  Summed over the rest of the
    ordering, placing v at color c with ``rem`` >= 1 vertices left and
@@ -57,6 +57,21 @@ Five pruning rules, each sound for the reason given:
 Candidates are visited by (c + L(v), c, v): c + L(v) is the part of rule 2's
 bound that varies with v, so the orderings it favours, and with them good
 incumbents, come first.
+
+Each placement makes one pass over the vertices left unplaced after it.  For
+each one the pass computes its forced color and writes it to the row of the
+next depth; a row holds valid values only for the vertices unplaced at its
+depth, and nothing else reads it.  A forced color that reaches the incumbent
+ends the pass, and the child is never called: rule 1 fires in the parent,
+before the call.  The pass also builds the child's candidate list: rule 3
+leaves out each twin whose smaller twin is unplaced, and rule 2 leaves out
+each key that reaches the incumbent already with the least unplaced level as
+L(last), which no vertex's own end can undercut.  The child checks rule 2
+again with its candidate's exact L(last) and the incumbent of the moment,
+which only falls, so each rule drops exactly the candidates it dropped when
+every node rescanned all n vertices, and the search, its order and its node
+count are those of that scan.  The unplaced vertices are passed down in
+ascending level order, so the two least levels are the first two.
 """
 
 from __future__ import annotations
@@ -116,62 +131,44 @@ def bnb_exact(
     level, bicentral = weight_levels(dist, n)
     step = n - 2 if bicentral else n - 1
     target = bound_formula(n, bicentral, sum(level))
-    # before[v]: the largest twin of v below it, which must be placed first
-    before = twin_before(dist, n)
-    used = [False] * n
+    rows = [dist[v * n:(v + 1) * n] for v in range(n)]  # rows[v][w] = d(v, w)
+    # before[v]: the largest twin of v below it, which must be placed first;
+    # n, which counts as placed, when v has none
+    before = [t if t >= 0 else n for t in twin_before(dist, n)]
+    used = [False] * n + [True]
     order = [0] * n
-    forced = [[0] * n for _ in range(n + 1)]
+    # forced[m][w]: the least color w can take after m placements, valid
+    # only while w is unplaced
+    forced = [[0] * n for _ in range(n)]
     forced_depth = len(prefix)
-    state = {
-        "nodes": 0,
-        "limit_hit": False,
-        "stop": 0 <= incumbent <= target,
-        "best_span": incumbent,
-        "best_order": None,
-    }
+    # colors rise by at most n-2 per placement, so every key is below n*n
+    above = n * n
+    nodes = 0
+    limit_hit = False
+    stop = 0 <= incumbent <= target
+    best_span = incumbent
+    best_order = None
 
-    def place(m: int, last: int, unplaced_level: int) -> None:
-        if m == n:
-            if state["best_span"] < 0 or last < state["best_span"]:
-                state["best_span"] = last
-                state["best_order"] = order[:]
-                state["stop"] = last <= target
-            return
+    def place(m: int, cand: list, unplaced: list, unplaced_level: int) -> None:
+        """Try each candidate (key, c, v), key = c + L(v), at position m.
+        ``unplaced`` holds the unplaced vertices by ascending level, which
+        sum to ``unplaced_level``; the caller has applied rule 1."""
+        nonlocal nodes, limit_hit, stop, best_span, best_order
         fm = forced[m]
-        cand = []
-        pend = -1
-        # lo1 <= lo2: the two least levels among the unplaced vertices
-        lo1 = lo2 = n
-        for v in range(n):
-            if not used[v]:
-                c = fm[v]
-                if c > pend:
-                    pend = c
-                lv = level[v]
-                if lv < lo2:
-                    if lv < lo1:
-                        lo1, lo2 = lv, lo1
-                    else:
-                        lo2 = lv
-                t = before[v]
-                if t < 0 or used[t]:
-                    cand.append((c + lv, c, v))
-        best = state["best_span"]
-        if best >= 0 and pend >= best:
-            return
         if m < forced_depth:
             v = prefix[m]
-            cand = [(0, fm[v], v)]
+            cand = [(fm[v] + level[v], fm[v], v)]
         else:
             cand.sort()
         rem = n - m - 1
-        fnext = forced[m + 1]
-        for _, c, v in cand:
-            best = state["best_span"]
-            if state["stop"]:
+        lo1 = level[unplaced[0]]
+        lo2 = level[unplaced[1]] if rem else n
+        slack = rem * step - 2 * unplaced_level  # rule 2 reads key + slack + L(last)
+        for key, c, v in cand:
+            if stop:
                 return
+            best = best_span
             lv = level[v]
-            rest = unplaced_level - lv
             order[m] = v  # before the bound, which reads order[0]
             if best >= 0 and rem:
                 # the last vertex's level: the least among the other
@@ -179,24 +176,51 @@ def bnb_exact(
                 end = lo2 if lv == lo1 else lo1
                 if not forced_depth and level[order[0]] > end:
                     end = level[order[0]]
-                if c + rem * step - lv - 2 * rest + end >= best:
+                if key + slack + end >= best:
                     continue
-            if budget >= 0 and state["nodes"] >= budget:
-                state["limit_hit"] = state["stop"] = True
+            if budget >= 0 and nodes >= budget:
+                limit_hit = stop = True
                 return
-            state["nodes"] += 1
+            nodes += 1
+            if not rem:
+                if best < 0 or c < best:
+                    best_span = c
+                    best_order = order[:]
+                    stop = c <= target
+                continue
+            # one pass over the child's unplaced vertices: forced colors,
+            # rule 1, and the candidates rules 2 and 3 leave to the child
             used[v] = True
-            base = v * n
-            for w in range(n):
+            fnext = forced[m + 1]
+            row = rows[v]
+            top = c + n - 1
+            left = unplaced.copy()
+            left.remove(v)
+            rest = unplaced_level - lv
+            ceiling = best if best >= 0 else above
+            # the child's rule 2 reads at least key + its slack + its least level
+            cut = best - (rem - 1) * step + 2 * rest - level[left[0]] if best >= 0 and rem > 1 else above
+            sub = []
+            for w in left:
+                need = top - row[w]
                 fw = fm[w]
-                need = c + n - 1 - dist[base + w]
-                fnext[w] = need if need > fw else fw
-            place(m + 1, c, rest)
+                if fw > need:
+                    need = fw
+                if need >= ceiling:
+                    break
+                fnext[w] = need
+                key = need + level[w]
+                if key < cut and used[before[w]]:
+                    sub.append((key, need, w))
+            else:
+                place(m + 1, sub, left, rest)
             used[v] = False
 
-    if not state["stop"]:
-        place(0, 0, sum(level))
+    # rule 1 at the root, where every forced color is 0
+    if not stop and incumbent != 0:
+        place(0, [(level[v], 0, v) for v in range(n) if used[before[v]]],
+              sorted(range(n), key=level.__getitem__), sum(level))
 
-    if state["best_order"] is None:
-        return -1, None, state["nodes"], state["limit_hit"]
-    return state["best_span"], state["best_order"], state["nodes"], state["limit_hit"]
+    if best_order is None:
+        return -1, None, nodes, limit_hit
+    return best_span, best_order, nodes, limit_hit

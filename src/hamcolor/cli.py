@@ -183,7 +183,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         args,
         {
             # a span the search did not prove optimal is only an upper bound
-            ("hc" if res.proved_optimal else "ub"): res.hc,
+            ("hc" if res.proved_optimal else "ub"): res.ub,
             "lb": res.lb,
             "proved_optimal": res.proved_optimal,
             "explored": res.explored,

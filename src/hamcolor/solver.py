@@ -46,11 +46,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class ExactResult:
-    """``hc`` is the witness span: the optimum when ``proved_optimal``, else
-    an upper bound.  ``lb`` is the forced weight-center bound, and a span is
-    proved when the search was exhausted or the span meets ``lb``."""
+    """``ub`` is the witness span, an upper bound on the hamiltonian
+    chromatic number.  ``lb`` is the forced weight-center bound, and the span
+    is proved optimal when the search was exhausted or the span meets ``lb``;
+    only then is it ``hc``, which is None otherwise."""
 
-    hc: int
+    ub: int
     witness: Coloring
     explored: int
     limit_hit: bool
@@ -58,7 +59,11 @@ class ExactResult:
 
     @property
     def proved_optimal(self) -> bool:
-        return not self.limit_hit or self.hc == self.lb
+        return not self.limit_hit or self.ub == self.lb
+
+    @property
+    def hc(self) -> int | None:
+        return self.ub if self.proved_optimal else None
 
 
 def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
@@ -126,9 +131,9 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> Exac
     Refuses trees larger than ``limit`` vertices (at least 1; raise the
     limit explicitly to go bigger).  When a node ``budget`` (at least 0) is
     given and runs out, the best completed coloring so far is returned with
-    ``limit_hit`` set.  The result's ``hc`` is then only an upper bound on
-    the hamiltonian chromatic number unless ``proved_optimal`` (its span
-    meets ``lb``); read ``proved_optimal`` before ``hc``.
+    ``limit_hit`` set.  Its span ``ub`` is then only an upper bound on the
+    hamiltonian chromatic number, and ``hc`` is None, unless the span meets
+    ``lb``, which proves it optimal.
     """
     n = rv.n
     if limit < 1:

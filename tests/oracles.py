@@ -9,7 +9,10 @@ condition (with its coloring, from prefix sums) and the greedy completion
 from scans over all pairs, and the greedy ordering from a scan over every
 branch on every step.  ``bnb_exact`` is the search kernel as it was before
 it pruned with the weight-center bound, kept verbatim as an oracle for the
-pruning rules added since; ``twin_before`` is the twin rule as the kernel
+pruning rules added since; ``rescan_bnb_exact`` is the kernel with every
+rule it has now, as it was before each placement fused its bookkeeping into
+one pass over the unplaced vertices, kept verbatim as the reference for the
+same search, node for node; ``twin_before`` is the twin rule as the kernel
 first had it, a comparison of distance rows.  ``certify_alternation`` is the
 package's former certificate check, a weaker sufficient condition read from
 the package's levels and bounds, kept as the reference that ``check_spacing``
@@ -25,7 +28,8 @@ from typing import Sequence
 
 import networkx as nx
 
-from hamcolor.bounds import diameter_at_most_half, lower_bound_weight, require_applicable
+from hamcolor._bnb_py import weight_levels
+from hamcolor.bounds import bound_formula, diameter_at_most_half, lower_bound_weight, require_applicable
 from hamcolor.errors import InternalError
 from hamcolor.ordering import Certificate, Coloring, validate_ordering
 from hamcolor.tree import RootedView, Tree
@@ -194,6 +198,115 @@ def bnb_exact(
             used[v] = False
 
     place(0, 0)
+
+    if state["best_order"] is None:
+        return -1, None, state["nodes"], state["limit_hit"]
+    return state["best_span"], state["best_order"], state["nodes"], state["limit_hit"]
+
+
+def rescan_bnb_exact(
+    dist: Sequence[int],
+    n: int,
+    budget: int = -1,
+    prefix: Sequence[int] = (),
+    incumbent: int = -1,
+):
+    """Minimise the greedy-completion span over all vertex orderings, with
+    the package kernel's five rules, rescanning all n vertices at every node.
+
+    dist       flat row-major distance matrix of a tree, length n*n
+    budget     maximum number of vertex placements, or -1 for unlimited
+    prefix     forced initial placements (distinct vertex ids), pruned and
+               counted like any other placement
+    incumbent  known upper bound to prune against, or -1 for none
+
+    Returns ``(best_span, best_order, nodes, limit_hit)``; ``best_order`` is
+    None (and ``best_span`` -1) when no complete ordering beat the incumbent
+    or the budget ran out first.
+    """
+    level, bicentral = weight_levels(dist, n)
+    step = n - 2 if bicentral else n - 1
+    target = bound_formula(n, bicentral, sum(level))
+    # before[v]: the largest twin of v below it, which must be placed first
+    before = twin_before(dist, n)
+    used = [False] * n
+    order = [0] * n
+    forced = [[0] * n for _ in range(n + 1)]
+    forced_depth = len(prefix)
+    state = {
+        "nodes": 0,
+        "limit_hit": False,
+        "stop": 0 <= incumbent <= target,
+        "best_span": incumbent,
+        "best_order": None,
+    }
+
+    def place(m: int, last: int, unplaced_level: int) -> None:
+        if m == n:
+            if state["best_span"] < 0 or last < state["best_span"]:
+                state["best_span"] = last
+                state["best_order"] = order[:]
+                state["stop"] = last <= target
+            return
+        fm = forced[m]
+        cand = []
+        pend = -1
+        # lo1 <= lo2: the two least levels among the unplaced vertices
+        lo1 = lo2 = n
+        for v in range(n):
+            if not used[v]:
+                c = fm[v]
+                if c > pend:
+                    pend = c
+                lv = level[v]
+                if lv < lo2:
+                    if lv < lo1:
+                        lo1, lo2 = lv, lo1
+                    else:
+                        lo2 = lv
+                t = before[v]
+                if t < 0 or used[t]:
+                    cand.append((c + lv, c, v))
+        best = state["best_span"]
+        if best >= 0 and pend >= best:
+            return
+        if m < forced_depth:
+            v = prefix[m]
+            cand = [(0, fm[v], v)]
+        else:
+            cand.sort()
+        rem = n - m - 1
+        fnext = forced[m + 1]
+        for _, c, v in cand:
+            best = state["best_span"]
+            if state["stop"]:
+                return
+            lv = level[v]
+            rest = unplaced_level - lv
+            order[m] = v  # before the bound, which reads order[0]
+            if best >= 0 and rem:
+                # the last vertex's level: the least among the other
+                # unplaced vertices, and at least L(first) by rule 5
+                end = lo2 if lv == lo1 else lo1
+                if not forced_depth and level[order[0]] > end:
+                    end = level[order[0]]
+                if c + rem * step - lv - 2 * rest + end >= best:
+                    continue
+            if budget >= 0 and state["nodes"] >= budget:
+                state["limit_hit"] = state["stop"] = True
+                return
+            state["nodes"] += 1
+            used[v] = True
+            base = v * n
+            for w in range(n):
+                fw = fm[w]
+                need = c + n - 1 - dist[base + w]
+                fnext[w] = need if need > fw else fw
+            place(m + 1, c, rest)
+            used[v] = False
+
+    if not state["stop"]:
+        place(0, 0, sum(level))
 
     if state["best_order"] is None:
         return -1, None, state["nodes"], state["limit_hit"]

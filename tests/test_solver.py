@@ -283,26 +283,27 @@ class TestBudget:
         res = exact_hc(rv, budget=50)
         assert res.limit_hit
         assert res.explored <= 50
-        assert res.hc >= 34
+        assert res.ub >= 34
         assert not res.proved_optimal
+        assert res.hc is None
         assert not verify_coloring(rv, res.witness)
-        assert res.witness.span == res.hc
+        assert res.witness.span == res.ub
 
     def test_zero_budget_falls_back_to_identity(self):
         rv = analyze(gen_star(5)[0])
         res = exact_hc(rv, budget=0)
         assert res.limit_hit
         assert res.explored == 0
-        assert res.hc == min_span_for_order(rv, list(range(5))).span
+        assert res.ub == min_span_for_order(rv, list(range(5))).span
         assert not verify_coloring(rv, res.witness)
         # the identity ordering happens to meet the bound, which proves it
-        assert res.hc == res.lb and res.proved_optimal
+        assert res.hc == res.ub == res.lb and res.proved_optimal
 
     def test_runs_are_deterministic(self):
         rv = analyze(gen_a_tree(4)[0])
         a = exact_hc(rv, budget=500)
         b = exact_hc(rv, budget=500)
-        assert (a.hc, a.explored, a.limit_hit) == (b.hc, b.explored, b.limit_hit)
+        assert (a.ub, a.explored, a.limit_hit) == (b.ub, b.explored, b.limit_hit)
 
     def test_ample_budget_not_hit(self, corpus):
         t = corpus[6][0]
@@ -353,6 +354,32 @@ class TestKernel:
             assert before == oracles.twin_before(flat, t.n), t.edges
             twins += sum(u >= 0 for u in before)
         assert twins > 0
+
+    def test_same_search_as_the_rescanning_kernel(self, corpus):
+        # every non-isomorphic tree with n <= 9, relabelled: the same span,
+        # ordering, node count and budget verdict as the reference kernel,
+        # which rescans all n vertices at every node
+        rng = random.Random(29)
+        trees = [t for n in range(1, 9) for t in corpus[n]]
+        trees += [Tree(9, [(int(u), int(v)) for u, v in g.edges()]) for g in nx.nonisomorphic_trees(9)]
+        assert len(trees) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47
+        limit_hits = 0
+        for t in trees:
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+            rv = analyze(t)
+            dist = solver._flat_distances(rv)
+            lb = lower_bound_weight(rv, force=True)
+            cases = [((), budget, incumbent) for budget in (-1, 0, 1, 7, 50) for incumbent in (-1, lb, lb + 1, lb + 2)]
+            if t.n <= 6:
+                cases += [(prefix, -1, -1) for k in (1, 2) for prefix in itertools.permutations(range(t.n), k)]
+            for prefix, budget, incumbent in cases:
+                want = oracles.rescan_bnb_exact(dist, t.n, budget, prefix, incumbent)
+                got = solver._kernel.bnb_exact(dist, t.n, budget, prefix, incumbent)
+                assert got == want, (t.edges, prefix, budget, incumbent)
+                limit_hits += got[3]
+        assert limit_hits > 0
 
     def test_prefixes(self, corpus, exact_of):
         # in corpus[6][2], sibling leaves 2, 3 and 4, 5 are twins, so prefixes
