@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Check that ``hamcolor color --json`` and ``hamcolor exact --json`` behave
-the same at a git revision and in the working tree.
+"""Check that ``hamcolor color``, ``exact``, ``analyze`` and ``compare``
+(each with ``--json``) behave the same at a git revision and in the working
+tree.
 
 Extracts ``src/`` of REV with ``git archive``, then runs the verbs on one
 fixed input set once with each source tree, each in a fresh interpreter, and
@@ -8,12 +9,16 @@ compares the calls one by one.  ``color`` runs on five large family shapes
 (star n=1500, caterpillar m=201 d=5, a-tree d=30, broom n=465 d=30 and broom
 n=600 d=25), each with its family metadata and relabelled without it, plus
 seeded Prufer trees with n from 4 to 40; its stdout, stderr, exit code and
-written coloring file must be identical.  ``exact`` runs on the 18 instances
-of ``perfbench/pinned.json`` (read, never written) and, with ``--limit 12``,
-on the paths with n = 11 and 12 and four seeded Prufer trees with n = 12 and
-hc > lb; its exit code and ``hc`` must be identical, while the explored-node
-count and the witness may differ between search strategies, so the node
-counts are printed side by side with their total for each set, and so are
+written coloring file must be identical.  ``analyze --json`` and
+``compare --json --force`` run on the same inputs as ``color``; their exit
+code, stderr and the value of every key that both sides print must be
+identical, and the keys that only one side prints are listed once per verb
+(a key added or removed on purpose shows there).  ``exact`` runs on the 18
+instances of ``perfbench/pinned.json`` (read, never written) and, with
+``--limit 12``, on the paths with n = 11 and 12 and four seeded Prufer trees
+with n = 12 and hc > lb; its exit code and ``hc`` must be identical, while
+the explored-node count and the witness may differ between search
+strategies, so the node counts are printed side by side with their total for each set, and so are
 the exit-code counts of each verb and the total wall time its in-process
 ``main`` calls took on each side, and for each exact set the kernel
 throughput on each side: its explored total divided by the wall time of its
@@ -51,12 +56,16 @@ SHAPES = [
 ]
 # seeds of Prufer trees with n = 12 and hc > lb, for exact past the benchmark's n <= 10
 EXACT12_SEEDS = (5, 113, 153, 243)
-# (label, inputs, argv before the file, suffix of the written coloring)
+# (label, inputs, argv before the file, suffix of the written coloring or None)
 RUNS = (
     ("color", "*.tree", ["color", "--json"], ".coloring"),
+    ("analyze", "*.tree", ["analyze", "--json"], None),
+    ("compare", "*.tree", ["compare", "--json", "--force"], None),
     ("exact", "exact/*.tree", ["exact", "--json"], ".hc.coloring"),
     ("exact", "exact12/*.tree", ["exact", "--json", "--limit", "12"], ".hc.coloring"),
 )
+# verbs whose JSON output is compared key by key
+KEYED = ("analyze", "compare")
 
 
 def _prufer_edges(seq: list[int]) -> list[tuple[int, int]]:
@@ -126,9 +135,11 @@ def run_side(src: Path, workdir: Path) -> tuple[dict, dict]:
                 start = time.perf_counter()
                 code = main(argv + [str(path)])
                 seconds[name] = time.perf_counter() - start
-            colored = Path(str(path) + suffix)
-            written = colored.read_text() if colored.exists() else None
-            colored.unlink(missing_ok=True)
+            written = None
+            if suffix is not None:
+                colored = Path(str(path) + suffix)
+                written = colored.read_text() if colored.exists() else None
+                colored.unlink(missing_ok=True)
             results[name] = [code, out.getvalue(), err.getvalue(), written]
     return results, seconds
 
@@ -158,11 +169,22 @@ def main() -> int:
             sides.append(json.loads(proc.stdout))
     (old, old_seconds), (new, new_seconds) = sides
 
-    def key(name: str, result: list):
-        """What must match: all of it, but only exit code and hc for exact."""
-        if name.startswith("exact ") and result[0] in (0, 3):
-            return result[0], json.loads(result[1]).get("hc")
-        return result
+    # per keyed verb: the keys printed only at REV and only in the working tree
+    one_sided = {verb: (set(), set()) for verb in KEYED}
+
+    def same(name: str) -> bool:
+        """What must match: all of it, but only exit code and hc for exact,
+        and for a keyed verb the keys both sides print."""
+        before, after = old[name], new[name]
+        verb = name.split()[0]
+        if verb == "exact" and before[0] in (0, 3):
+            return before[0] == after[0] and json.loads(before[1]).get("hc") == json.loads(after[1]).get("hc")
+        if verb in KEYED and before[0] == after[0] == 0:
+            a, b = json.loads(before[1]), json.loads(after[1])
+            one_sided[verb][0].update(a.keys() - b.keys())
+            one_sided[verb][1].update(b.keys() - a.keys())
+            return before[2] == after[2] and all(a[k] == b[k] for k in a.keys() & b.keys())
+        return before == after
 
     # per set of exact inputs: explored nodes and main wall time, each side
     totals: dict[str, list[list[float]]] = {}
@@ -177,8 +199,11 @@ def main() -> int:
     for inputs, ((before, before_s), (after, after_s)) in totals.items():
         print(f"{inputs}/: explored in total {before} -> {after}; "
               f"throughput {before / before_s:,.0f} -> {after / after_s:,.0f} nodes/s of main wall time")
-    differ = [name for name in old if name not in new or key(name, old[name]) != key(name, new[name])]
-    for verb in ("color", "exact"):
+    differ = [name for name in old if name not in new or not same(name)]
+    for verb, (rev_only, tree_only) in one_sided.items():
+        print(f"{verb}: keys printed only at {args.rev}: {', '.join(sorted(rev_only)) or 'none'}; "
+              f"only in the working tree: {', '.join(sorted(tree_only)) or 'none'}")
+    for verb in ("color", "analyze", "compare", "exact"):
         before, after = (
             dict(sorted(Counter(res[0] for name, res in side.items() if name.startswith(verb + " ")).items()))
             for side in (old, new)
@@ -189,7 +214,8 @@ def main() -> int:
     if differ or set(new) != set(old):
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
         return 1
-    print("identical: color stdout, stderr, exit code and coloring file; exact exit code and hc")
+    print("identical: color stdout, stderr, exit code and coloring file; analyze and compare exit code, "
+          "stderr and every key both sides print; exact exit code and hc")
     return 0
 
 

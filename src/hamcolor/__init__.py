@@ -18,11 +18,8 @@ cli       command-line interface
 from . import errors
 from .bounds import (
     BoundReport,
-    center_total_level,
     compare_bounds,
-    diameter_at_most_half,
     is_applicable,
-    lower_bound_center,
     lower_bound_weight,
 )
 from .families import (

@@ -6,13 +6,14 @@ Two bounds are computed, both of the form
 
 where b is 1 when the rooting uses a pair of adjacent centers and 0 when it
 uses a single one.  `lower_bound_weight` roots at the weight center(s) (total
-distance minimisers), `lower_bound_center` at the classical graph centers
-(eccentricity minimisers).  The weight version dominates and is the one
-certified by ordering certificates; both are only meaningful on trees with
-n >= 4 and maximum degree >= 3 (paths are excluded), though callers may force
-evaluation of the raw formula on anything.  Forced, both are valid lower
-bounds on every tree: the 1 - b term needs two distinct ends of an ordering,
-so a one-vertex tree gets 0.
+distance minimisers), and the center bound of `compare_bounds` at the
+classical graph centers (eccentricity minimisers); the weight version
+dominates and is the one certified by ordering certificates.  The raw formula
+is a valid lower bound on every tree, paths and n <= 3 included: the 1 - b
+term needs two distinct ends of an ordering, so a one-vertex tree gets 0.
+:func:`is_applicable` (n >= 4 and maximum degree >= 3) says whether the bound
+certifies anything; the callers that issue certificates, and the CLI, make
+that check themselves.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ def require_applicable(tree: Tree, what: str, hint: str = "") -> None:
         )
 
 
-def _require_applicable(tree: Tree, force: bool) -> None:
-    if not force:
-        require_applicable(tree, "bounds", "; pass force=True for the raw value")
-
-
 def bound_formula(n: int, bicentral: bool, total_level: int) -> int:
     """(n - 1) * (n - 1 - b) + (1 - b) - 2 * total_level, and 0 when n = 1."""
     if n == 1:
@@ -50,26 +46,9 @@ def bound_formula(n: int, bicentral: bool, total_level: int) -> int:
     return (n - 1) * (n - 1 - b) + (1 - b) - 2 * total_level
 
 
-def lower_bound_weight(rv: RootedView, *, force: bool = False) -> int:
+def lower_bound_weight(rv: RootedView) -> int:
     """Weight-center lower bound on the hamiltonian chromatic number."""
-    _require_applicable(rv.tree, force)
     return bound_formula(rv.n, rv.bicentral, rv.total_level)
-
-
-def center_total_level(tree: Tree) -> int:
-    """Sum over all vertices of the distance to the nearest graph center."""
-    return sum(tree.bfs(graph_centers(tree))[0])
-
-
-def lower_bound_center(tree: Tree, *, force: bool = False) -> int:
-    """Graph-center lower bound; never exceeds the weight-center bound."""
-    _require_applicable(tree, force)
-    return bound_formula(tree.n, len(graph_centers(tree)) == 2, center_total_level(tree))
-
-
-def diameter_at_most_half(tree: Tree) -> bool:
-    """True when every distance in the tree is at most n/2."""
-    return 2 * tree.diameter <= tree.n
 
 
 @dataclass(frozen=True)
@@ -82,25 +61,26 @@ class BoundReport:
     center_bicentral: bool
     weight_total_level: int
     center_total_level: int
-    diam_within_half: bool
 
     @property
     def difference(self) -> int:
         return self.lb_weight - self.lb_center
 
 
-def compare_bounds(tree: Tree, *, force: bool = False) -> BoundReport:
-    """Evaluate both bounds side by side."""
-    _require_applicable(tree, force)
-    rv = RootedView(tree)
+def compare_bounds(rv: RootedView) -> BoundReport:
+    """Both bounds side by side, the center one from one BFS from the graph
+    centers; the center bound never exceeds the weight-center bound."""
+    tree = rv.tree
+    centers = graph_centers(tree)
+    bicentral = len(centers) == 2
+    center_level = sum(tree.bfs(centers)[0])
     return BoundReport(
         n=tree.n,
         applicable=is_applicable(tree),
-        lb_weight=lower_bound_weight(rv, force=True),
-        lb_center=lower_bound_center(tree, force=True),
+        lb_weight=lower_bound_weight(rv),
+        lb_center=bound_formula(tree.n, bicentral, center_level),
         weight_bicentral=rv.bicentral,
-        center_bicentral=len(graph_centers(tree)) == 2,
+        center_bicentral=bicentral,
         weight_total_level=rv.total_level,
-        center_total_level=center_total_level(tree),
-        diam_within_half=diameter_at_most_half(tree),
+        center_total_level=center_level,
     )

@@ -20,7 +20,7 @@ import sys
 from typing import NoReturn
 
 from . import families
-from .bounds import compare_bounds, diameter_at_most_half, is_applicable
+from .bounds import compare_bounds, is_applicable, require_applicable
 from .errors import (
     BadParamsError,
     FormatError,
@@ -120,12 +120,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "weight_bicentral": rv.bicentral,
         "center_bicentral": len(centers) == 2,
         "total_level_weight": rv.total_level,
-        "diam_within_half": diameter_at_most_half(tree),
         "upper_bound_trivial": (tree.n - 2) ** 2 if tree.n >= 2 else 0,
         "applicable": is_applicable(tree),
     }
     if is_applicable(tree) or args.force:
-        report = compare_bounds(tree, force=True)
+        report = compare_bounds(rv)
         data["total_level_center"] = report.center_total_level
         data["lb_weight"] = report.lb_weight
         data["lb_center"] = report.lb_center
@@ -213,7 +212,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     tree, _ = load_tree(args.file)
-    report = compare_bounds(tree, force=args.force)
+    if not args.force:
+        require_applicable(tree, "bounds", "; pass --force for the raw value")
+    report = compare_bounds(analyze(tree))
     _emit(
         args,
         {
@@ -226,7 +227,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "center_bicentral": report.center_bicentral,
             "total_level_weight": report.weight_total_level,
             "total_level_center": report.center_total_level,
-            "diam_within_half": report.diam_within_half,
         },
     )
     return 0

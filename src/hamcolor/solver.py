@@ -47,9 +47,9 @@ class Violation:
 @dataclass(frozen=True)
 class ExactResult:
     """``ub`` is the witness span, an upper bound on the hamiltonian
-    chromatic number.  ``lb`` is the forced weight-center bound, and the span
-    is proved optimal when the search was exhausted or the span meets ``lb``;
-    only then is it ``hc``, which is None otherwise."""
+    chromatic number.  ``lb`` is the weight-center bound, valid on every
+    tree, and the span is proved optimal when the search was exhausted or the
+    span meets ``lb``; only then is it ``hc``, which is None otherwise."""
 
     ub: int
     witness: Coloring
@@ -142,7 +142,7 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> Exac
         raise TooLargeError(f"n={n} exceeds the exact-search limit {limit}")
     if budget is not None and budget < 0:
         raise BadParamsError(f"budget must be >= 0, got {budget}")
-    lb = lower_bound_weight(rv, force=True)
+    lb = lower_bound_weight(rv)
     dist = _flat_distances(rv)
     span, order, nodes, hit = _kernel.bnb_exact(dist, n, -1 if budget is None else budget, (), -1)
     if order is None:

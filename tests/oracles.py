@@ -29,7 +29,7 @@ from typing import Sequence
 import networkx as nx
 
 from hamcolor._bnb_py import weight_levels
-from hamcolor.bounds import bound_formula, diameter_at_most_half, lower_bound_weight, require_applicable
+from hamcolor.bounds import bound_formula, lower_bound_weight, require_applicable
 from hamcolor.errors import InternalError
 from hamcolor.ordering import Certificate, Coloring, validate_ordering
 from hamcolor.tree import RootedView, Tree
@@ -415,7 +415,7 @@ def certify_alternation(rv: RootedView, order: Sequence[int]) -> AlternationCert
     if rv.level[o[0]] + rv.level[o[-1]] != 1 - b:
         reason = f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}"
         return AlternationCertificate("none", None, None, reason)
-    check_cap = not diameter_at_most_half(rv.tree)
+    check_cap = 2 * rv.tree.diameter > n
     level, branch, side = rv.level, rv.branch, rv.side
     for i in range(n - 1):
         u, v = o[i], o[i + 1]

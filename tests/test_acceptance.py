@@ -82,10 +82,10 @@ def test_c04_odd_a_tree_base_coefficient(exact_of):
 def test_c05_broom_bound_gap_identities():
     for k in range(1, 51):
         even = gen_broom(k * (2 * k + 1), 2 * k)[0]
-        report = compare_bounds(even, force=(k == 1))  # k=1 is the 3-path
+        report = compare_bounds(analyze(even))  # k=1 is the 3-path
         assert report.difference == 4 * k * (k - 1) ** 2
         odd = gen_broom((k + 1) * (2 * k + 1), 2 * k + 1)[0]
-        assert compare_bounds(odd).difference == 4 * k**3 - 2 * k**2 - k + 1
+        assert compare_bounds(analyze(odd)).difference == 4 * k**3 - 2 * k**2 - k + 1
 
 
 def test_c06_exact_dominates_bound_on_all_small_trees(corpus, exact_of):

@@ -1,15 +1,5 @@
-import pytest
-
 import oracles
-from hamcolor.bounds import (
-    center_total_level,
-    compare_bounds,
-    diameter_at_most_half,
-    is_applicable,
-    lower_bound_center,
-    lower_bound_weight,
-)
-from hamcolor.errors import NotApplicableError
+from hamcolor.bounds import compare_bounds, is_applicable, lower_bound_weight
 from hamcolor.families import gen_broom, gen_star
 from hamcolor.tree import Tree, analyze, graph_centers, weight_centers
 
@@ -30,23 +20,15 @@ class TestApplicability:
             for t in corpus[n]:
                 assert is_applicable(t) == (t.n >= 4 and t.max_degree >= 3)
 
-    def test_raises_without_force(self):
-        with pytest.raises(NotApplicableError):
-            lower_bound_weight(analyze(path(4)))
-        with pytest.raises(NotApplicableError):
-            lower_bound_center(path(4))
-        with pytest.raises(NotApplicableError):
-            compare_bounds(path(4))
-
     def test_force_gives_raw_value(self):
         # P_4: two weight centers, total level 2: 3*2 + 0 - 4 = 2
-        assert lower_bound_weight(analyze(path(4)), force=True) == 2
+        assert lower_bound_weight(analyze(path(4))) == 2
         # P_3: one center, total level 2: 2*2 + 1 - 4 = 1
-        assert lower_bound_weight(analyze(path(3)), force=True) == 1
-        assert lower_bound_center(path(3), force=True) == 1
+        assert lower_bound_weight(analyze(path(3))) == 1
+        assert compare_bounds(analyze(path(3))).lb_center == 1
         # one vertex: hc = 0, and the 1 - b term needs two distinct ends
-        assert lower_bound_weight(analyze(path(1)), force=True) == 0
-        assert lower_bound_center(path(1), force=True) == 0
+        assert lower_bound_weight(analyze(path(1))) == 0
+        assert compare_bounds(analyze(path(1))).lb_center == 0
 
 
 class TestWeightBound:
@@ -74,8 +56,8 @@ class TestWeightBound:
 class TestCenterBound:
     def test_broom_example(self):
         broom = gen_broom(10, 4)[0]
-        assert lower_bound_center(broom) == 50
-        report = compare_bounds(broom)
+        report = compare_bounds(analyze(broom))
+        assert report.lb_center == 50
         assert report.lb_weight == 58
         assert report.difference == 8
 
@@ -88,21 +70,19 @@ class TestCenterBound:
                 centers = nx.center(g)
                 dist = oracles.nx_distance_matrix(t)
                 expect = sum(min(dist[v][c] for c in centers) for v in range(t.n))
-                assert center_total_level(t) == expect
+                assert compare_bounds(analyze(t)).center_total_level == expect
 
     def test_weight_bound_dominates(self, corpus):
-        for n in range(4, 9):
+        for n in range(1, 9):
             for t in corpus[n]:
-                if is_applicable(t):
-                    report = compare_bounds(t)
-                    assert report.lb_weight >= report.lb_center
+                report = compare_bounds(analyze(t))
+                assert report.lb_weight >= report.lb_center
 
     def test_equal_when_centers_coincide(self, corpus):
         for n in range(4, 9):
             for t in corpus[n]:
                 if is_applicable(t) and weight_centers(t) == graph_centers(t):
-                    report = compare_bounds(t)
-                    assert report.difference == 0
+                    assert compare_bounds(analyze(t)).difference == 0
 
 
 class TestBroomGaps:
@@ -110,29 +90,17 @@ class TestBroomGaps:
     def test_even_gap(self):
         for k in range(2, 7):
             broom = gen_broom(k * (2 * k + 1), 2 * k)[0]
-            assert compare_bounds(broom).difference == 4 * k * (k - 1) ** 2
+            assert compare_bounds(analyze(broom)).difference == 4 * k * (k - 1) ** 2
 
     def test_odd_gap(self):
         for k in range(1, 7):
             broom = gen_broom((k + 1) * (2 * k + 1), 2 * k + 1)[0]
             gap = 4 * k**3 - 2 * k**2 - k + 1
-            assert compare_bounds(broom).difference == gap
+            assert compare_bounds(analyze(broom)).difference == gap
 
     def test_even_gap_k1_needs_force(self):
         # k=1 gives the 3-vertex path, outside the certified range
         broom = gen_broom(3, 2)[0]
-        assert compare_bounds(broom, force=True).difference == 0
+        assert not is_applicable(broom)
+        assert compare_bounds(analyze(broom)).difference == 0
 
-
-class TestDiameterHalf:
-    def test_examples(self):
-        assert diameter_at_most_half(gen_star(6)[0])
-        assert not diameter_at_most_half(path(5))
-        assert diameter_at_most_half(Tree(4, [(0, 1), (0, 2), (0, 3)]))
-        assert diameter_at_most_half(gen_broom(10, 4)[0])  # 2*4 <= 10
-
-    def test_report_field(self, corpus):
-        for t in corpus[6]:
-            if is_applicable(t):
-                report = compare_bounds(t)
-                assert report.diam_within_half == (2 * t.diameter <= t.n)

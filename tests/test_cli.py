@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import hamcolor
+import oracles
 from hamcolor import cli, families, ordering, solver
 from hamcolor.cli import main
-from hamcolor.bounds import lower_bound_weight
+from hamcolor.bounds import bound_formula, lower_bound_weight
 from hamcolor.families import gen_star
 from hamcolor.io import format_tree, parse_coloring_text, parse_tree_text
 from hamcolor.tree import RootedView, Tree, analyze
@@ -114,7 +115,7 @@ class TestAnalyze:
         assert data["n"] == 8
         assert data["weight_bicentral"] is True
         assert data["lb_weight"] == 30
-        assert data["diam_within_half"] is True
+        assert "diam_within_half" not in data
 
     def test_path_needs_force_for_bounds(self, run, tmp_path):
         path = str(tmp_path / "p4.tree")
@@ -128,6 +129,24 @@ class TestAnalyze:
         data = json.loads(out)
         assert data["lb_weight"] == 2
         assert data["certifying"] is False
+
+    def test_one_rooted_view_per_call(self, run, tmp_path, monkeypatch):
+        # the bounds are read from the view analyze built, not a second one
+        path = gen_file(run, tmp_path, "broom", "n=10,d=4")
+        views = []
+        init = RootedView.__init__
+
+        def counting(self, tree):
+            views.append(tree)
+            init(self, tree)
+
+        monkeypatch.setattr(RootedView, "__init__", counting)
+        for verb in ("analyze", "compare"):
+            views.clear()
+            code, out, _ = run(verb, "--json", path)
+            assert code == 0
+            assert json.loads(out)["lb_center"] == 50
+            assert len(views) == 1, verb
 
     def test_missing_file_exit_1(self, run):
         code, _, err = run("analyze", "no-such-file.tree")
@@ -515,6 +534,46 @@ class TestCompare:
         code, out, _ = run("compare", "--json", "--force", path)
         assert code == 0
         assert json.loads(out)["applicable"] is False
+
+    def test_hint_names_the_cli_flag(self, run, tmp_path):
+        path = str(tmp_path / "p4.tree")
+        open(path, "w").write("4\n0 1\n1 2\n2 3\n")
+        code, out, err = run("compare", path)
+        assert (code, out) == (1, "")
+        assert "--force" in err
+        assert "force=True" not in err
+
+    def test_corpus_matches_analyze_and_networkx(self, run, tmp_path, corpus):
+        # every tree with n <= 8, forced: compare and analyze print the same
+        # bounds, and both match centers and levels computed with networkx
+        import networkx as nx
+
+        path = tmp_path / "t.tree"
+        shared = ("applicable", "lb_weight", "lb_center", "weight_bicentral", "center_bicentral",
+                  "total_level_weight", "total_level_center")
+        for n in range(1, 9):
+            for t in corpus[n]:
+                path.write_text(format_tree(t))
+                outputs = []
+                for verb in ("analyze", "compare"):
+                    code, out, err = run(verb, "--json", "--force", str(path))
+                    assert (code, err) == (0, ""), (verb, t.edges)
+                    outputs.append(json.loads(out))
+                an, cmp = outputs
+                assert "diam_within_half" not in an and "diam_within_half" not in cmp
+                assert an["lb_difference"] == cmp["difference"]
+                assert {k: an[k] for k in shared} == {k: cmp[k] for k in shared}, t.edges
+                dist = oracles.nx_distance_matrix(t)
+                transmission = [oracles.nx_transmission(t, v) for v in range(n)]
+                weight = [v for v in range(n) if transmission[v] == min(transmission)]
+                center = sorted(nx.center(oracles.nx_graph(t)))
+                assert (an["weight_centers"], an["graph_centers"]) == (weight, center)
+                assert cmp["applicable"] == (n >= 4 and t.max_degree >= 3)
+                for kind, centers, lb in (("weight", weight, "lb_weight"), ("center", center, "lb_center")):
+                    total = sum(min(dist[v][c] for c in centers) for v in range(n))
+                    assert cmp[f"total_level_{kind}"] == total
+                    assert cmp[f"{kind}_bicentral"] == (len(centers) == 2)
+                    assert cmp[lb] == bound_formula(n, len(centers) == 2, total)
 
     def test_one_vertex_forced_bounds_are_zero(self, run, tmp_path):
         path = str(tmp_path / "one.tree")

@@ -199,17 +199,17 @@ class TestExact:
                 assert res.explored > 0
 
     def test_never_below_the_bound(self, corpus, exact_of):
-        # forced, the bound holds on every tree: paths and n <= 3 included
+        # the bound holds on every tree: paths and n <= 3 included
         for n in range(1, 9):
             for t in corpus[n]:
-                lb = lower_bound_weight(analyze(t), force=True)
+                lb = lower_bound_weight(analyze(t))
                 res = exact_of(t)
                 assert res.lb == lb
                 assert res.hc >= lb, t.edges
 
     def test_span_below_the_bound_is_internal_error(self, monkeypatch):
         rv = analyze(gen_star(5)[0])
-        monkeypatch.setattr(solver, "lower_bound_weight", lambda rv, force: 10)
+        monkeypatch.setattr(solver, "lower_bound_weight", lambda rv: 10)
         with pytest.raises(InternalError):
             exact_hc(rv)
 
@@ -370,7 +370,7 @@ class TestKernel:
             t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
             rv = analyze(t)
             dist = solver._flat_distances(rv)
-            lb = lower_bound_weight(rv, force=True)
+            lb = lower_bound_weight(rv)
             cases = [((), budget, incumbent) for budget in (-1, 0, 1, 7, 50) for incumbent in (-1, lb, lb + 1, lb + 2)]
             if t.n <= 6:
                 cases += [(prefix, -1, -1) for k in (1, 2) for prefix in itertools.permutations(range(t.n), k)]
