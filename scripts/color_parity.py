@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
-"""Check that ``hamcolor color``, ``exact``, ``analyze`` and ``compare``
-(each with ``--json``) behave the same at a git revision and in the working
-tree.
+"""Check that ``hamcolor color``, ``verify``, ``exact``, ``analyze`` and
+``compare`` behave the same at a git revision and in the working tree.
 
 Extracts ``src/`` of REV with ``git archive``, then runs the verbs on one
 fixed input set once with each source tree, each in a fresh interpreter, and
@@ -9,7 +8,10 @@ compares the calls one by one.  ``color`` runs on five large family shapes
 (star n=1500, caterpillar m=201 d=5, a-tree d=30, broom n=465 d=30 and broom
 n=600 d=25), each with its family metadata and relabelled without it, plus
 seeded Prufer trees with n from 4 to 40; its stdout, stderr, exit code and
-written coloring file must be identical.  ``analyze --json`` and
+written coloring file must be identical.  ``verify`` and ``verify --json``
+run on the coloring that REV's ``color`` wrote for each of those inputs and
+on a copy with the colors of three seeded vertices rotated; their stdout,
+stderr and exit code must be identical.  ``analyze --json`` and
 ``compare --json --force`` run on the same inputs as ``color``; their exit
 code, stderr and the value of every key that both sides print must be
 identical, and the keys that only one side prints are listed once per verb
@@ -20,11 +22,8 @@ with n = 12 and hc > lb; its exit code and ``hc`` must be identical, while
 the explored-node count and the witness may differ between search
 strategies, so the node counts are printed side by side with their total for each set, and so are
 the exit-code counts of each verb and the total wall time its in-process
-``main`` calls took on each side, and for each exact set the kernel
-throughput on each side: its explored total divided by the wall time of its
-``main`` calls (informational: a change in fixed per-call cost or in the
-kernel's node rate shows there, and it decides nothing).  Exits 1 and names
-the first differing inputs on a mismatch.
+``main`` calls took on each side.  Exits 1 and names the first differing
+inputs on a mismatch.
 
     python3 scripts/color_parity.py HEAD
     python3 scripts/color_parity.py HEAD~1 --prufer 300
@@ -56,9 +55,12 @@ SHAPES = [
 ]
 # seeds of Prufer trees with n = 12 and hc > lb, for exact past the benchmark's n <= 10
 EXACT12_SEEDS = (5, 113, 153, 243)
-# (label, inputs, argv before the file, suffix of the written coloring or None)
+# (label, inputs, argv before the file, suffix of the written coloring or None);
+# a verify input is a coloring in colorings/, named after its tree
 RUNS = (
     ("color", "*.tree", ["color", "--json"], ".coloring"),
+    ("verify", "colorings/*.coloring", ["verify"], None),
+    ("verify --json", "colorings/*.coloring", ["verify", "--json"], None),
     ("analyze", "*.tree", ["analyze", "--json"], None),
     ("compare", "*.tree", ["compare", "--json", "--force"], None),
     ("exact", "exact/*.tree", ["exact", "--json"], ".hc.coloring"),
@@ -89,8 +91,10 @@ def _tree_text(n: int, edges, meta: dict | None = None) -> str:
 
 
 def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
-    """Write the input tree files; families come from the package at ``src``."""
+    """Write the input tree files; families come from the package at ``src``,
+    and so do the colorings that ``verify`` checks."""
     sys.path.insert(0, str(src))
+    from hamcolor.cli import main
     from hamcolor.families import generate
 
     for fam, params in SHAPES:
@@ -107,6 +111,17 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
         rng = random.Random(i)
         edges = _prufer_edges([rng.randrange(n) for _ in range(n - 2)])
         (workdir / f"prufer{i:03d}_n{n}.tree").write_text(_tree_text(n, edges))
+    (workdir / "colorings").mkdir()
+    for path in sorted(workdir.glob("*.tree")):
+        written = workdir / "colorings" / f"{path.stem}.coloring"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if main(["color", str(path), "--coloring-out", str(written)]) != 0:
+                continue
+        pairs = [line.split() for line in written.read_text().splitlines()]
+        a, b, c = random.Random(path.name).sample(range(len(pairs)), 3)
+        pairs[a][1], pairs[b][1], pairs[c][1] = pairs[b][1], pairs[c][1], pairs[a][1]
+        (workdir / "colorings" / f"{path.stem}.rotated.coloring").write_text(
+            "".join(f"{v} {color}\n" for v, color in pairs))
     (workdir / "exact").mkdir()
     for inst in json.loads(PINNED.read_text())["instances"]:
         (workdir / "exact" / f"{inst['name']}.tree").write_text(_tree_text(inst["n"], inst["edges"]))
@@ -130,10 +145,14 @@ def run_side(src: Path, workdir: Path) -> tuple[dict, dict]:
     for label, pattern, argv, suffix in RUNS:
         for path in sorted(workdir.glob(pattern)):
             name = f"{label} {path.relative_to(workdir)}"
+            files = [str(path)]
+            if argv[0] == "verify":
+                tree = path.name.removesuffix(".coloring").removesuffix(".rotated") + ".tree"
+                files.insert(0, str(workdir / tree))
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 start = time.perf_counter()
-                code = main(argv + [str(path)])
+                code = main(argv + files)
                 seconds[name] = time.perf_counter() - start
             written = None
             if suffix is not None:
@@ -186,24 +205,22 @@ def main() -> int:
             return before[2] == after[2] and all(a[k] == b[k] for k in a.keys() & b.keys())
         return before == after
 
-    # per set of exact inputs: explored nodes and main wall time, each side
-    totals: dict[str, list[list[float]]] = {}
+    # per set of exact inputs: explored nodes, each side
+    totals: dict[str, list[int]] = {}
     for name in sorted(old):
         if name.startswith("exact ") and name in new and old[name][0] == new[name][0] == 0:
             nodes = [json.loads(side[name][1])["explored"] for side in (old, new)]
             print(f"{name}: explored {nodes[0]} -> {nodes[1]}")
-            total = totals.setdefault(name.split("/")[0], [[0, 0.0], [0, 0.0]])
-            for side_total, explored, seconds in zip(total, nodes, (old_seconds[name], new_seconds[name])):
-                side_total[0] += explored
-                side_total[1] += seconds
-    for inputs, ((before, before_s), (after, after_s)) in totals.items():
-        print(f"{inputs}/: explored in total {before} -> {after}; "
-              f"throughput {before / before_s:,.0f} -> {after / after_s:,.0f} nodes/s of main wall time")
+            total = totals.setdefault(name.split("/")[0], [0, 0])
+            total[0] += nodes[0]
+            total[1] += nodes[1]
+    for inputs, (before, after) in totals.items():
+        print(f"{inputs}/: explored in total {before} -> {after}")
     differ = [name for name in old if name not in new or not same(name)]
     for verb, (rev_only, tree_only) in one_sided.items():
         print(f"{verb}: keys printed only at {args.rev}: {', '.join(sorted(rev_only)) or 'none'}; "
               f"only in the working tree: {', '.join(sorted(tree_only)) or 'none'}")
-    for verb in ("color", "analyze", "compare", "exact"):
+    for verb in ("color", "verify", "analyze", "compare", "exact"):
         before, after = (
             dict(sorted(Counter(res[0] for name, res in side.items() if name.startswith(verb + " ")).items()))
             for side in (old, new)
@@ -214,8 +231,8 @@ def main() -> int:
     if differ or set(new) != set(old):
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
         return 1
-    print("identical: color stdout, stderr, exit code and coloring file; analyze and compare exit code, "
-          "stderr and every key both sides print; exact exit code and hc")
+    print("identical: color stdout, stderr, exit code and coloring file; verify stdout, stderr and exit code; "
+          "analyze and compare exit code, stderr and every key both sides print; exact exit code and hc")
     return 0
 
 

@@ -42,15 +42,38 @@ from .solver import exact_hc, search_backend, verify_coloring
 from .tree import analyze, graph_centers
 
 
+def _json(data: dict) -> str:
+    """``json.dumps(data, indent=2)`` for a dict with string keys, byte for byte.
+
+    ``json`` indents through its pure-Python encoder, which is slow on the
+    long vertex lists of ``color``.  So a non-empty list of plain ints (no
+    bools) is joined directly; any other value is encoded by ``json`` and
+    indented one level, which is exact because encoded strings hold no raw
+    newline.  A dict without list values goes to ``json`` whole.
+    """
+    if not any(type(val) is list for val in data.values()):
+        return json.dumps(data, indent=2)
+    items = []
+    for key, val in data.items():
+        if type(val) is list and val and all(type(x) is int for x in val):
+            body = "[\n    " + ",\n    ".join(map(str, val)) + "\n  ]"
+        else:
+            body = json.dumps(val, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {body}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def _emit(args: argparse.Namespace, data: dict) -> None:
+    """Print ``data`` as indented JSON with ``--json``, else as ``key: value``
+    lines (booleans lowercase, lists space-separated)."""
     if args.json:
-        print(json.dumps(data, indent=2))
+        print(_json(data))
         return
     for key, val in data.items():
         if isinstance(val, bool):
             val = "true" if val else "false"
         elif isinstance(val, (list, tuple)):
-            val = " ".join(str(x) for x in val)
+            val = " ".join(map(str, val))
         print(f"{key}: {val}")
 
 
@@ -138,13 +161,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _family_spec_from_meta(tree, meta: dict[str, str]):
     """Regenerate the family instance recorded in tree-file metadata; the
     order the parameters give is compared first, so a false claim costs
-    nothing to reject."""
+    nothing to reject.  The generator's edges are compared with the file's
+    validated, sorted ones, so no second tree is built."""
     if "family" not in meta or "params" not in meta:
         return None
     family, params = meta["family"], _parse_params(meta["params"])
     if families.expected_order(family, params) == tree.n:
-        gen_tree, spec = families.generate(family, params)
-        if gen_tree.edges == tree.edges:
+        edges, spec = families.family_edges(family, params)
+        if sorted(edges) == list(tree.edges):
             return spec
     raise FormatError("tree does not match its family metadata")
 

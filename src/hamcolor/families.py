@@ -19,9 +19,11 @@ known, the expected order, total level and hamiltonian chromatic number:
                 by legs, which take ids m.. grouped by spine vertex.
 
 ``expected_order`` gives the order of an instance from its parameters without
-building it.  ``family_certificate`` returns the ``check_spacing``
-certificate of an ordering whose induced coloring attains the weight-center
-lower bound; ``family_ordering`` returns just that ordering.
+building it, and ``family_edges`` its edge list and spec without building its
+tree; ``generate`` and the ``gen_*`` functions build the tree from that list.
+``family_certificate`` returns the ``check_spacing`` certificate of an
+ordering whose induced coloring attains the weight-center lower bound;
+``family_ordering`` returns just that ordering.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ class FamilySpec:
     expected_total_level: int | None = None
 
 
+def _tree(edges: list[tuple[int, int]], spec: FamilySpec) -> tuple[Tree, FamilySpec]:
+    return Tree(spec.expected_n, edges), spec
+
+
 def _as_int(x: Fraction, what: str) -> int:
     if x.denominator != 1:
         raise InternalError(f"{what} is not an integer: {x}")
@@ -58,10 +64,9 @@ def _star_order(n: int) -> int:
     return n
 
 
-def gen_star(n: int) -> tuple[Tree, FamilySpec]:
-    """Star on n >= 3 vertices; hub 0."""
+def _star(n: int) -> tuple[list[tuple[int, int]], FamilySpec]:
     expected_n = _star_order(n)
-    tree = Tree(n, [(0, i) for i in range(1, n)])
+    edges = [(0, i) for i in range(1, n)]
     spec = FamilySpec(
         family="star",
         params={"n": n},
@@ -69,7 +74,12 @@ def gen_star(n: int) -> tuple[Tree, FamilySpec]:
         expected_hc=(n - 2) ** 2,
         expected_total_level=n - 1,
     )
-    return tree, spec
+    return edges, spec
+
+
+def gen_star(n: int) -> tuple[Tree, FamilySpec]:
+    """Star on n >= 3 vertices; hub 0."""
+    return _tree(*_star(n))
 
 
 def _broom_order(n: int, d: int) -> int:
@@ -78,16 +88,10 @@ def _broom_order(n: int, d: int) -> int:
     return n
 
 
-def gen_broom(n: int, d: int) -> tuple[Tree, FamilySpec]:
-    """Broom: a d-vertex path with n-d extra leaves on the hub end.
-
-    Ids: path 0..d-1 (0 is the hub), leaves d..n-1.  The expected fields are
-    filled only for the two recognised one-parameter sub-families.
-    """
+def _broom(n: int, d: int) -> tuple[list[tuple[int, int]], FamilySpec]:
     expected_n = _broom_order(n, d)
     edges = [(i, i + 1) for i in range(d - 1)]
     edges += [(0, i) for i in range(d, n)]
-    tree = Tree(n, edges)
     family = "broom"
     hc = total = None
     if d % 2 == 0:
@@ -109,7 +113,16 @@ def gen_broom(n: int, d: int) -> tuple[Tree, FamilySpec]:
         expected_hc=hc,
         expected_total_level=total,
     )
-    return tree, spec
+    return edges, spec
+
+
+def gen_broom(n: int, d: int) -> tuple[Tree, FamilySpec]:
+    """Broom: a d-vertex path with n-d extra leaves on the hub end.
+
+    Ids: path 0..d-1 (0 is the hub), leaves d..n-1.  The expected fields are
+    filled only for the two recognised one-parameter sub-families.
+    """
+    return _tree(*_broom(n, d))
 
 
 def _grow_a_tree(
@@ -147,11 +160,7 @@ def _a_tree_order(d: int) -> int:
     return 2 * k**2 if d % 2 == 0 else 2 * k * (k + 1) + 1
 
 
-def gen_a_tree(d: int) -> tuple[Tree, FamilySpec]:
-    """A-tree with index d >= 2 (single edge at d=2, 4-leaf star at d=3).
-
-    The generated tree has diameter d - 1.
-    """
+def _a_tree(d: int) -> tuple[list[tuple[int, int]], FamilySpec]:
     expected_n = _a_tree_order(d)
     if d % 2 == 0:
         k = d // 2
@@ -169,7 +178,6 @@ def gen_a_tree(d: int) -> tuple[Tree, FamilySpec]:
         n, pendants, ends = _grow_a_tree(n, edges, pendants, ends)
     if n != expected_n:
         raise InternalError(f"a-tree growth produced {n} vertices, expected {expected_n}")
-    tree = Tree(n, edges)
     spec = FamilySpec(
         family="a_tree",
         params={"d": d},
@@ -177,7 +185,15 @@ def gen_a_tree(d: int) -> tuple[Tree, FamilySpec]:
         expected_hc=hc,
         expected_total_level=total,
     )
-    return tree, spec
+    return edges, spec
+
+
+def gen_a_tree(d: int) -> tuple[Tree, FamilySpec]:
+    """A-tree with index d >= 2 (single edge at d=2, 4-leaf star at d=3).
+
+    The generated tree has diameter d - 1.
+    """
+    return _tree(*_a_tree(d))
 
 
 def _caterpillar_order(m: int, d: int) -> int:
@@ -186,12 +202,7 @@ def _caterpillar_order(m: int, d: int) -> int:
     return m + (m - 2) * (d - 2)
 
 
-def gen_caterpillar(m: int, d: int) -> tuple[Tree, FamilySpec]:
-    """Caterpillar: spine of m >= 3 vertices, inner spine vertices of degree d >= 3.
-
-    Ids: spine 0..m-1, then d-2 legs per inner spine vertex, grouped by spine
-    position.  m=3 gives the star on d+1 vertices.
-    """
+def _caterpillar(m: int, d: int) -> tuple[list[tuple[int, int]], FamilySpec]:
     expected_n = _caterpillar_order(m, d)
     edges = [(i, i + 1) for i in range(m - 1)]
     nxt = m
@@ -199,7 +210,6 @@ def gen_caterpillar(m: int, d: int) -> tuple[Tree, FamilySpec]:
         for _ in range(d - 2):
             edges.append((s, nxt))
             nxt += 1
-    tree = Tree(nxt, edges)
     if m % 2 == 1:
         k = (m - 1) // 2
         total = (k * (k + 1) - 1) * (d - 1) + 1
@@ -222,15 +232,24 @@ def gen_caterpillar(m: int, d: int) -> tuple[Tree, FamilySpec]:
         expected_hc=hc,
         expected_total_level=total,
     )
-    return tree, spec
+    return edges, spec
 
 
-# family -> (parameter names, order from the parameters, generator)
+def gen_caterpillar(m: int, d: int) -> tuple[Tree, FamilySpec]:
+    """Caterpillar: spine of m >= 3 vertices, inner spine vertices of degree d >= 3.
+
+    Ids: spine 0..m-1, then d-2 legs per inner spine vertex, grouped by spine
+    position.  m=3 gives the star on d+1 vertices.
+    """
+    return _tree(*_caterpillar(m, d))
+
+
+# family -> (parameter names, order from the parameters, edges and spec)
 _FAMILIES = {
-    "star": (("n",), _star_order, gen_star),
-    "broom": (("n", "d"), _broom_order, gen_broom),
-    "a_tree": (("d",), _a_tree_order, gen_a_tree),
-    "caterpillar": (("m", "d"), _caterpillar_order, gen_caterpillar),
+    "star": (("n",), _star_order, _star),
+    "broom": (("n", "d"), _broom_order, _broom),
+    "a_tree": (("d",), _a_tree_order, _a_tree),
+    "caterpillar": (("m", "d"), _caterpillar_order, _caterpillar),
 }
 
 
@@ -249,10 +268,16 @@ def _lookup(family: str, params: dict[str, int]):
         raise BadParamsError(f"family {family!r} needs parameter {e.args[0]!r}") from None
 
 
+def family_edges(family: str, params: dict[str, int]) -> tuple[list[tuple[int, int]], FamilySpec]:
+    """The edges, each (u, v) with u < v, and the spec of the instance
+    :func:`generate` builds, without building its :class:`Tree`."""
+    _, make, args = _lookup(family, params)
+    return make(*args)
+
+
 def generate(family: str, params: dict[str, int]) -> tuple[Tree, FamilySpec]:
     """Dispatch by family name ("a-tree" and "a_tree" both accepted)."""
-    _, gen, args = _lookup(family, params)
-    return gen(*args)
+    return _tree(*family_edges(family, params))
 
 
 def expected_order(family: str, params: dict[str, int]) -> int:

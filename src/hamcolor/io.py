@@ -5,11 +5,16 @@ n, followed by exactly n-1 lines ``u v``.  Generated files carry their family
 metadata in leading comments (``# key: value``), which the reader returns as
 a dict.  Ordering files are a single line of n vertex ids.  Coloring files
 are n lines ``v c``.
+
+The tree and coloring readers convert every line in one comprehension.  Only
+when that fails, or a coloring names a vertex outside 0..n-1 or twice, do
+they walk the lines again to name the first bad one; the walk is the
+line-by-line reader, so the error and its message are the ones it gives.
 """
 
 from __future__ import annotations
 
-from .errors import FormatError
+from .errors import FormatError, InternalError
 from .ordering import Coloring
 from .tree import Tree, build_tree
 
@@ -23,22 +28,22 @@ def _int(tok: str, what: str) -> int:
         raise FormatError(f"{what}: expected an integer, got {tok!r}") from None
 
 
+def _content_lines(text: str) -> list[str]:
+    """Stripped lines that are neither blank nor ``#`` comments."""
+    return [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+
+
 def parse_tree_text(text: str) -> tuple[Tree, dict[str, str]]:
     """Parse a tree file; returns the tree and any ``# key: value`` metadata."""
     meta: dict[str, str] = {}
-    content: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
-            if ":" in body:
-                key, _, val = body.partition(":")
+    if "#" in text:
+        for line in text.splitlines():
+            body = line.strip()
+            if body.startswith("#") and ":" in body:
+                key, _, val = body[1:].partition(":")
                 if key.strip() in _META_KEYS:
                     meta[key.strip()] = val.strip()
-            continue
-        content.append(stripped)
+    content = _content_lines(text)
     if not content:
         raise FormatError("empty tree file")
     if len(content[0].split()) != 1:
@@ -47,12 +52,17 @@ def parse_tree_text(text: str) -> tuple[Tree, dict[str, str]]:
     edge_lines = content[1:]
     if len(edge_lines) != max(0, n - 1):
         raise FormatError(f"expected {max(0, n - 1)} edge lines for order {n}, got {len(edge_lines)}")
-    edges = []
-    for line in edge_lines:
-        toks = line.split()
-        if len(toks) != 2:
-            raise FormatError(f"edge line must be 'u v', got {line!r}")
-        edges.append((_int(toks[0], "edge"), _int(toks[1], "edge")))
+    try:
+        edges = [(int(u), int(v)) for u, v in map(str.split, edge_lines)]
+    except ValueError:
+        # name the first line that is not two integers
+        for line in edge_lines:
+            toks = line.split()
+            if len(toks) != 2:
+                raise FormatError(f"edge line must be 'u v', got {line!r}") from None
+            _int(toks[0], "edge")
+            _int(toks[1], "edge")
+        raise InternalError("an edge list the fast reader rejected has no bad line") from None
     return build_tree(n, edges), meta
 
 
@@ -83,10 +93,7 @@ def load_tree(path: str) -> tuple[Tree, dict[str, str]]:
 
 def parse_ordering_text(text: str, n: int) -> list[int]:
     """One line of n vertex ids (comments and blank lines ignored)."""
-    lines = [
-        s for s in (line.strip() for line in text.splitlines())
-        if s and not s.startswith("#")
-    ]
+    lines = _content_lines(text)
     if len(lines) != 1:
         raise FormatError(f"ordering file must hold one content line, got {len(lines)}")
     toks = lines[0].split()
@@ -101,12 +108,17 @@ def format_ordering(order: list[int]) -> str:
 
 def parse_coloring_text(text: str, n: int) -> Coloring:
     """n lines of ``vertex color``."""
-    lines = [
-        s for s in (line.strip() for line in text.splitlines())
-        if s and not s.startswith("#")
-    ]
+    lines = _content_lines(text)
     if len(lines) != n:
         raise FormatError(f"coloring file must hold {n} lines, got {len(lines)}")
+    try:
+        by_vertex = {int(v): int(c) for v, c in map(str.split, lines)}
+    except ValueError:
+        by_vertex = {}
+    if by_vertex.keys() == set(range(n)):
+        return Coloring(tuple(map(by_vertex.__getitem__, range(n))))
+    # name the first bad line: its token count or integers, its vertex id
+    # outside 0..n-1, or a vertex it colors a second time
     colors: list[int | None] = [None] * n
     for line in lines:
         toks = line.split()
@@ -119,7 +131,7 @@ def parse_coloring_text(text: str, n: int) -> Coloring:
         if colors[v] is not None:
             raise FormatError(f"vertex {v} colored twice")
         colors[v] = c
-    return Coloring(tuple(colors))  # type: ignore[arg-type]
+    raise InternalError("a coloring file the fast reader rejected has no bad line")
 
 
 def load_coloring(path: str, n: int) -> Coloring:

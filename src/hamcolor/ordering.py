@@ -93,12 +93,17 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
     >= 0, the colors rise, and ``verify_coloring``'s window checks the other
     pairs.  Reported: the first failing consecutive pair, else the first
     (i, j).  On success the certificate holds the ordering and the coloring
-    that was verified.
+    that was verified.  The ordering is validated once, by
+    :func:`coloring_from_ordering`, before any check reads it.
     """
     from .solver import verify_coloring  # solver imports this module
 
     require_applicable(rv.tree, "ordering certificates")
-    o = validate_ordering(rv.n, order)
+    o = list(order)
+    try:
+        coloring = coloring_from_ordering(rv, o)  # the one check that o is a permutation
+    except NegativeIncrementError:
+        coloring = None  # a consecutive pair shares a branch; reported below
     n = rv.n
     b = 1 if rv.bicentral else 0
     if not _endpoint_levels_ok(rv, o):
@@ -108,9 +113,10 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
     for i, (u, v) in enumerate(zip(o, o[1:])):
         pos[v] = i + 1
         if (branch[u] is not None and branch[u] == branch[v]) or (b and side[u] == side[v]):
-            d, need = rv.detour_distance(u, v), level[u] + level[v] + b
+            d, need = rv._distance(u, v), level[u] + level[v] + b
             return Certificate(False, (i, i + 1), f"positions {i},{i + 1}: distance {d} < required {need}")
-    coloring = coloring_from_ordering(rv, o)
+    if coloring is None:
+        raise InternalError("negative increment between vertices that share no branch")
     bad = verify_coloring(rv, coloring)
     if not bad:
         # the span is (n-1)(n-1-b) - 2*total_level plus the endpoint levels
@@ -145,14 +151,16 @@ def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
 
 
 def _branch_queues(rv: RootedView) -> dict[int, list[int]]:
-    """Per-branch stacks popping deepest-first (ties to the smaller id)."""
+    """Per-branch stacks popping deepest-first (ties to the smaller id).
+
+    One stable sort by level of the ids in descending order gives every
+    branch its vertices by (level, -id), which is the stack order."""
     queues: dict[int, list[int]] = {i: [] for i in range(len(rv.branch_roots))}
-    for v in range(rv.n):
-        bid = rv.branch[v]
+    branch = rv.branch
+    for v in sorted(range(rv.n - 1, -1, -1), key=rv.level.__getitem__):
+        bid = branch[v]
         if bid is not None:
             queues[bid].append(v)
-    for q in queues.values():
-        q.sort(key=lambda v: (rv.level[v], -v))
     return queues
 
 

@@ -85,13 +85,14 @@ def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
         if isinstance(c, bool) or not isinstance(c, int) or c < 0:
             raise NegativeColorError(f"bad color {c!r}")
     by_color = sorted(range(n), key=colors.__getitem__)
+    distance = rv._distance  # the ids come from range(n)
     out = []
     for i, u in enumerate(by_color):
         cu = colors[u]
         j = i + 1
         while j < n and (gap := colors[by_color[j]] - cu) < n - 1:
             v = by_color[j]
-            need = n - 1 - rv.detour_distance(u, v)
+            need = n - 1 - distance(u, v)
             if gap < need:
                 out.append(Violation(min(u, v), max(u, v), need, gap))
             j += 1
@@ -107,6 +108,7 @@ def min_span_for_order(rv: RootedView, order: Sequence[int]) -> Coloring:
     placed vertices are scanned newest-first until one is that far below."""
     o = validate_ordering(rv.n, order)
     n = rv.n
+    distance = rv._distance  # the ids come from the validated ordering
     colors = [0] * n
     for i in range(1, n):
         v = o[i]
@@ -115,7 +117,7 @@ def min_span_for_order(rv: RootedView, order: Sequence[int]) -> Coloring:
             u = o[j]
             if colors[u] + n - 2 <= c:
                 break
-            c = max(c, colors[u] + n - 1 - rv.detour_distance(u, v))
+            c = max(c, colors[u] + n - 1 - distance(u, v))
         colors[v] = c
     return Coloring(tuple(colors))
 

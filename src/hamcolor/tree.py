@@ -17,6 +17,13 @@ center(s), which gives the distance decomposition
                                          sides of the center edge, else 0,
 
 used throughout for bound arithmetic and ordering certificates.
+
+Construction checks each edge once, in input order, so the first faulty edge
+decides the error.  The edges are sorted once, and appending them in that
+order leaves every adjacency list sorted.  The connectivity search from
+vertex 0 is kept: :func:`all_vertex_weights` and the diameter start from
+it instead of searching again.  ``RootedView._distance`` is the distance
+query without its id checks, for callers whose ids are already valid.
 """
 
 from __future__ import annotations
@@ -33,8 +40,10 @@ class Tree:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or n < 1:
             raise BadVertexIdError(f"order must be a positive integer, got {n!r}")
-        norm = []
-        seen = set()
+        # one pass checks each edge in input order, so the first faulty edge
+        # decides the error; an edge u < v is kept as the key u * n + v
+        keys: list[int] = []
+        seen: set[int] = set()
         for e in edges:
             try:
                 u, v = e
@@ -46,22 +55,27 @@ class Tree:
                 raise BadVertexIdError(f"edge {e!r} outside vertex range 0..{n - 1}")
             if u == v:
                 raise NotATreeError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
+            key = u * n + v if u < v else v * n + u
             if key in seen:
-                raise NotATreeError(f"duplicate edge {key}")
+                raise NotATreeError(f"duplicate edge {(u, v) if u < v else (v, u)}")
             seen.add(key)
-            norm.append(key)
-        if len(norm) != n - 1:
-            raise NotATreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
+            keys.append(key)
+        if len(keys) != n - 1:
+            raise NotATreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(keys)}")
+        keys.sort()
+        self.n = n
+        self.edges: tuple[tuple[int, int], ...] = tuple([divmod(key, n) for key in keys])
+        # edges in sorted order append each vertex's smaller neighbours, then
+        # its larger ones, both ascending: every list comes out sorted
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        # connectivity; with exactly n-1 edges this also rules out cycles
-        if len(self.bfs([0])[2]) < n:
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        # connectivity; with exactly n-1 edges this also rules out cycles.
+        # The search is kept: weights and the diameter start from vertex 0 too
+        self._bfs_from_0 = self.bfs([0])
+        if len(self._bfs_from_0[2]) < n:
             raise NotATreeError("graph is not connected")
 
     def check_vertex(self, v: int) -> None:
@@ -102,7 +116,7 @@ class Tree:
 
     @cached_property
     def _diameter_path(self) -> list[int]:
-        da = self.bfs([0])[0]
+        da = self._bfs_from_0[0]
         a = da.index(max(da))
         db, parent, _ = self.bfs([a])
         path = [db.index(max(db))]
@@ -130,7 +144,7 @@ def all_vertex_weights(tree: Tree) -> list[int]:
     the weight by n - 2*s.
     """
     n = tree.n
-    dist, parent, order = tree.bfs([0])
+    dist, parent, order = tree._bfs_from_0
     size = [1] * n
     for u in reversed(order[1:]):
         size[parent[u]] += size[u]  # type: ignore[index]
@@ -181,23 +195,25 @@ class RootedView:
         if self.bicentral and centers[1] not in tree.adj[centers[0]]:
             raise InternalError(f"weight centers {centers} are not adjacent")
         level, parent, order = tree.bfs(centers)
+        # the branches hang off the centers' other neighbours, indexed in id
+        # order; the search visits parents first, so each vertex inherits
+        # its parent's side and branch
+        roots = sorted(v for c in centers for v in tree.adj[c] if v not in self.weight_centers)
         side = [0] * n
-        root_of: list[int | None] = [None] * n
-        for v in order:
+        branch: list[int | None] = [None] * n
+        for c in centers:
+            side[c] = c
+        for i, r in enumerate(roots):
+            branch[r] = i
+        for v in order[len(centers):]:
             p = parent[v]
-            if p is None:
-                side[v] = v
-            else:
-                side[v] = side[p]
-                root_of[v] = v if p in self.weight_centers else root_of[p]
-        roots = sorted(v for v in range(n) if root_of[v] == v)
-        index = {r: i for i, r in enumerate(roots)}
+            side[v] = side[p]  # type: ignore[index]
+            if branch[v] is None:
+                branch[v] = branch[p]  # type: ignore[index]
         self.level: tuple[int, ...] = tuple(level)
         self.parent: tuple[int | None, ...] = tuple(parent)
         self.side: tuple[int, ...] = tuple(side)
-        self.branch: tuple[int | None, ...] = tuple(
-            None if root_of[v] is None else index[root_of[v]] for v in range(n)
-        )
+        self.branch: tuple[int | None, ...] = tuple(branch)
         self.branch_roots: tuple[int, ...] = tuple(roots)
         self.total_level = sum(self.level)
         if self.bicentral and 2 * side.count(centers[0]) != n:
@@ -221,6 +237,11 @@ class RootedView:
         """
         self.tree.check_vertex(u)
         self.tree.check_vertex(v)
+        return self._distance(u, v)
+
+    def _distance(self, u: int, v: int) -> int:
+        """:meth:`detour_distance` without checking the ids, for callers whose
+        ids come from ``range(n)`` or a validated ordering."""
         level = self.level
         bu = self.branch[u]
         if bu is None or bu != self.branch[v]:

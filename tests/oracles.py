@@ -16,7 +16,11 @@ same search, node for node; ``twin_before`` is the twin rule as the kernel
 first had it, a comparison of distance rows.  ``certify_alternation`` is the
 package's former certificate check, a weaker sufficient condition read from
 the package's levels and bounds, kept as the reference that ``check_spacing``
-accepts every ordering it accepted.
+accepts every ordering it accepted.  ``ReferenceTree``,
+``reference_parse_tree_text`` and ``reference_parse_coloring_text`` are the
+package's line-by-line readers and edge-by-edge tree validation as they were
+before the readers converted whole files at once, kept verbatim as the
+reference for the same result or the same error on every input.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import networkx as nx
 
 from hamcolor._bnb_py import weight_levels
 from hamcolor.bounds import bound_formula, lower_bound_weight, require_applicable
-from hamcolor.errors import InternalError
+from hamcolor.errors import BadVertexIdError, FormatError, InternalError, NotATreeError
 from hamcolor.ordering import Certificate, Coloring, validate_ordering
 from hamcolor.tree import RootedView, Tree
 
@@ -527,3 +531,130 @@ def prufer_tree(n: int, seq: Sequence[int]) -> Tree:
             leaves.insert(lo, v)
     edges.append((leaves[0], leaves[1]))
     return Tree(n, edges)
+
+
+class ReferenceTree:
+    """``Tree``'s constructor as it was, validating edge by edge and sorting
+    every adjacency list; only ``n``, ``edges`` and ``adj`` are kept."""
+
+    def __init__(self, n: int, edges):
+        if not isinstance(n, int) or n < 1:
+            raise BadVertexIdError(f"order must be a positive integer, got {n!r}")
+        norm = []
+        seen = set()
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise BadVertexIdError(f"edge {e!r} is not a vertex pair") from None
+            if not isinstance(u, int) or not isinstance(v, int):
+                raise BadVertexIdError(f"edge {e!r} has non-integer endpoints")
+            if not (0 <= u < n and 0 <= v < n):
+                raise BadVertexIdError(f"edge {e!r} outside vertex range 0..{n - 1}")
+            if u == v:
+                raise NotATreeError(f"self-loop at vertex {u}")
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise NotATreeError(f"duplicate edge {key}")
+            seen.add(key)
+            norm.append(key)
+        if len(norm) != n - 1:
+            raise NotATreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in norm:
+            adj[u].append(v)
+            adj[v].append(u)
+        self.n = n
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
+        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        # connectivity; with exactly n-1 edges this also rules out cycles
+        if len(self.bfs([0])[2]) < n:
+            raise NotATreeError("graph is not connected")
+
+    def check_vertex(self, v: int) -> None:
+        if not isinstance(v, int) or not (0 <= v < self.n):
+            raise BadVertexIdError(f"vertex {v!r} outside 0..{self.n - 1}")
+
+    def bfs(self, sources):
+        dist = [-1] * self.n
+        parent: list[int | None] = [None] * self.n
+        order: list[int] = []
+        for s in sources:
+            self.check_vertex(s)
+            if dist[s] < 0:
+                dist[s] = 0
+                order.append(s)
+        for u in order:  # the visit order doubles as the queue
+            du = dist[u] + 1
+            for v in self.adj[u]:
+                if dist[v] < 0:
+                    dist[v] = du
+                    parent[v] = u
+                    order.append(v)
+        return dist, parent, order
+
+
+_REFERENCE_META_KEYS = ("family", "params", "expected_n", "expected_hc", "expected_total_level")
+
+
+def _reference_int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise FormatError(f"{what}: expected an integer, got {tok!r}") from None
+
+
+def reference_parse_tree_text(text: str) -> tuple[ReferenceTree, dict[str, str]]:
+    """The tree reader as it was: one line at a time."""
+    meta: dict[str, str] = {}
+    content: list[str] = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            body = stripped[1:].strip()
+            if ":" in body:
+                key, _, val = body.partition(":")
+                if key.strip() in _REFERENCE_META_KEYS:
+                    meta[key.strip()] = val.strip()
+            continue
+        content.append(stripped)
+    if not content:
+        raise FormatError("empty tree file")
+    if len(content[0].split()) != 1:
+        raise FormatError(f"first content line must be the order, got {content[0]!r}")
+    n = _reference_int(content[0], "order")
+    edge_lines = content[1:]
+    if len(edge_lines) != max(0, n - 1):
+        raise FormatError(f"expected {max(0, n - 1)} edge lines for order {n}, got {len(edge_lines)}")
+    edges = []
+    for line in edge_lines:
+        toks = line.split()
+        if len(toks) != 2:
+            raise FormatError(f"edge line must be 'u v', got {line!r}")
+        edges.append((_reference_int(toks[0], "edge"), _reference_int(toks[1], "edge")))
+    return ReferenceTree(n, edges), meta
+
+
+def reference_parse_coloring_text(text: str, n: int) -> Coloring:
+    """The coloring reader as it was: one line at a time."""
+    lines = [
+        s for s in (line.strip() for line in text.splitlines())
+        if s and not s.startswith("#")
+    ]
+    if len(lines) != n:
+        raise FormatError(f"coloring file must hold {n} lines, got {len(lines)}")
+    colors: list[int | None] = [None] * n
+    for line in lines:
+        toks = line.split()
+        if len(toks) != 2:
+            raise FormatError(f"coloring line must be 'v c', got {line!r}")
+        v = _reference_int(toks[0], "vertex")
+        c = _reference_int(toks[1], "color")
+        if not 0 <= v < n:
+            raise FormatError(f"vertex {v} outside 0..{n - 1}")
+        if colors[v] is not None:
+            raise FormatError(f"vertex {v} colored twice")
+        colors[v] = c
+    return Coloring(tuple(colors))  # type: ignore[arg-type]

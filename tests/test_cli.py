@@ -238,6 +238,22 @@ class TestColor:
             assert code == 0
             assert counts == {"analyses": 1, "checks": 1, "colorings": 1, "verifies": 1}, path
 
+    def test_metadata_call_builds_one_tree(self, run, tmp_path, monkeypatch):
+        # the family's edges are compared with the file's tree, not built
+        # into a second one
+        path = gen_file(run, tmp_path, "broom", "n=10,d=4")
+        built = []
+        init = Tree.__init__
+
+        def recording_init(self, n, edges):
+            built.append(n)
+            init(self, n, edges)
+
+        monkeypatch.setattr(Tree, "__init__", recording_init)
+        code, out, _ = run("color", "--json", path)
+        assert code == 0 and json.loads(out)["span"] == 58
+        assert built == [10]
+
     def test_internal_error_exit_5(self, run, tmp_path, monkeypatch):
         path = gen_file(run, tmp_path, "broom", "n=10,d=4")
         # a recognised broom whose construction puts two path vertices side
@@ -463,6 +479,63 @@ class TestVerify:
         open(cpath, "w").write("0 0\n1 2\n")
         code, _, _ = run("verify", path, cpath)
         assert code == 1
+
+
+class TestWorkCounts:
+    """Searches per call, counted by patching ``Tree.bfs``: building the tree
+    runs one from vertex 0, which the vertex weights reuse, and the rooted
+    view runs one from the weight center(s)."""
+
+    def test_two_bfs_per_color_and_per_verify_call(self, run, tmp_path, monkeypatch):
+        path = str(tmp_path / "b.tree")
+        open(path, "w").write("9\n0 1\n1 2\n2 3\n0 4\n0 5\n0 6\n0 7\n0 8\n")
+        searches = []
+        bfs = Tree.bfs
+
+        def counting(self, sources):
+            searches.append(list(sources))
+            return bfs(self, sources)
+
+        monkeypatch.setattr(Tree, "bfs", counting)
+        code, _, _ = run("color", path)
+        assert code == 0
+        assert searches == [[0], [0]]
+        searches.clear()
+        code, _, _ = run("verify", path, path + ".coloring")
+        assert code == 0
+        assert searches == [[0], [0]]
+
+
+class TestJsonOutput:
+    CASES = [
+        {"a": [1, -2, 30], "b": "x", "c": None},
+        {"a": [], "b": [True, 1], "c": [1, False], "d": "é ☃ \u2028", "e": 1.5, "f": False},
+        {"a": [-1], "b": [1, None], "c": ["x", 2], "d": [[1, 2], []], "e": {"x": [1], "y": {}}},
+        {"a": (1, 2), "b": [2, 3], "c": -0},
+        {"n": 4, "valid": True},
+        {},
+    ]
+
+    def test_bytes_match_json_dumps(self):
+        for data in self.CASES:
+            assert cli._json(data) == json.dumps(data, indent=2), data
+
+    def test_every_verb_prints_json_dumps_bytes(self, run, tmp_path, corpus):
+        # stdout of every --json verb is json.dumps(..., indent=2) of what it says
+        path = str(tmp_path / "t.tree")
+        for n in range(1, 9):
+            for tree in corpus[n]:
+                open(path, "w").write(format_tree(tree))
+                calls = [("analyze", "--json", "--force", path), ("compare", "--json", "--force", path),
+                         ("color", "--json", path), ("exact", "--json", path),
+                         ("verify", "--json", path, path + ".hc.coloring")]
+                for argv in calls:
+                    code, out, err = run(*argv)
+                    if argv[0] == "color" and code != 0:
+                        assert out == "" and "error:" in err
+                        continue
+                    assert code in (0, 2), (argv, err)
+                    assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 class TestNonUtf8Input:
