@@ -21,8 +21,7 @@ instances of ``perfbench/pinned.json`` (read, never written) and, with
 with n = 12 and hc > lb; its exit code and ``hc`` must be identical, while
 the explored-node count and the witness may differ between search
 strategies, so the node counts are printed side by side with their total for each set, and so are
-the exit-code counts of each verb and the total wall time its in-process
-``main`` calls took on each side.  Exits 1 and names the first differing
+the exit-code counts of each verb.  Exits 1 and names the first differing
 inputs on a mismatch.
 
     python3 scripts/color_parity.py HEAD
@@ -40,7 +39,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -134,14 +132,13 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
         (workdir / "exact12" / f"prufer_s{seed}_n12.tree").write_text(_tree_text(12, edges))
 
 
-def run_side(src: Path, workdir: Path) -> tuple[dict, dict]:
+def run_side(src: Path, workdir: Path) -> dict:
     """Worker: make every call of ``RUNS`` with the package at ``src``;
-    returns the results and the seconds spent in ``main``, both by call."""
+    returns the results by call."""
     sys.path.insert(0, str(src))
     from hamcolor.cli import main
 
     results = {}
-    seconds: dict[str, float] = {}
     for label, pattern, argv, suffix in RUNS:
         for path in sorted(workdir.glob(pattern)):
             name = f"{label} {path.relative_to(workdir)}"
@@ -151,16 +148,14 @@ def run_side(src: Path, workdir: Path) -> tuple[dict, dict]:
                 files.insert(0, str(workdir / tree))
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                start = time.perf_counter()
                 code = main(argv + files)
-                seconds[name] = time.perf_counter() - start
             written = None
             if suffix is not None:
                 colored = Path(str(path) + suffix)
                 written = colored.read_text() if colored.exists() else None
                 colored.unlink(missing_ok=True)
             results[name] = [code, out.getvalue(), err.getvalue(), written]
-    return results, seconds
+    return results
 
 
 def main() -> int:
@@ -186,7 +181,7 @@ def main() -> int:
             proc = subprocess.run([sys.executable, __file__, args.rev, "--worker", str(src), str(workdir)],
                                   check=True, capture_output=True, text=True)
             sides.append(json.loads(proc.stdout))
-    (old, old_seconds), (new, new_seconds) = sides
+    old, new = sides
 
     # per keyed verb: the keys printed only at REV and only in the working tree
     one_sided = {verb: (set(), set()) for verb in KEYED}
@@ -225,9 +220,7 @@ def main() -> int:
             dict(sorted(Counter(res[0] for name, res in side.items() if name.startswith(verb + " ")).items()))
             for side in (old, new)
         )
-        wall = [sum(t for name, t in side.items() if name.startswith(verb + " ")) for side in (old_seconds, new_seconds)]
-        print(f"{verb}: {sum(before.values())} inputs, exit codes at {args.rev}: {before}, working tree: {after}; "
-              f"main wall time {wall[0]:.2f} s -> {wall[1]:.2f} s")
+        print(f"{verb}: {sum(before.values())} inputs, exit codes at {args.rev}: {before}, working tree: {after}")
     if differ or set(new) != set(old):
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
         return 1

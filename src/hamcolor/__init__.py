@@ -27,10 +27,6 @@ from .families import (
     closed_form_hc,
     family_certificate,
     family_ordering,
-    gen_a_tree,
-    gen_broom,
-    gen_caterpillar,
-    gen_star,
     generate,
 )
 from .ordering import (

@@ -345,10 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     except SearchFailedError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except HamcolorError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (HamcolorError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -42,7 +42,7 @@ class NegativeColorError(HamcolorError):
 
 
 class TooLargeError(HamcolorError):
-    """Instance exceeds the exact solver's size limit."""
+    """Instance exceeds the exact solver's size limit or recursion depth."""
 
 
 class FormatError(HamcolorError):

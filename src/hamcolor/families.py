@@ -7,7 +7,8 @@ known, the expected order, total level and hamiltonian chromatic number:
 * brooms:       path 0..d-1 with vertex 0 the hub, leaves d..n-1 on the hub.
                 Two one-parameter sub-families are recognised and carry
                 closed forms: d = 2k with n = k(2k+1), and d = 2k+1 with
-                n = (k+1)(2k+1);
+                n = (k+1)(2k+1); other brooms have no expected hc or total
+                level;
 * a-trees:      indexed by d >= 2 (the instance has diameter d - 1).  The base
                 cases are a single edge (d = 2) and the 4-leaf star (d = 3);
                 each growth step
@@ -16,11 +17,13 @@ known, the expected order, total level and hamiltonian chromatic number:
                 child.  New ids are assigned in ascending order of the parent
                 leaf's id;
 * caterpillars: spine 0..m-1, every inner spine vertex brought up to degree d
-                by legs, which take ids m.. grouped by spine vertex.
+                by legs, which take ids m.. grouped by spine vertex (m = 3
+                gives the star on d + 1 vertices).
 
-``expected_order`` gives the order of an instance from its parameters without
-building it, and ``family_edges`` its edge list and spec without building its
-tree; ``generate`` and the ``gen_*`` functions build the tree from that list.
+``generate(family, params)`` is the one builder: it returns the tree and its
+spec.  ``expected_order`` gives the order of an instance from its parameters
+without building it, and ``family_edges`` its edge list and spec without
+building its tree.
 ``family_certificate`` returns the ``check_spacing`` certificate of an
 ordering whose induced coloring attains the weight-center lower bound;
 ``family_ordering`` returns just that ordering.
@@ -48,10 +51,6 @@ class FamilySpec:
     expected_total_level: int | None = None
 
 
-def _tree(edges: list[tuple[int, int]], spec: FamilySpec) -> tuple[Tree, FamilySpec]:
-    return Tree(spec.expected_n, edges), spec
-
-
 def _as_int(x: Fraction, what: str) -> int:
     if x.denominator != 1:
         raise InternalError(f"{what} is not an integer: {x}")
@@ -75,11 +74,6 @@ def _star(n: int) -> tuple[list[tuple[int, int]], FamilySpec]:
         expected_total_level=n - 1,
     )
     return edges, spec
-
-
-def gen_star(n: int) -> tuple[Tree, FamilySpec]:
-    """Star on n >= 3 vertices; hub 0."""
-    return _tree(*_star(n))
 
 
 def _broom_order(n: int, d: int) -> int:
@@ -114,15 +108,6 @@ def _broom(n: int, d: int) -> tuple[list[tuple[int, int]], FamilySpec]:
         expected_total_level=total,
     )
     return edges, spec
-
-
-def gen_broom(n: int, d: int) -> tuple[Tree, FamilySpec]:
-    """Broom: a d-vertex path with n-d extra leaves on the hub end.
-
-    Ids: path 0..d-1 (0 is the hub), leaves d..n-1.  The expected fields are
-    filled only for the two recognised one-parameter sub-families.
-    """
-    return _tree(*_broom(n, d))
 
 
 def _grow_a_tree(
@@ -188,14 +173,6 @@ def _a_tree(d: int) -> tuple[list[tuple[int, int]], FamilySpec]:
     return edges, spec
 
 
-def gen_a_tree(d: int) -> tuple[Tree, FamilySpec]:
-    """A-tree with index d >= 2 (single edge at d=2, 4-leaf star at d=3).
-
-    The generated tree has diameter d - 1.
-    """
-    return _tree(*_a_tree(d))
-
-
 def _caterpillar_order(m: int, d: int) -> int:
     if not isinstance(m, int) or not isinstance(d, int) or m < 3 or d < 3:
         raise BadParamsError(f"caterpillar needs m >= 3 and d >= 3, got m={m!r}, d={d!r}")
@@ -235,15 +212,6 @@ def _caterpillar(m: int, d: int) -> tuple[list[tuple[int, int]], FamilySpec]:
     return edges, spec
 
 
-def gen_caterpillar(m: int, d: int) -> tuple[Tree, FamilySpec]:
-    """Caterpillar: spine of m >= 3 vertices, inner spine vertices of degree d >= 3.
-
-    Ids: spine 0..m-1, then d-2 legs per inner spine vertex, grouped by spine
-    position.  m=3 gives the star on d+1 vertices.
-    """
-    return _tree(*_caterpillar(m, d))
-
-
 # family -> (parameter names, order from the parameters, edges and spec)
 _FAMILIES = {
     "star": (("n",), _star_order, _star),
@@ -276,8 +244,10 @@ def family_edges(family: str, params: dict[str, int]) -> tuple[list[tuple[int, i
 
 
 def generate(family: str, params: dict[str, int]) -> tuple[Tree, FamilySpec]:
-    """Dispatch by family name ("a-tree" and "a_tree" both accepted)."""
-    return _tree(*family_edges(family, params))
+    """Build the instance and its spec; the family is named as in
+    :func:`family_edges` ("a-tree" and "a_tree" both accepted)."""
+    edges, spec = family_edges(family, params)
+    return Tree(spec.expected_n, edges), spec
 
 
 def expected_order(family: str, params: dict[str, int]) -> int:
@@ -288,9 +258,9 @@ def expected_order(family: str, params: dict[str, int]) -> int:
 
 
 def closed_form_hc(spec: FamilySpec) -> int:
-    """Closed-form hamiltonian chromatic number for a recognised family instance."""
-    recognised = ("star", "broom_even", "broom_odd", "a_tree", "caterpillar")
-    if spec.family in recognised and spec.expected_hc is not None:
+    """Closed-form hamiltonian chromatic number for a recognised family
+    instance: the generators set ``expected_hc`` only for those."""
+    if spec.expected_hc is not None:
         return spec.expected_hc
     raise BadParamsError(f"no closed form for family {spec.family!r} with {spec.params}")
 

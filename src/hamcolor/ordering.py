@@ -173,50 +173,40 @@ def search_ordering(rv: RootedView) -> Certificate:
     means only that this one ordering fails the condition, which is not a
     proof that no ordering passes it (nor that hc exceeds the bound).
 
-    The branches wait in a heap keyed (-unplaced, branch id), one heap with
-    one center and one per side with two, so each step costs O(log n) instead
-    of a scan over every branch.  With one center the previous branch is
-    barred: when it is on top, the next entry is taken and it is pushed back.
+    The branches wait in one heap per weight center, keyed (-unplaced, branch
+    id), so each step costs O(log n) instead of a scan over every branch.
+    One loop places the n - (number of centers) vertices: it pops the top
+    branch, setting it aside while it is the previous branch, takes that
+    branch's deepest vertex, pushes both entries back and, with two centers,
+    switches sides.  The previous branch then lies on the other side's heap,
+    so with two centers nothing is ever set aside.
     """
     require_applicable(rv.tree, "ordering certificates")
     queues = _branch_queues(rv)
     centers = sorted(rv.weight_centers)
-    order = [centers[0]]
-
-    def take(heap: list[tuple[int, int]], bid: int) -> None:
-        q = queues[bid]
+    w, w2 = centers[0], centers[-1]
+    heaps: dict[int, list[tuple[int, int]]] = {c: [] for c in centers}
+    for bid, root in enumerate(rv.branch_roots):
+        heaps[rv.side[root]].append((-len(queues[bid]), bid))
+    for heap in heaps.values():
+        heapq.heapify(heap)
+    order, side, prev = [w], w2, None
+    for _ in range(rv.n - len(centers)):
+        heap = heaps[side]
+        held = heapq.heappop(heap) if heap and heap[0][1] == prev else None
+        if not heap:
+            # a branch at one weight center holds fewer than n/2 vertices, and
+            # each side of two centers holds n/2 - 1 besides its center
+            raise InternalError("no allowed branch has an unplaced vertex")
+        prev = heapq.heappop(heap)[1]
+        q = queues[prev]
         order.append(q.pop())
         if q:
-            heapq.heappush(heap, (-len(q), bid))
-
-    if rv.bicentral:
-        w, w2 = centers
-        heaps: dict[int, list[tuple[int, int]]] = {w: [], w2: []}
-        for bid, root in enumerate(rv.branch_roots):
-            heaps[rv.side[root]].append((-len(queues[bid]), bid))
-        for heap in heaps.values():
-            heapq.heapify(heap)
-        side = w2
-        for _ in range(rv.n - 2):
-            if not heaps[side]:
-                # each side holds n/2 - 1 vertices besides its center
-                raise InternalError("ran out of vertices on one side of the center edge")
-            take(heaps[side], heapq.heappop(heaps[side])[1])
-            side = w if side == w2 else w2
-        order.append(w2)
-    else:
-        heap = [(-len(q), bid) for bid, q in queues.items()]
-        heapq.heapify(heap)
-        prev = None
-        for _ in range(rv.n - 1):
-            held = heapq.heappop(heap) if heap and heap[0][1] == prev else None
-            if not heap:
-                # every branch at a single weight center holds fewer than n/2 vertices
-                raise InternalError("all unplaced vertices share one branch")
-            prev = heapq.heappop(heap)[1]
-            take(heap, prev)
-            if held is not None:
-                heapq.heappush(heap, held)
+            heapq.heappush(heap, (-len(q), prev))
+        if held is not None:
+            heapq.heappush(heap, held)
+        side = w if side == w2 else w2
+    order += centers[1:]
     cert = check_spacing(rv, order)
     if not cert.ok:
         raise SearchFailedError(f"greedy ordering failed certification: {cert.reason}")

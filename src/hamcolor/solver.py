@@ -131,11 +131,12 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> Exac
     """Exact hamiltonian chromatic number by branch-and-bound over orderings.
 
     Refuses trees larger than ``limit`` vertices (at least 1; raise the
-    limit explicitly to go bigger).  When a node ``budget`` (at least 0) is
-    given and runs out, the best completed coloring so far is returned with
-    ``limit_hit`` set.  Its span ``ub`` is then only an upper bound on the
-    hamiltonian chromatic number, and ``hc`` is None, unless the span meets
-    ``lb``, which proves it optimal.
+    limit explicitly to go bigger), and trees whose search, one frame per
+    placed vertex, passes the interpreter's recursion limit.  When a node
+    ``budget`` (at least 0) is given and runs out, the best completed coloring
+    so far is returned with ``limit_hit`` set.  Its span ``ub`` is then only
+    an upper bound on the hamiltonian chromatic number, and ``hc`` is None,
+    unless the span meets ``lb``, which proves it optimal.
     """
     n = rv.n
     if limit < 1:
@@ -146,7 +147,10 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> Exac
         raise BadParamsError(f"budget must be >= 0, got {budget}")
     lb = lower_bound_weight(rv)
     dist = _flat_distances(rv)
-    span, order, nodes, hit = _kernel.bnb_exact(dist, n, -1 if budget is None else budget, (), -1)
+    try:
+        span, order, nodes, hit = _kernel.bnb_exact(dist, n, -1 if budget is None else budget, (), -1)
+    except RecursionError:  # the kernel recurses once per placed vertex
+        raise TooLargeError(f"n={n} is too deep for the recursive exact search") from None
     if order is None:
         # budget exhausted before any leaf: fall back to a greedy completion
         witness = min_span_for_order(rv, list(range(n)))

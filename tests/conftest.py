@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from hamcolor.bounds import is_applicable
-from hamcolor.families import gen_a_tree, gen_broom, gen_caterpillar, gen_star
+from hamcolor.families import generate
 from hamcolor.solver import ExactResult, exact_hc
 from hamcolor.tree import RootedView, Tree, analyze
 
@@ -60,8 +60,15 @@ def ordering_cases(corpus) -> list[tuple[RootedView, list[list[int]], list[tuple
     trees += [
         shape[0]
         for shape in (
-            gen_star(9), gen_broom(10, 4), gen_broom(15, 5), gen_broom(12, 7), gen_a_tree(5),
-            gen_a_tree(8), gen_caterpillar(5, 4), gen_caterpillar(6, 3), gen_caterpillar(7, 5),
+            generate("star", {"n": 9}),
+            generate("broom", {"n": 10, "d": 4}),
+            generate("broom", {"n": 15, "d": 5}),
+            generate("broom", {"n": 12, "d": 7}),
+            generate("a_tree", {"d": 5}),
+            generate("a_tree", {"d": 8}),
+            generate("caterpillar", {"m": 5, "d": 4}),
+            generate("caterpillar", {"m": 6, "d": 3}),
+            generate("caterpillar", {"m": 7, "d": 5}),
         )
     ]
     cases = []

@@ -14,10 +14,7 @@ from hamcolor.errors import SearchFailedError
 from hamcolor.families import (
     closed_form_hc,
     family_certificate,
-    gen_a_tree,
-    gen_broom,
-    gen_caterpillar,
-    gen_star,
+    generate,
 )
 from hamcolor.ordering import coloring_from_ordering, search_ordering
 from hamcolor.solver import verify_coloring
@@ -37,36 +34,36 @@ def certified_span(tree, spec=None) -> int:
 def test_c01_even_a_tree_closed_forms(exact_of):
     start = time.perf_counter()
     for d, want in ((4, 30), (6, 220)):
-        tree, spec = gen_a_tree(d)
+        tree, spec = generate("a_tree", {"d": d})
         assert closed_form_hc(spec) == want
         assert lower_bound_weight(analyze(tree)) == want
         assert certified_span(tree, spec) == want
     assert time.perf_counter() - start < 1.0
     # the smaller instance is within exhaustive reach: confirm independently
-    assert exact_of(gen_a_tree(4)[0]).hc == 30
+    assert exact_of(generate("a_tree", {"d": 4})[0]).hc == 30
 
 
 def test_c02_broom_closed_forms(exact_of):
     start = time.perf_counter()
     cases = ((6, 3, 14), (10, 4, 58), (15, 5, 157))
     for n, d, want in cases:
-        tree, spec = gen_broom(n, d)
+        tree, spec = generate("broom", {"n": n, "d": d})
         assert closed_form_hc(spec) == want
         assert lower_bound_weight(analyze(tree)) == want
         assert certified_span(tree, spec) == want
-    assert exact_of(gen_broom(6, 3)[0]).hc == 14
+    assert exact_of(generate("broom", {"n": 6, "d": 3})[0]).hc == 14
     assert time.perf_counter() - start < 10.0
 
 
 def test_c03_star_exact_law(exact_of):
     start = time.perf_counter()
     for n in range(4, 9):
-        assert exact_of(gen_star(n)[0]).hc == (n - 2) ** 2
+        assert exact_of(generate("star", {"n": n})[0]).hc == (n - 2) ** 2
     assert time.perf_counter() - start < 180.0
 
 
 def test_c04_odd_a_tree_base_coefficient(exact_of):
-    tree, spec = gen_a_tree(3)
+    tree, spec = generate("a_tree", {"d": 3})
     want = 9
     assert exact_of(tree).hc == want
     assert lower_bound_weight(analyze(tree)) == want
@@ -81,10 +78,10 @@ def test_c04_odd_a_tree_base_coefficient(exact_of):
 
 def test_c05_broom_bound_gap_identities():
     for k in range(1, 51):
-        even = gen_broom(k * (2 * k + 1), 2 * k)[0]
+        even = generate("broom", {"n": k * (2 * k + 1), "d": 2 * k})[0]
         report = compare_bounds(analyze(even))  # k=1 is the 3-path
         assert report.difference == 4 * k * (k - 1) ** 2
-        odd = gen_broom((k + 1) * (2 * k + 1), 2 * k + 1)[0]
+        odd = generate("broom", {"n": (k + 1) * (2 * k + 1), "d": 2 * k + 1})[0]
         assert compare_bounds(analyze(odd)).difference == 4 * k**3 - 2 * k**2 - k + 1
 
 
@@ -102,9 +99,13 @@ def test_c06_exact_dominates_bound_on_all_small_trees(corpus, exact_of):
 
 
 def test_c07_issued_certificates_are_sound(corpus):
-    instances = [gen_a_tree(4), gen_a_tree(6)]
-    instances += [gen_broom(6, 3), gen_broom(10, 4), gen_broom(15, 5)]
-    instances += [gen_star(n) for n in range(4, 9)]
+    instances = [generate("a_tree", {"d": 4}), generate("a_tree", {"d": 6})]
+    instances += [
+        generate("broom", {"n": 6, "d": 3}),
+        generate("broom", {"n": 10, "d": 4}),
+        generate("broom", {"n": 15, "d": 5}),
+    ]
+    instances += [generate("star", {"n": n}) for n in range(4, 9)]
     issued = 0
     for tree, spec in instances:
         rv = analyze(tree)
@@ -142,7 +143,7 @@ def test_c09_exact_matches_enumeration(corpus, exact_of):
 def test_c10_caterpillar_spot_values(exact_of):
     start = time.perf_counter()
     for m, d, want in ((3, 3, 4), (4, 3, 12)):
-        tree, spec = gen_caterpillar(m, d)
+        tree, spec = generate("caterpillar", {"m": m, "d": d})
         assert closed_form_hc(spec) == want
         assert lower_bound_weight(analyze(tree)) == want
         assert certified_span(tree, spec) == want

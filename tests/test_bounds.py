@@ -1,6 +1,6 @@
 import oracles
 from hamcolor.bounds import compare_bounds, is_applicable, lower_bound_weight
-from hamcolor.families import gen_broom, gen_star
+from hamcolor.families import generate
 from hamcolor.tree import Tree, analyze, graph_centers, weight_centers
 
 
@@ -10,7 +10,7 @@ def path(n: int) -> Tree:
 
 class TestApplicability:
     def test_examples(self):
-        assert is_applicable(gen_star(4)[0])
+        assert is_applicable(generate("star", {"n": 4})[0])
         assert not is_applicable(path(4))
         assert not is_applicable(Tree(3, [(0, 1), (1, 2)]))
         assert not is_applicable(Tree(1, []))
@@ -33,15 +33,15 @@ class TestApplicability:
 
 class TestWeightBound:
     def test_frozen_examples(self):
-        assert lower_bound_weight(analyze(gen_star(5)[0])) == 9
-        broom = gen_broom(10, 4)[0]
+        assert lower_bound_weight(analyze(generate("star", {"n": 5})[0])) == 9
+        broom = generate("broom", {"n": 10, "d": 4})[0]
         assert lower_bound_weight(analyze(broom)) == 58
         double_star = Tree(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)])
         assert lower_bound_weight(analyze(double_star)) == 30
 
     def test_star_closed_form(self):
         for n in range(4, 10):
-            assert lower_bound_weight(analyze(gen_star(n)[0])) == (n - 2) ** 2
+            assert lower_bound_weight(analyze(generate("star", {"n": n})[0])) == (n - 2) ** 2
 
     def test_formula_from_parts(self, corpus):
         for t in corpus[7] + corpus[8]:
@@ -55,7 +55,7 @@ class TestWeightBound:
 
 class TestCenterBound:
     def test_broom_example(self):
-        broom = gen_broom(10, 4)[0]
+        broom = generate("broom", {"n": 10, "d": 4})[0]
         report = compare_bounds(analyze(broom))
         assert report.lb_center == 50
         assert report.lb_weight == 58
@@ -89,18 +89,18 @@ class TestBroomGaps:
     # the two broom sub-families separate the bounds by a closed amount
     def test_even_gap(self):
         for k in range(2, 7):
-            broom = gen_broom(k * (2 * k + 1), 2 * k)[0]
+            broom = generate("broom", {"n": k * (2 * k + 1), "d": 2 * k})[0]
             assert compare_bounds(analyze(broom)).difference == 4 * k * (k - 1) ** 2
 
     def test_odd_gap(self):
         for k in range(1, 7):
-            broom = gen_broom((k + 1) * (2 * k + 1), 2 * k + 1)[0]
+            broom = generate("broom", {"n": (k + 1) * (2 * k + 1), "d": 2 * k + 1})[0]
             gap = 4 * k**3 - 2 * k**2 - k + 1
             assert compare_bounds(analyze(broom)).difference == gap
 
     def test_even_gap_k1_needs_force(self):
         # k=1 gives the 3-vertex path, outside the certified range
-        broom = gen_broom(3, 2)[0]
+        broom = generate("broom", {"n": 3, "d": 2})[0]
         assert not is_applicable(broom)
         assert compare_bounds(analyze(broom)).difference == 0
 

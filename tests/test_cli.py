@@ -14,7 +14,7 @@ import oracles
 from hamcolor import cli, families, ordering, solver
 from hamcolor.cli import main
 from hamcolor.bounds import bound_formula, lower_bound_weight
-from hamcolor.families import gen_star
+from hamcolor.families import generate
 from hamcolor.io import format_tree, parse_coloring_text, parse_tree_text
 from hamcolor.tree import RootedView, Tree, analyze
 
@@ -369,6 +369,19 @@ class TestExact:
             assert out == ""
             assert f"error: limit must be >= 1, got {limit}" in err
 
+    def test_too_deep_exit_3_without_traceback(self, run, tmp_path):
+        # the kernel recurses once per placed vertex; a fresh interpreter's
+        # recursion limit (1000) stops it below n=1200
+        path = gen_file(run, tmp_path, "star", "n=1200")
+        src = str(Path(hamcolor.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "hamcolor.cli", "exact", path, "--limit", "5000"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "error: n=1200 is too deep for the recursive exact search" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_option_is_a_usage_error(self, run, tmp_path, capsys):
         path = gen_file(run, tmp_path, "star", "n=4")
         with pytest.raises(SystemExit) as exc:
@@ -563,7 +576,7 @@ class TestScale:
     on a shallow star and a-tree and on a caterpillar 1,250 levels deep."""
 
     def test_no_distance_matrix(self, run, tmp_path, monkeypatch):
-        star = gen_star(10_000)[0]
+        star = generate("star", {"n": 10_000})[0]
         perm = list(range(star.n))
         random.Random(7).shuffle(perm)
         plain = str(tmp_path / "star.tree")

@@ -8,10 +8,6 @@ from hamcolor.families import (
     expected_order,
     family_certificate,
     family_ordering,
-    gen_a_tree,
-    gen_broom,
-    gen_caterpillar,
-    gen_star,
     generate,
 )
 from hamcolor.ordering import coloring_from_ordering
@@ -31,7 +27,7 @@ def certified_span(tree, spec) -> int:
 
 class TestStar:
     def test_shape(self):
-        t, spec = gen_star(5)
+        t, spec = generate("star", {"n": 5})
         assert t.edges == ((0, 1), (0, 2), (0, 3), (0, 4))
         assert spec.family == "star"
         assert spec.expected_n == 5
@@ -40,57 +36,57 @@ class TestStar:
 
     def test_rejects_bad_params(self):
         with pytest.raises(BadParamsError):
-            gen_star(2)
+            generate("star", {"n": 2})
         with pytest.raises(BadParamsError):
-            gen_star("5")
+            generate("star", {"n": "5"})
 
 
 class TestBroom:
     def test_shape(self):
-        t, _ = gen_broom(6, 3)
+        t, _ = generate("broom", {"n": 6, "d": 3})
         assert t.edges == ((0, 1), (0, 3), (0, 4), (0, 5), (1, 2))
 
     def test_recognised_even(self):
-        t, spec = gen_broom(10, 4)
+        t, spec = generate("broom", {"n": 10, "d": 4})
         assert spec.family == "broom_even"
         assert spec.expected_hc == 58
         assert spec.expected_total_level == 12
         assert analyze(t).total_level == 12
 
     def test_recognised_odd(self):
-        _, spec = gen_broom(6, 3)
+        _, spec = generate("broom", {"n": 6, "d": 3})
         assert spec.family == "broom_odd"
         assert spec.expected_hc == 14
         assert spec.expected_total_level == 6
-        _, spec = gen_broom(15, 5)
+        _, spec = generate("broom", {"n": 15, "d": 5})
         assert spec.expected_hc == 157
         assert spec.expected_total_level == 20
 
     def test_off_family_sizes_are_plain(self):
         for n, d in ((9, 4), (11, 4), (7, 3), (12, 2)):
-            _, spec = gen_broom(n, d)
+            _, spec = generate("broom", {"n": n, "d": d})
             assert spec.family == "broom"
             assert spec.expected_hc is None
             assert spec.expected_total_level is None
 
     def test_rejects_bad_params(self):
         with pytest.raises(BadParamsError):
-            gen_broom(4, 4)
+            generate("broom", {"n": 4, "d": 4})
         with pytest.raises(BadParamsError):
-            gen_broom(5, 1)
+            generate("broom", {"n": 5, "d": 1})
 
 
 class TestATree:
     def test_base_cases(self):
-        t, spec = gen_a_tree(2)
+        t, spec = generate("a_tree", {"d": 2})
         assert t.edges == ((0, 1),)
         assert spec.expected_hc == 0
-        t, spec = gen_a_tree(3)
+        t, spec = generate("a_tree", {"d": 3})
         assert t.edges == ((0, 1), (0, 2), (0, 3), (0, 4))
         assert spec.expected_hc == 9
 
     def test_first_even_growth(self):
-        t, spec = gen_a_tree(4)
+        t, spec = generate("a_tree", {"d": 4})
         assert t.edges == ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7))
         assert spec.expected_n == 8
         assert spec.expected_hc == 30
@@ -98,7 +94,7 @@ class TestATree:
 
     def test_sizes_and_centers(self):
         for d in range(2, 9):
-            t, spec = gen_a_tree(d)
+            t, spec = generate("a_tree", {"d": d})
             assert t.n == spec.expected_n
             assert t.diameter == d - 1
             rv = analyze(t)
@@ -108,16 +104,16 @@ class TestATree:
     def test_frozen_values(self):
         expect = {3: 9, 4: 30, 5: 105, 6: 220, 7: 465}
         for d, hc in expect.items():
-            assert gen_a_tree(d)[1].expected_hc == hc
+            assert generate("a_tree", {"d": d})[1].expected_hc == hc
 
     def test_rejects_bad_params(self):
         with pytest.raises(BadParamsError):
-            gen_a_tree(1)
+            generate("a_tree", {"d": 1})
 
 
 class TestCaterpillar:
     def test_shape(self):
-        t, spec = gen_caterpillar(4, 3)
+        t, spec = generate("caterpillar", {"m": 4, "d": 3})
         assert t.edges == ((0, 1), (1, 2), (1, 4), (2, 3), (2, 5))
         assert spec.expected_n == 6
         # inner spine vertices reach degree d, the ends stay leaves
@@ -133,15 +129,15 @@ class TestCaterpillar:
             (8, 3): 108,
         }
         for (m, d), hc in expect.items():
-            t, spec = gen_caterpillar(m, d)
+            t, spec = generate("caterpillar", {"m": m, "d": d})
             assert spec.expected_hc == hc
             assert analyze(t).total_level == spec.expected_total_level
 
     def test_rejects_bad_params(self):
         with pytest.raises(BadParamsError):
-            gen_caterpillar(2, 3)
+            generate("caterpillar", {"m": 2, "d": 3})
         with pytest.raises(BadParamsError):
-            gen_caterpillar(4, 2)
+            generate("caterpillar", {"m": 4, "d": 2})
 
 
 class TestGenerate:
@@ -189,59 +185,65 @@ class TestGenerate:
 class TestFamilyOrdering:
     def test_needs_applicable_instance(self):
         # the check must run before the construction: a-tree d=2 is one edge
-        t, spec = gen_a_tree(2)
+        t, spec = generate("a_tree", {"d": 2})
         with pytest.raises(NotApplicableError):
             family_certificate(spec, analyze(t))
         with pytest.raises(NotApplicableError):
             family_ordering(spec, t)
 
     def test_a_tree_order_frozen(self):
-        t, spec = gen_a_tree(4)
+        t, spec = generate("a_tree", {"d": 4})
         assert family_ordering(spec, t) == [0, 5, 2, 6, 3, 7, 4, 1]
         assert family_certificate(spec, analyze(t)).ordering == (0, 5, 2, 6, 3, 7, 4, 1)
 
     def test_broom_order_frozen(self):
-        t, spec = gen_broom(10, 4)
+        t, spec = generate("broom", {"n": 10, "d": 4})
         assert family_ordering(spec, t) == [0, 3, 4, 2, 5, 1, 6, 7, 8, 9]
 
     def test_stars_certify(self):
         for n in range(4, 9):
-            t, spec = gen_star(n)
+            t, spec = generate("star", {"n": n})
             assert certified_span(t, spec) == spec.expected_hc == (n - 2) ** 2
 
     def test_recognised_brooms_certify(self):
         for n, d in ((6, 3), (10, 4), (15, 5), (21, 6)):
-            t, spec = gen_broom(n, d)
+            t, spec = generate("broom", {"n": n, "d": d})
             assert spec.family in ("broom_even", "broom_odd")
             assert certified_span(t, spec) == spec.expected_hc
 
     def test_plain_broom_certifies_to_the_bound(self):
-        t, spec = gen_broom(9, 4)
+        t, spec = generate("broom", {"n": 9, "d": 4})
         assert certified_span(t, spec) == lower_bound_weight(analyze(t)) == 43
 
     def test_a_trees_certify(self):
         for d in range(3, 8):
-            t, spec = gen_a_tree(d)
+            t, spec = generate("a_tree", {"d": d})
             assert certified_span(t, spec) == spec.expected_hc
 
     def test_caterpillars_certify(self):
         for m in range(3, 8):
             for d in (3, 4):
-                t, spec = gen_caterpillar(m, d)
+                t, spec = generate("caterpillar", {"m": m, "d": d})
                 assert certified_span(t, spec) == spec.expected_hc
 
     def test_closed_forms_match_the_bound(self):
         # on every recognised instance the closed form equals the
         # weight-center lower bound, which the certificates then attain
-        instances = [gen_star(n) for n in range(4, 10)]
-        instances += [gen_broom(10, 4), gen_broom(15, 5), gen_broom(28, 7)]
-        instances += [gen_a_tree(d) for d in range(3, 9)]
-        instances += [gen_caterpillar(m, d) for m in range(3, 8) for d in (3, 4, 5)]
+        instances = [generate("star", {"n": n}) for n in range(4, 10)]
+        instances += [
+            generate("broom", {"n": 10, "d": 4}),
+            generate("broom", {"n": 15, "d": 5}),
+            generate("broom", {"n": 28, "d": 7}),
+        ]
+        instances += [generate("a_tree", {"d": d}) for d in range(3, 9)]
+        instances += [
+            generate("caterpillar", {"m": m, "d": d}) for m in range(3, 8) for d in (3, 4, 5)
+        ]
         for t, spec in instances:
             if is_applicable(t):
                 assert spec.expected_hc == lower_bound_weight(analyze(t))
 
     def test_hub_weight_centered(self):
         for n, d in ((6, 3), (10, 4), (15, 5)):
-            t, _ = gen_broom(n, d)
+            t, _ = generate("broom", {"n": n, "d": d})
             assert weight_centers(t) == {0}

@@ -12,7 +12,7 @@ from hamcolor.errors import (
     NotAPermutationError,
     SearchFailedError,
 )
-from hamcolor.families import gen_a_tree, gen_broom, gen_caterpillar, gen_star
+from hamcolor.families import generate
 from hamcolor.ordering import (
     Certificate,
     Coloring,
@@ -61,11 +61,11 @@ class TestCheckSpacing:
             check_spacing(rv, [1, 3, 0, 2])
 
     def test_star_hub_first_passes(self):
-        rv = analyze(gen_star(5)[0])
+        rv = analyze(generate("star", {"n": 5})[0])
         assert check_spacing(rv, [0, 1, 2, 3, 4]).ok
 
     def test_bad_endpoints_reported_without_positions(self):
-        rv = analyze(gen_star(5)[0])
+        rv = analyze(generate("star", {"n": 5})[0])
         res = check_spacing(rv, [1, 0, 2, 3, 4])
         assert not res.ok
         assert res.violation is None
@@ -73,7 +73,7 @@ class TestCheckSpacing:
 
     def test_first_violating_pair_reported(self):
         # consecutive vertices 2,1 share the path branch of the broom
-        rv = analyze(gen_broom(6, 3)[0])
+        rv = analyze(generate("broom", {"n": 6, "d": 3})[0])
         res = check_spacing(rv, [0, 2, 1, 3, 4, 5])
         assert not res.ok
         assert res.violation == (1, 2)
@@ -122,7 +122,7 @@ class TestCheckSpacing:
     def test_deep_caterpillar_without_matrix(self, monkeypatch):
         # n = 9,998 at depth 1,250: no n x n matrix, and the window keeps the
         # scans near linear
-        rv = analyze(gen_caterpillar(2501, 5)[0])
+        rv = analyze(generate("caterpillar", {"m": 2501, "d": 5})[0])
         order = list(search_ordering(rv).ordering)
 
         def no_matrix(self):
@@ -177,14 +177,14 @@ class TestColoringFromOrdering:
             coloring_from_ordering(Doctored(), [0, 1, 2, 3])
 
     def test_rejects_bad_ordering(self):
-        rv = analyze(gen_star(4)[0])
+        rv = analyze(generate("star", {"n": 4})[0])
         with pytest.raises(NotAPermutationError):
             coloring_from_ordering(rv, [0, 1, 2])
 
 
 class TestCertificates:
     def test_star_certificate(self):
-        rv = analyze(gen_star(5)[0])
+        rv = analyze(generate("star", {"n": 5})[0])
         cert = check_spacing(rv, [0, 1, 2, 3, 4])
         assert cert.ok and cert.kind == "spacing"
         assert cert.ordering == (0, 1, 2, 3, 4)
@@ -201,7 +201,7 @@ class TestCertificates:
         assert not verify_coloring(rv, cert.coloring)
 
     def test_same_branch_rejection(self):
-        rv = analyze(gen_broom(6, 3)[0])
+        rv = analyze(generate("broom", {"n": 6, "d": 3})[0])
         cert = check_spacing(rv, [0, 2, 1, 3, 4, 5])
         assert cert == Certificate(False, (1, 2), "positions 1,2: distance 1 < required 3")
 
@@ -287,13 +287,13 @@ class TestSpacingSoundness:
 
 class TestSearchOrdering:
     def test_star_order_frozen(self):
-        rv = analyze(gen_star(6)[0])
+        rv = analyze(generate("star", {"n": 6})[0])
         cert = search_ordering(rv)
         assert cert.ordering == (0, 1, 2, 3, 4, 5)
         assert cert.kind == "spacing" and cert.coloring.span == 16
 
     def test_broom_greedy(self):
-        rv = analyze(gen_broom(9, 4)[0])
+        rv = analyze(generate("broom", {"n": 9, "d": 4})[0])
         order = search_ordering(rv).ordering
         assert order == (0, 3, 4, 2, 5, 1, 6, 7, 8)
         col = coloring_from_ordering(rv, order)
@@ -345,9 +345,17 @@ class TestSearchOrdering:
         rng = random.Random(31)
         trees = [t for n in range(4, 9) for t in corpus[n]]
         for shape in (
-            gen_star(4), gen_star(9), gen_broom(9, 4), gen_broom(10, 4), gen_broom(15, 5),
-            gen_broom(12, 7), gen_a_tree(5), gen_a_tree(8), gen_caterpillar(5, 4),
-            gen_caterpillar(6, 3), gen_caterpillar(7, 5),
+            generate("star", {"n": 4}),
+            generate("star", {"n": 9}),
+            generate("broom", {"n": 9, "d": 4}),
+            generate("broom", {"n": 10, "d": 4}),
+            generate("broom", {"n": 15, "d": 5}),
+            generate("broom", {"n": 12, "d": 7}),
+            generate("a_tree", {"d": 5}),
+            generate("a_tree", {"d": 8}),
+            generate("caterpillar", {"m": 5, "d": 4}),
+            generate("caterpillar", {"m": 6, "d": 3}),
+            generate("caterpillar", {"m": 7, "d": 5}),
         ):
             base = shape[0]
             perm = list(range(base.n))

@@ -17,7 +17,7 @@ from hamcolor.errors import (
     NegativeColorError,
     TooLargeError,
 )
-from hamcolor.families import gen_a_tree, gen_broom, gen_star
+from hamcolor.families import generate
 from hamcolor.ordering import Coloring
 from hamcolor.solver import (
     exact_hc,
@@ -52,7 +52,7 @@ def double_broom(k: int, a: int, b: int) -> Tree:
 
 class TestVerifyColoring:
     def test_valid_star_coloring(self):
-        rv = analyze(gen_star(4)[0])
+        rv = analyze(generate("star", {"n": 4})[0])
         assert verify_coloring(rv, Coloring((0, 2, 3, 4))) == []
 
     def test_single_edge_allows_equal_colors(self):
@@ -60,7 +60,7 @@ class TestVerifyColoring:
         assert verify_coloring(rv, Coloring((0, 0))) == []
 
     def test_violation_contents(self):
-        rv = analyze(gen_star(4)[0])
+        rv = analyze(generate("star", {"n": 4})[0])
         bad = verify_coloring(rv, Coloring((0, 2, 3, 3)))
         assert len(bad) == 1
         v = bad[0]
@@ -69,7 +69,7 @@ class TestVerifyColoring:
         assert v.actual == 0
 
     def test_all_equal_is_very_wrong(self):
-        rv = analyze(gen_star(5)[0])
+        rv = analyze(generate("star", {"n": 5})[0])
         bad = verify_coloring(rv, Coloring((1, 1, 1, 1, 1)))
         assert len(bad) == 10
 
@@ -176,13 +176,13 @@ class TestExact:
 
         monkeypatch.setattr(solver._kernel, "bnb_exact", off_by_one)
         with pytest.raises(InternalError):
-            exact_hc(analyze(gen_star(5)[0]))
+            exact_hc(analyze(generate("star", {"n": 5})[0]))
 
     def test_frozen_examples(self, exact_of):
-        assert exact_of(gen_star(4)[0]).hc == 4
-        assert exact_of(gen_star(5)[0]).hc == 9
-        assert exact_of(gen_a_tree(4)[0]).hc == 30
-        assert exact_of(gen_broom(6, 3)[0]).hc == 14
+        assert exact_of(generate("star", {"n": 4})[0]).hc == 4
+        assert exact_of(generate("star", {"n": 5})[0]).hc == 9
+        assert exact_of(generate("a_tree", {"d": 4})[0]).hc == 30
+        assert exact_of(generate("broom", {"n": 6, "d": 3})[0]).hc == 14
 
     def test_matches_enumeration_oracle(self, corpus, exact_of):
         for n in range(1, 6):
@@ -208,7 +208,7 @@ class TestExact:
                 assert res.hc >= lb, t.edges
 
     def test_span_below_the_bound_is_internal_error(self, monkeypatch):
-        rv = analyze(gen_star(5)[0])
+        rv = analyze(generate("star", {"n": 5})[0])
         monkeypatch.setattr(solver, "lower_bound_weight", lambda rv: 10)
         with pytest.raises(InternalError):
             exact_hc(rv)
@@ -229,7 +229,9 @@ class TestExact:
         # paths, brooms and double brooms, whose ends decide the span; random
         # Prufer trees seldom draw them
         shapes = [path(n) for n in range(2, 10)]
-        shapes += [gen_broom(n, d)[0] for n, d in ((6, 4), (7, 5), (8, 5), (9, 7))]
+        shapes += [
+            generate("broom", {"n": n, "d": d})[0] for n, d in ((6, 4), (7, 5), (8, 5), (9, 7))
+        ]
         shapes += [double_broom(k, a, b) for k, a, b in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (4, 2, 2), (5, 2, 2))]
         bicentral = 0
         for t in shapes:
@@ -250,7 +252,7 @@ class TestExact:
         assert exact_hc(analyze(tree)).hc == oracles.pre_bound_hc(tree), tree.edges
 
     def test_relabeling_invariance(self, rng):
-        base = gen_a_tree(4)[0]
+        base = generate("a_tree", {"d": 4})[0]
         want = 30
         for _ in range(3):
             perm = list(range(base.n))
@@ -290,7 +292,7 @@ class TestBudget:
         assert res.witness.span == res.ub
 
     def test_zero_budget_falls_back_to_identity(self):
-        rv = analyze(gen_star(5)[0])
+        rv = analyze(generate("star", {"n": 5})[0])
         res = exact_hc(rv, budget=0)
         assert res.limit_hit
         assert res.explored == 0
@@ -300,7 +302,7 @@ class TestBudget:
         assert res.hc == res.ub == res.lb and res.proved_optimal
 
     def test_runs_are_deterministic(self):
-        rv = analyze(gen_a_tree(4)[0])
+        rv = analyze(generate("a_tree", {"d": 4})[0])
         a = exact_hc(rv, budget=500)
         b = exact_hc(rv, budget=500)
         assert (a.ub, a.explored, a.limit_hit) == (b.ub, b.explored, b.limit_hit)

@@ -1,0 +1,26 @@
+"""Rules on the package source that no behavioural test can see.
+
+``python -O`` strips ``assert`` statements, so invariants raise
+``InternalError`` instead; and only the command-line layer writes to the
+terminal.
+"""
+
+import ast
+from pathlib import Path
+
+import hamcolor
+
+
+def test_no_assert_and_print_only_in_cli():
+    sources = sorted(Path(hamcolor.__file__).resolve().parent.glob("*.py"))
+    assert {"cli.py", "families.py", "ordering.py", "solver.py"} <= {p.name for p in sources}
+    asserts, prints = [], []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                asserts.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                if path.name != "cli.py":
+                    prints.append(f"{path.name}:{node.lineno}")
+    assert asserts == []
+    assert prints == []

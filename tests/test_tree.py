@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from hamcolor.errors import BadVertexIdError, NotATreeError
-from hamcolor.families import gen_broom, gen_caterpillar
+from hamcolor.families import generate
 from hamcolor.tree import (
     Tree,
     all_vertex_weights,
@@ -173,7 +173,11 @@ class TestRootedView:
         trees = [t for n in range(1, 9) for t in corpus[n]]
         trees += [oracles.random_tree(15, rng) for _ in range(5)]
         # deep branches: bicentral broom (depth 19), one-center and bicentral caterpillars
-        trees += [gen_broom(40, 30)[0], gen_caterpillar(41, 4)[0], gen_caterpillar(40, 4)[0]]
+        trees += [
+            generate("broom", {"n": 40, "d": 30})[0],
+            generate("caterpillar", {"m": 41, "d": 4})[0],
+            generate("caterpillar", {"m": 40, "d": 4})[0],
+        ]
         for t in trees:
             rv = analyze(t)
             dist = oracles.nx_distance_matrix(t)
