@@ -141,12 +141,12 @@ def bnb_exact(
     # only while w is unplaced
     forced = [[0] * n for _ in range(n)]
     forced_depth = len(prefix)
-    # colors rise by at most n-2 per placement, so every key is below n*n
-    above = n * n
     nodes = 0
     limit_hit = False
     stop = 0 <= incumbent <= target
-    best_span = incumbent
+    # colors rise by at most n-2 per placement, so every span and key is
+    # below n*n: with no incumbent, n*n prunes nothing
+    best_span = incumbent if incumbent >= 0 else n * n
     best_order = None
 
     def place(m: int, cand: list, unplaced: list, unplaced_level: int) -> None:
@@ -170,7 +170,7 @@ def bnb_exact(
             best = best_span
             lv = level[v]
             order[m] = v  # before the bound, which reads order[0]
-            if best >= 0 and rem:
+            if rem:
                 # the last vertex's level: the least among the other
                 # unplaced vertices, and at least L(first) by rule 5
                 end = lo2 if lv == lo1 else lo1
@@ -183,7 +183,7 @@ def bnb_exact(
                 return
             nodes += 1
             if not rem:
-                if best < 0 or c < best:
+                if c < best:
                     best_span = c
                     best_order = order[:]
                     stop = c <= target
@@ -197,16 +197,16 @@ def bnb_exact(
             left = unplaced.copy()
             left.remove(v)
             rest = unplaced_level - lv
-            ceiling = best if best >= 0 else above
-            # the child's rule 2 reads at least key + its slack + its least level
-            cut = best - (rem - 1) * step + 2 * rest - level[left[0]] if best >= 0 and rem > 1 else above
+            # the child's rule 2 reads at least key + its slack + its least
+            # level; the last placement has no rule 2, so no cut
+            cut = best - (rem - 1) * step + 2 * rest - level[left[0]] if rem > 1 else n * n
             sub = []
             for w in left:
                 need = top - row[w]
                 fw = fm[w]
                 if fw > need:
                     need = fw
-                if need >= ceiling:
+                if need >= best:
                     break
                 fnext[w] = need
                 key = need + level[w]
@@ -217,7 +217,7 @@ def bnb_exact(
             used[v] = False
 
     # rule 1 at the root, where every forced color is 0
-    if not stop and incumbent != 0:
+    if not stop:
         place(0, [(level[v], 0, v) for v in range(n) if used[before[v]]],
               sorted(range(n), key=level.__getitem__), sum(level))
 

@@ -22,8 +22,6 @@ from typing import NoReturn
 from . import families
 from .bounds import compare_bounds, is_applicable, require_applicable
 from .errors import (
-    BadParamsError,
-    FormatError,
     HamcolorError,
     InternalError,
     SearchFailedError,
@@ -94,35 +92,9 @@ def _write(path: str, text: str) -> None:
             fh.truncate()
 
 
-def _parse_params(raw: str) -> dict[str, int]:
-    params: dict[str, int] = {}
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, sep, val = item.partition("=")
-        key = key.strip()
-        if not sep:
-            raise BadParamsError(f"parameter {item!r} is not key=value")
-        if key in params:
-            raise BadParamsError(f"parameter {key!r} is given twice")
-        try:
-            params[key] = int(val)
-        except ValueError:
-            raise BadParamsError(f"parameter {item!r} needs an integer value") from None
-    return params
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    tree, spec = families.generate(args.family, _parse_params(args.params))
-    meta = {
-        "family": spec.family,
-        "params": ",".join(f"{k}={v}" for k, v in spec.params.items()),
-        "expected_n": spec.expected_n,
-        "expected_hc": spec.expected_hc,
-        "expected_total_level": spec.expected_total_level,
-    }
-    text = format_tree(tree, meta)
+    tree, spec = families.generate(args.family, families.parse_params(args.params))
+    text = format_tree(tree, families.spec_meta(spec))
     if args.output:
         _write(args.output, text)
     else:
@@ -158,25 +130,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _family_spec_from_meta(tree, meta: dict[str, str]):
-    """Regenerate the family instance recorded in tree-file metadata; the
-    order the parameters give is compared first, so a false claim costs
-    nothing to reject.  The generator's edges are compared with the file's
-    validated, sorted ones, so no second tree is built."""
-    if "family" not in meta or "params" not in meta:
-        return None
-    family, params = meta["family"], _parse_params(meta["params"])
-    if families.expected_order(family, params) == tree.n:
-        edges, spec = families.family_edges(family, params)
-        if sorted(edges) == list(tree.edges):
-            return spec
-    raise FormatError("tree does not match its family metadata")
-
-
 def _cmd_color(args: argparse.Namespace) -> int:
     tree, meta = load_tree(args.file)
     rv = analyze(tree)
-    spec = _family_spec_from_meta(tree, meta)
+    spec = families.spec_from_meta(tree, meta)
     cert = families.family_certificate(spec, rv) if spec is not None else search_ordering(rv)
     order, coloring = cert.ordering, cert.coloring
     out = args.coloring_out or args.file + ".coloring"
@@ -291,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="generate a family instance")
-    p.add_argument("--family", required=True, choices=["star", "broom", "a-tree", "caterpillar"])
+    p.add_argument("--family", required=True, choices=families.NAMES)
     p.add_argument("--params", required=True, help="comma-separated key=value, e.g. n=10,d=4")
     p.add_argument("-o", "--output", help="write the tree file here (default stdout)")
     p.set_defaults(func=_cmd_gen)

@@ -21,9 +21,9 @@ known, the expected order, total level and hamiltonian chromatic number:
                 gives the star on d + 1 vertices).
 
 ``generate(family, params)`` is the one builder: it returns the tree and its
-spec.  ``expected_order`` gives the order of an instance from its parameters
-without building it, and ``family_edges`` its edge list and spec without
-building its tree.
+spec.  ``NAMES`` lists the families and ``parse_params`` reads their
+``key=value`` parameters; ``spec_meta`` is the metadata of an instance's tree
+file, and ``spec_from_meta`` checks a tree against it and returns the spec.
 ``family_certificate`` returns the ``check_spacing`` certificate of an
 ordering whose induced coloring attains the weight-center lower bound;
 ``family_ordering`` returns just that ordering.
@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import ordering as _ord
 from .bounds import require_applicable
-from .errors import BadParamsError, InternalError
+from .errors import BadParamsError, FormatError, InternalError
 from .tree import RootedView, Tree, analyze
 
 
@@ -219,6 +219,7 @@ _FAMILIES = {
     "a_tree": (("d",), _a_tree_order, _a_tree),
     "caterpillar": (("m", "d"), _caterpillar_order, _caterpillar),
 }
+NAMES = tuple(f.replace("_", "-") for f in _FAMILIES)
 
 
 def _lookup(family: str, params: dict[str, int]):
@@ -236,25 +237,60 @@ def _lookup(family: str, params: dict[str, int]):
         raise BadParamsError(f"family {family!r} needs parameter {e.args[0]!r}") from None
 
 
-def family_edges(family: str, params: dict[str, int]) -> tuple[list[tuple[int, int]], FamilySpec]:
-    """The edges, each (u, v) with u < v, and the spec of the instance
-    :func:`generate` builds, without building its :class:`Tree`."""
-    _, make, args = _lookup(family, params)
-    return make(*args)
-
-
 def generate(family: str, params: dict[str, int]) -> tuple[Tree, FamilySpec]:
     """Build the instance and its spec; the family is named as in
-    :func:`family_edges` ("a-tree" and "a_tree" both accepted)."""
-    edges, spec = family_edges(family, params)
+    :data:`NAMES` or as in a spec ("a-tree" and "a_tree" both accepted)."""
+    _, make, args = _lookup(family, params)
+    edges, spec = make(*args)
     return Tree(spec.expected_n, edges), spec
 
 
-def expected_order(family: str, params: dict[str, int]) -> int:
-    """Order of the tree ``generate(family, params)`` would build, computed
-    from the parameters without building it; bad ones raise as there."""
-    order, _, args = _lookup(family, params)
-    return order(*args)
+def parse_params(raw: str) -> dict[str, int]:
+    """Read the comma-separated ``key=value`` parameters that ``gen`` takes
+    and that tree-file metadata records; integer values only."""
+    params: dict[str, int] = {}
+    for item in raw.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        key, sep, val = item.partition("=")
+        key = key.strip()
+        if not sep:
+            raise BadParamsError(f"parameter {item!r} is not key=value")
+        if key in params:
+            raise BadParamsError(f"parameter {key!r} is given twice")
+        try:
+            params[key] = int(val)
+        except ValueError:
+            raise BadParamsError(f"parameter {item!r} needs an integer value") from None
+    return params
+
+
+def spec_meta(spec: FamilySpec) -> dict[str, object]:
+    """The metadata a tree file records for a family instance, which
+    :func:`spec_from_meta` reads back."""
+    return {
+        "family": spec.family,
+        "params": ",".join(f"{k}={v}" for k, v in spec.params.items()),
+        "expected_n": spec.expected_n,
+        "expected_hc": spec.expected_hc,
+        "expected_total_level": spec.expected_total_level,
+    }
+
+
+def spec_from_meta(tree: Tree, meta: dict[str, str]) -> FamilySpec | None:
+    """Regenerate the family instance recorded in tree-file metadata, if any;
+    the order the parameters give is compared first, so a false claim costs
+    nothing to reject.  The generator's edges are compared with the file's
+    validated, sorted ones, so no second tree is built."""
+    if "family" not in meta or "params" not in meta:
+        return None
+    order, make, args = _lookup(meta["family"], parse_params(meta["params"]))
+    if order(*args) == tree.n:
+        edges, spec = make(*args)
+        if sorted(edges) == list(tree.edges):
+            return spec
+    raise FormatError("tree does not match its family metadata")
 
 
 def closed_form_hc(spec: FamilySpec) -> int:

@@ -279,7 +279,7 @@ class TestColor:
 
     def test_false_order_claim_builds_nothing_larger(self, run, tmp_path, monkeypatch):
         # the claimed order is rejected from the params, before any family
-        # instance is built
+        # instance or its edge list is built
         built = []
         init = Tree.__init__
 
@@ -287,7 +287,16 @@ class TestColor:
             built.append(n)
             init(self, n, edges)
 
+        def recording(family, make):
+            def make_recorded(*args):
+                built.append((family, args))
+                return make(*args)
+
+            return make_recorded
+
         monkeypatch.setattr(Tree, "__init__", recording_init)
+        for family, (names, order, make) in list(families._FAMILIES.items()):
+            monkeypatch.setitem(families._FAMILIES, family, (names, order, recording(family, make)))
         for family, params in (("star", "n=3000"), ("caterpillar", "m=300,d=5"), ("a-tree", "d=40")):
             path = str(tmp_path / "claim.tree")
             open(path, "w").write(f"# family: {family}\n# params: {params}\n4\n0 1\n0 2\n0 3\n")
@@ -295,7 +304,7 @@ class TestColor:
             code, out, err = run("color", path)
             assert code == 1 and out == ""
             assert "error: tree does not match its family metadata" in err
-            assert built and max(built) == 4, (family, built)
+            assert built == [4], (family, built)
 
     def test_tampered_metadata_exit_1(self, run, tmp_path):
         path = str(tmp_path / "lie.tree")

@@ -5,10 +5,11 @@ from hamcolor.errors import BadParamsError, NotApplicableError
 from hamcolor.families import (
     FamilySpec,
     closed_form_hc,
-    expected_order,
     family_certificate,
     family_ordering,
     generate,
+    spec_from_meta,
+    spec_meta,
 )
 from hamcolor.ordering import coloring_from_ordering
 from hamcolor.solver import verify_coloring
@@ -155,24 +156,29 @@ class TestGenerate:
         with pytest.raises(BadParamsError):
             generate("wheel", {"n": 5})
 
-    def test_expected_order_without_building(self):
-        # the order that generate would build, and the error it would raise
+    def test_metadata_round_trip(self):
+        # the metadata gen writes reads back as the spec, and a bad family or
+        # parameter fails there as in generate
         cases = [("star", {"n": n}) for n in range(3, 9)]
         cases += [(f, {"n": n, "d": d}) for f in ("broom", "broom_even") for n in range(3, 12) for d in range(2, n)]
         cases += [(f, {"d": d}) for f in ("a-tree", "a_tree") for d in range(2, 12)]
         cases += [("caterpillar", {"m": m, "d": d}) for m in range(3, 10) for d in range(3, 7)]
         for family, params in cases:
             t, spec = generate(family, params)
-            assert expected_order(family, params) == t.n == spec.expected_n, (family, params)
+            meta = {k: str(v) for k, v in spec_meta(spec).items()}
+            back = spec_from_meta(t, meta)
+            assert back == spec and back.params == spec.params, (family, params)
+        t = generate("star", {"n": 4})[0]
         bad = [("star", {"n": 2}), ("star", {}), ("broom", {"n": 4, "d": 4}), ("broom_odd", {"d": 3}),
                ("a-tree", {"d": 1}), ("caterpillar", {"m": 2, "d": 3}), ("caterpillar", {"m": 4}),
                ("wheel", {"n": 5}), ("star", {"n": 5, "q": 3}), ("broom", {"n": 9, "d": 4, "m": 3})]
         for family, params in bad:
             with pytest.raises(BadParamsError) as gen_err:
                 generate(family, params)
-            with pytest.raises(BadParamsError) as order_err:
-                expected_order(family, params)
-            assert str(order_err.value) == str(gen_err.value)
+            meta = {"family": family, "params": ",".join(f"{k}={v}" for k, v in params.items())}
+            with pytest.raises(BadParamsError) as meta_err:
+                spec_from_meta(t, meta)
+            assert str(meta_err.value) == str(gen_err.value)
 
     def test_closed_form_lookup(self):
         assert closed_form_hc(generate("star", {"n": 6})[1]) == 16
