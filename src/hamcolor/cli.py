@@ -3,8 +3,10 @@
 Verbs: gen, analyze, color, exact, verify, compare, dot.  Exit codes:
 0 success, 1 parse/validation problem (usage errors too), 2 verification
 failure, 3 size or budget limit, 4 the greedy ordering fails the spacing
-condition (not a proof that hc exceeds the lower bound), 5 internal error
-(a bug).  ``color`` writes the coloring that ``check_spacing`` verified.
+condition on a tree without a closed form (not a proof that hc exceeds the
+lower bound), 5 internal error (a bug), among them a greedy failure on a
+family instance with a closed form.  ``color`` writes the coloring that
+``check_spacing`` verified.
 
 ``main(argv)`` may be called any number of times in one process: the
 argument parser is built on the first call and reused by every later one.

@@ -24,9 +24,15 @@ known, the expected order, total level and hamiltonian chromatic number:
 spec.  ``NAMES`` lists the families and ``parse_params`` reads their
 ``key=value`` parameters; ``spec_meta`` is the metadata of an instance's tree
 file, and ``spec_from_meta`` checks a tree against it and returns the spec.
-``family_certificate`` returns the ``check_spacing`` certificate of an
-ordering whose induced coloring attains the weight-center lower bound;
-``family_ordering`` returns just that ordering.
+``META_KEYS`` are the metadata keys, which ``hamcolor.io`` reads and writes.
+``family_certificate`` certifies the one ordering path of every family, the
+greedy of ``ordering.search_ordering``, with ``check_spacing`` (the paper's
+iff condition); ``family_ordering`` returns that ordering.  No family keeps a
+construction.  On a recognised broom the greedy is the paper's ordering: the
+hub is the one weight center, and the path branch (branch id 0) never holds
+fewer unplaced vertices than a leaf and wins ties, so the path comes
+deepest-first, each vertex followed by the smallest unplaced leaf, then the
+other leaves.  On the a-trees (tested for d <= 30) it attains the closed form.
 """
 
 from __future__ import annotations
@@ -35,8 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ordering as _ord
-from .bounds import require_applicable
-from .errors import BadParamsError, FormatError, InternalError
+from .errors import BadParamsError, FormatError, InternalError, SearchFailedError
 from .tree import RootedView, Tree, analyze
 
 
@@ -220,6 +225,8 @@ _FAMILIES = {
     "caterpillar": (("m", "d"), _caterpillar_order, _caterpillar),
 }
 NAMES = tuple(f.replace("_", "-") for f in _FAMILIES)
+# tree-file metadata keys, in the order they are written: FamilySpec fields
+META_KEYS = ("family", "params", "expected_n", "expected_hc", "expected_total_level")
 
 
 def _lookup(family: str, params: dict[str, int]):
@@ -267,15 +274,11 @@ def parse_params(raw: str) -> dict[str, int]:
 
 
 def spec_meta(spec: FamilySpec) -> dict[str, object]:
-    """The metadata a tree file records for a family instance, which
-    :func:`spec_from_meta` reads back."""
-    return {
-        "family": spec.family,
-        "params": ",".join(f"{k}={v}" for k, v in spec.params.items()),
-        "expected_n": spec.expected_n,
-        "expected_hc": spec.expected_hc,
-        "expected_total_level": spec.expected_total_level,
-    }
+    """The metadata a tree file records for a family instance, one value per
+    :data:`META_KEYS` entry, which :func:`spec_from_meta` reads back."""
+    meta: dict[str, object] = {key: getattr(spec, key) for key in META_KEYS}
+    meta["params"] = ",".join(f"{k}={v}" for k, v in spec.params.items())
+    return meta
 
 
 def spec_from_meta(tree: Tree, meta: dict[str, str]) -> FamilySpec | None:
@@ -301,83 +304,19 @@ def closed_form_hc(spec: FamilySpec) -> int:
     raise BadParamsError(f"no closed form for family {spec.family!r} with {spec.params}")
 
 
-def _broom_ordering(n: int, d: int) -> list[int]:
-    # hub, then path vertices deepest-first interleaved with leaves, then the
-    # remaining leaves; the final vertex is a leaf at level 1
-    path = list(range(d - 1, 0, -1))
-    leaves = list(range(d, n))
-    seq: list[int] = []
-    for i, p in enumerate(path):
-        seq.append(p)
-        if i < len(path) - 1:
-            seq.append(leaves[i])
-    seq.extend(leaves[len(path) - 1 :])
-    return [0] + seq
-
-
-def _a_tree_ordering(rv: RootedView) -> list[int]:
-    members = [rv.branch_members(b) for b in range(len(rv.branch_roots))]
-
-    def by_size(bids: list[int]) -> list[int]:
-        return sorted(bids, key=lambda b: (-len(members[b]), b))
-
-    if rv.bicentral:
-        w, w2 = sorted(rv.weight_centers)
-        far = by_size([b for b, r in enumerate(rv.branch_roots) if rv.side[r] == w2])
-        near = by_size([b for b, r in enumerate(rv.branch_roots) if rv.side[r] == w])
-        odd_stream = [v for b in far for v in members[b]]
-        even_stream = [v for b in near for v in members[b]]
-        tail = [w2]
-    else:
-        (w,) = rv.weight_centers
-        bids = by_size(list(range(len(rv.branch_roots))))
-        if len(bids) != 4:
-            raise InternalError(f"a-tree with one weight center must have 4 branches, got {len(bids)}")
-        t1, t2, t3, t4 = bids
-        root4 = rv.branch_roots[t4]
-        odd_stream = members[t1] + members[t3]
-        even_stream = members[t2] + [v for v in members[t4] if v != root4]
-        tail = [root4]
-    order = [w]
-    oi = ei = 0
-    for i in range(1, rv.n - 1):
-        if i % 2 == 1:
-            order.append(odd_stream[oi])
-            oi += 1
-        else:
-            order.append(even_stream[ei])
-            ei += 1
-    if oi != len(odd_stream) or ei != len(even_stream):
-        raise InternalError("a-tree ordering did not exhaust its branch streams")
-    return order + tail
-
-
 def family_certificate(spec: FamilySpec, rv: RootedView) -> _ord.Certificate:
-    """Certificate of an ordering attaining the weight-center lower bound for a
-    family instance, analysed by the caller as ``rv``.
-
-    Stars, caterpillars and unrecognised brooms use the greedy search; the
-    recognised broom and a-tree sub-families use their explicit constructions.
-    The result is always certified; a certification failure on a recognised
-    instance is a bug and raises :class:`InternalError`.
+    """Certificate of the greedy ordering, :func:`ordering.search_ordering`,
+    for an instance analysed as ``rv``; on a recognised broom it is the
+    paper's construction (see the module docstring).  A failure on an
+    instance with a closed form is a bug, raised as :class:`InternalError`;
+    on any other the :class:`SearchFailedError` stands.
     """
-    require_applicable(rv.tree, "ordering certificates")
-    if spec.family in ("star", "caterpillar", "broom"):
+    try:
         return _ord.search_ordering(rv)
-    if spec.family in ("broom_even", "broom_odd"):
-        if rv.weight_centers != frozenset({0}):
-            raise InternalError(
-                f"{spec.family} must be weight-centered at the hub, got {sorted(rv.weight_centers)}"
-            )
-        order = _broom_ordering(spec.params["n"], spec.params["d"])
-    elif spec.family == "a_tree":
-        order = _a_tree_ordering(rv)
-    else:
-        raise BadParamsError(f"unknown family {spec.family!r}")
-    cert = _ord.check_spacing(rv, order)
-    if not cert.ok:
-        raise InternalError(f"{spec.family} ordering failed certification: {cert.reason}")
-    return cert
+    except SearchFailedError as e:
+        if spec.expected_hc is None:
+            raise
+        raise InternalError(f"{e}, on {spec.family} {spec.params} with a closed form") from None
 
 
 def family_ordering(spec: FamilySpec, tree: Tree) -> list[int]:

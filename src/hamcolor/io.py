@@ -15,10 +15,9 @@ line-by-line reader, so the error and its message are the ones it gives.
 from __future__ import annotations
 
 from .errors import FormatError, InternalError
+from .families import META_KEYS
 from .ordering import Coloring
 from .tree import Tree, build_tree
-
-_META_KEYS = ("family", "params", "expected_n", "expected_hc", "expected_total_level")
 
 
 def _int(tok: str, what: str) -> int:
@@ -41,7 +40,7 @@ def parse_tree_text(text: str) -> tuple[Tree, dict[str, str]]:
             body = line.strip()
             if body.startswith("#") and ":" in body:
                 key, _, val = body[1:].partition(":")
-                if key.strip() in _META_KEYS:
+                if key.strip() in META_KEYS:
                     meta[key.strip()] = val.strip()
     content = _content_lines(text)
     if not content:
@@ -69,7 +68,7 @@ def parse_tree_text(text: str) -> tuple[Tree, dict[str, str]]:
 def format_tree(tree: Tree, meta: dict[str, object] | None = None) -> str:
     lines = []
     if meta:
-        for key in _META_KEYS:
+        for key in META_KEYS:
             if key in meta and meta[key] is not None:
                 lines.append(f"# {key}: {meta[key]}")
     lines.append(str(tree.n))

@@ -223,10 +223,6 @@ class RootedView:
     def n(self) -> int:
         return self.tree.n
 
-    def branch_members(self, branch_id: int) -> list[int]:
-        """Vertices of one branch, ascending by id."""
-        return [v for v in range(self.n) if self.branch[v] == branch_id]
-
     def detour_distance(self, u: int, v: int) -> int:
         """Path distance from levels; equals plain BFS distance on trees.
 

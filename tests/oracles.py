@@ -7,7 +7,8 @@ come from brute-force enumeration over whole color vectors or from an
 unpruned search over every vertex ordering, violations, the spacing
 condition (with its coloring, from prefix sums) and the greedy completion
 from scans over all pairs, and the greedy ordering from a scan over every
-branch on every step.  ``bnb_exact`` is the search kernel as it was before
+branch on every step.  ``paper_broom_ordering`` is the paper's construction
+for the recognised brooms, the package's own until the greedy replaced it.  ``bnb_exact`` is the search kernel as it was before
 it pruned with the weight-center bound, kept verbatim as an oracle for the
 pruning rules added since; ``rescan_bnb_exact`` is the kernel with every
 rule it has now, as it was before each placement fused its bookkeeping into
@@ -497,6 +498,21 @@ def linear_scan_greedy(rv: RootedView) -> list[int]:
         prev = best[1]
         order.append(queues[prev].pop())
     return order
+
+
+def paper_broom_ordering(n: int, d: int) -> list[int]:
+    """The paper's ordering of a recognised broom (path 0..d-1 with hub 0,
+    leaves d..n-1 on the hub): the hub, then the path vertices deepest-first,
+    each but the last followed by the next leaf, then the remaining leaves.
+    The final vertex is a leaf at level 1."""
+    path = list(range(d - 1, 0, -1))
+    leaves = list(range(d, n))
+    order = [0]
+    for i, p in enumerate(path):
+        order.append(p)
+        if i < len(path) - 1:
+            order.append(leaves[i])
+    return order + leaves[len(path) - 1 :]
 
 
 def random_tree(n: int, rng: random.Random) -> Tree:

@@ -255,14 +255,18 @@ class TestColor:
         assert built == [10]
 
     def test_internal_error_exit_5(self, run, tmp_path, monkeypatch):
-        path = gen_file(run, tmp_path, "broom", "n=10,d=4")
-        # a recognised broom whose construction puts two path vertices side
-        # by side: a failed certificate there is a bug, not a search failure
-        monkeypatch.setattr(families, "_broom_ordering", lambda n, d: [0, 3, 2, 4, 1, 5, 6, 7, 8, 9])
-        code, _, err = run("color", path)
+        recognised = gen_file(run, tmp_path, "broom", "n=10,d=4", "recognised.tree")
+        plain = gen_file(run, tmp_path, "broom", "n=9,d=4", "plain.tree")
+        # the greedy's certificate fails: on a recognised broom, whose closed
+        # form says the bound is attained, that is a bug; on a broom without
+        # one it is only a search failure
+        monkeypatch.setattr(ordering, "check_spacing", lambda rv, order: ordering.Certificate(False, (1, 2), "forced"))
+        code, _, err = run("color", recognised)
         assert code == 5
-        assert "internal error" in err
-        assert "broom_even ordering failed certification" in err
+        assert "internal error" in err and "broom_even" in err and "forced" in err
+        code, _, err = run("color", plain)
+        assert code == 4
+        assert "internal error" not in err and "forced" in err
 
     def test_newly_certified_tree(self, run, tmp_path):
         # the greedy ordering meets the exact condition; the former n/2

@@ -1,8 +1,10 @@
+import oracles
 import pytest
 
 from hamcolor.bounds import is_applicable, lower_bound_weight
 from hamcolor.errors import BadParamsError, NotApplicableError
 from hamcolor.families import (
+    META_KEYS,
     FamilySpec,
     closed_form_hc,
     family_certificate,
@@ -11,6 +13,7 @@ from hamcolor.families import (
     spec_from_meta,
     spec_meta,
 )
+from hamcolor.io import format_tree, parse_tree_text
 from hamcolor.ordering import coloring_from_ordering
 from hamcolor.solver import verify_coloring
 from hamcolor.tree import analyze, weight_centers
@@ -157,16 +160,20 @@ class TestGenerate:
             generate("wheel", {"n": 5})
 
     def test_metadata_round_trip(self):
-        # the metadata gen writes reads back as the spec, and a bad family or
-        # parameter fails there as in generate
+        # the metadata gen writes reads back through a tree file as the spec,
+        # every key it fills included, and a bad family or parameter fails
+        # there as in generate
         cases = [("star", {"n": n}) for n in range(3, 9)]
         cases += [(f, {"n": n, "d": d}) for f in ("broom", "broom_even") for n in range(3, 12) for d in range(2, n)]
         cases += [(f, {"d": d}) for f in ("a-tree", "a_tree") for d in range(2, 12)]
         cases += [("caterpillar", {"m": m, "d": d}) for m in range(3, 10) for d in range(3, 7)]
         for family, params in cases:
             t, spec = generate(family, params)
-            meta = {k: str(v) for k, v in spec_meta(spec).items()}
-            back = spec_from_meta(t, meta)
+            meta = spec_meta(spec)
+            assert tuple(meta) == META_KEYS
+            read_tree, read = parse_tree_text(format_tree(t, meta))
+            assert read == {k: str(v) for k, v in meta.items() if v is not None}, (family, params)
+            back = spec_from_meta(read_tree, read)
             assert back == spec and back.params == spec.params, (family, params)
         t = generate("star", {"n": 4})[0]
         bad = [("star", {"n": 2}), ("star", {}), ("broom", {"n": 4, "d": 4}), ("broom_odd", {"d": 3}),
@@ -212,9 +219,15 @@ class TestFamilyOrdering:
             assert certified_span(t, spec) == spec.expected_hc == (n - 2) ** 2
 
     def test_recognised_brooms_certify(self):
-        for n, d in ((6, 3), (10, 4), (15, 5), (21, 6)):
+        # every recognised broom with k <= 15, both parities (even k = 1 is
+        # the path on 3 vertices, outside the bound), where the greedy
+        # builds exactly the paper's ordering and attains the closed form
+        shapes = [(k * (2 * k + 1), 2 * k, "broom_even") for k in range(2, 16)]
+        shapes += [((k + 1) * (2 * k + 1), 2 * k + 1, "broom_odd") for k in range(1, 16)]
+        for n, d, family in shapes:
             t, spec = generate("broom", {"n": n, "d": d})
-            assert spec.family in ("broom_even", "broom_odd")
+            assert spec.family == family
+            assert family_ordering(spec, t) == oracles.paper_broom_ordering(n, d), (n, d)
             assert certified_span(t, spec) == spec.expected_hc
 
     def test_plain_broom_certifies_to_the_bound(self):
@@ -222,7 +235,7 @@ class TestFamilyOrdering:
         assert certified_span(t, spec) == lower_bound_weight(analyze(t)) == 43
 
     def test_a_trees_certify(self):
-        for d in range(3, 8):
+        for d in range(3, 31):
             t, spec = generate("a_tree", {"d": d})
             assert certified_span(t, spec) == spec.expected_hc
 

@@ -1,8 +1,9 @@
 """Rules on the package source that no behavioural test can see.
 
 ``python -O`` strips ``assert`` statements, so invariants raise
-``InternalError`` instead; and only the command-line layer writes to the
-terminal.
+``InternalError`` instead; only the command-line layer writes to the
+terminal; and ``families`` owns every family decision, so no other module
+names a family.
 """
 
 import ast
@@ -24,3 +25,18 @@ def test_no_assert_and_print_only_in_cli():
                     prints.append(f"{path.name}:{node.lineno}")
     assert asserts == []
     assert prints == []
+
+
+FAMILY_NAMES = {"star", "broom", "broom_even", "broom_odd", "a_tree", "a-tree", "caterpillar"}
+
+
+def test_only_families_names_a_family():
+    sources = sorted(Path(hamcolor.__file__).resolve().parent.glob("*.py"))
+    found = []
+    for path in sources:
+        if path.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value in FAMILY_NAMES:
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []

@@ -134,7 +134,7 @@ class TestRootedView:
         assert rv.bicentral
         assert rv.total_level == 6
         assert rv.branch_roots == (2, 3, 4, 5, 6, 7)
-        assert rv.branch_members(0) == [2]
+        assert [v for v, b in enumerate(rv.branch) if b == 0] == [2]
 
     def test_broom_levels_and_branches(self):
         rv = analyze(broom_10_4())
@@ -143,7 +143,7 @@ class TestRootedView:
         assert rv.total_level == 12
         # one branch per neighbor of the hub, ordered by attachment id
         assert rv.branch_roots == (1, 4, 5, 6, 7, 8, 9)
-        assert rv.branch_members(0) == [1, 2, 3]
+        assert [v for v, b in enumerate(rv.branch) if b == 0] == [1, 2, 3]
 
     def test_levels_are_distance_to_nearest_center(self, corpus):
         for n in range(2, 9):
