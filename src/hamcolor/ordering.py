@@ -11,9 +11,11 @@ where b is 1 for two weight centers and 0 for one.  This module provides
 
 * ``check_spacing``   -- the one certificate check, the paper's necessary and
                          sufficient condition: the induced coloring attains
-                         the bound if and only if it holds.  It returns a
-                         ``Certificate`` holding the ordering and the coloring
-                         it verified, or the first failure;
+                         the bound if and only if it holds.  It builds that
+                         coloring in one pass along the ordering, checks it
+                         with the solver's window walk along the same
+                         ordering, and returns a ``Certificate`` holding the
+                         ordering and the coloring, or the first failure;
 * ``search_ordering`` -- a deterministic greedy that builds one ordering and
                          returns its certificate.
 
@@ -71,13 +73,6 @@ def validate_ordering(n: int, order: Sequence[int]) -> list[int]:
     return o
 
 
-def _endpoint_levels_ok(rv: RootedView, order: Sequence[int]) -> bool:
-    # One weight center: one endpoint is the center, the other at level 1.
-    # Two centers: both endpoints are centers.  Only the sum matters.
-    want = 0 if rv.bicentral else 1
-    return rv.level[order[0]] + rv.level[order[-1]] == want
-
-
 def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
     """Certify ``order``: the exact condition for its induced coloring to
     attain the weight-center lower bound.
@@ -89,44 +84,42 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
 
     A consecutive pair needs d >= level + level + b, so it must share no
     branch (two centers: lie on opposite sides), read from ``branch`` and
-    ``side`` without a distance query.  Then every increment n - 1 - d is
-    >= 0, the colors rise, and ``verify_coloring``'s window checks the other
-    pairs.  Reported: the first failing consecutive pair, else the first
-    (i, j).  On success the certificate holds the ordering and the coloring
-    that was verified.  The ordering is validated once, by
-    :func:`coloring_from_ordering`, before any check reads it.
+    ``side`` without a distance query.  One pass checks that and adds up the
+    increments, each then n - 1 - d >= 0, so the colors rise along the
+    ordering: the solver's window walk checks the other pairs along it, with
+    no sort, in (i, j) order, and stops at the first failure.  Reported: the
+    first failing consecutive pair, else the first (i, j).  On success the
+    certificate holds the ordering and the coloring that was verified.
     """
-    from .solver import verify_coloring  # solver imports this module
+    from .solver import _window  # solver imports this module
 
     require_applicable(rv.tree, "ordering certificates")
-    o = list(order)
-    try:
-        coloring = coloring_from_ordering(rv, o)  # the one check that o is a permutation
-    except NegativeIncrementError:
-        coloring = None  # a consecutive pair shares a branch; reported below
+    o = validate_ordering(rv.n, order)
     n = rv.n
     b = 1 if rv.bicentral else 0
-    if not _endpoint_levels_ok(rv, o):
-        return Certificate(False, None, f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}")
     level, branch, side = rv.level, rv.branch, rv.side
-    pos = [0] * n
+    # one center: it and a level-1 vertex end the ordering; two: both centers
+    if level[o[0]] + level[o[-1]] != 1 - b:
+        return Certificate(False, None, f"endpoint levels {level[o[0]]}+{level[o[-1]]} != {1 - b}")
+    base, colors, cs, c = n - 1 - b, [0] * n, [0], 0
     for i, (u, v) in enumerate(zip(o, o[1:])):
-        pos[v] = i + 1
         if (branch[u] is not None and branch[u] == branch[v]) or (b and side[u] == side[v]):
             d, need = rv._distance(u, v), level[u] + level[v] + b
             return Certificate(False, (i, i + 1), f"positions {i},{i + 1}: distance {d} < required {need}")
-    if coloring is None:
-        raise InternalError("negative increment between vertices that share no branch")
-    bad = verify_coloring(rv, coloring)
-    if not bad:
+        if (inc := base - level[u] - level[v]) < 0:
+            raise InternalError("negative increment between vertices that share no branch")
+        c += inc
+        colors[v] = c
+        cs.append(c)
+    # a consecutive pair's gap is its increment n - 1 - d: the walk skips it
+    bad = next(_window(rv, o, cs, 2), None)
+    if bad is None:
         # the span is (n-1)(n-1-b) - 2*total_level plus the endpoint levels
-        if coloring.span != (lb := lower_bound_weight(rv)):
-            raise InternalError(f"certified span {coloring.span} != weight-center bound {lb}")
-        return Certificate(True, ordering=tuple(o), coloring=coloring)
-    x = min(bad, key=lambda x: sorted((pos[x.u], pos[x.v])))
-    i, j = sorted((pos[x.u], pos[x.v]))
-    reason = f"positions {i},{j}: distance {n - 1 - x.required} < required {n - 1 - x.actual}"
-    return Certificate(False, (i, j), reason)
+        if c != (lb := lower_bound_weight(rv)):
+            raise InternalError(f"certified span {c} != weight-center bound {lb}")
+        return Certificate(True, ordering=tuple(o), coloring=Coloring(tuple(colors)))
+    i, j, need, gap = bad
+    return Certificate(False, (i, j), f"positions {i},{j}: distance {n - 1 - need} < required {n - 1 - gap}")
 
 
 def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
@@ -150,12 +143,12 @@ def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def _branch_queues(rv: RootedView) -> dict[int, list[int]]:
+def _branch_queues(rv: RootedView) -> list[list[int]]:
     """Per-branch stacks popping deepest-first (ties to the smaller id).
 
     One stable sort by level of the ids in descending order gives every
     branch its vertices by (level, -id), which is the stack order."""
-    queues: dict[int, list[int]] = {i: [] for i in range(len(rv.branch_roots))}
+    queues: list[list[int]] = [[] for _ in rv.branch_roots]
     branch = rv.branch
     for v in sorted(range(rv.n - 1, -1, -1), key=rv.level.__getitem__):
         bid = branch[v]
@@ -173,39 +166,41 @@ def search_ordering(rv: RootedView) -> Certificate:
     means only that this one ordering fails the condition, which is not a
     proof that no ordering passes it (nor that hc exceeds the bound).
 
-    The branches wait in one heap per weight center, keyed (-unplaced, branch
-    id), so each step costs O(log n) instead of a scan over every branch.
-    One loop places the n - (number of centers) vertices: it pops the top
-    branch, setting it aside while it is the previous branch, takes that
-    branch's deepest vertex, pushes both entries back and, with two centers,
-    switches sides.  The previous branch then lies on the other side's heap,
-    so with two centers nothing is ever set aside.
+    The branches wait in one heap per weight center, keyed by the int
+    -unplaced * nb + branch id (nb branches; ordered as (-unplaced, branch id),
+    key % nb is the branch), so each step costs O(log n) instead of a scan
+    over every branch.  One loop places the n - (number of centers) vertices:
+    it pops the top branch, setting it aside while it is the previous branch,
+    takes that branch's deepest vertex, pushes both entries back and switches
+    to the other side's heap (the same heap with one center).  With two
+    centers the previous branch lies on the other heap, so nothing is ever
+    set aside.
     """
     require_applicable(rv.tree, "ordering certificates")
     queues = _branch_queues(rv)
+    nb = len(queues)
     centers = sorted(rv.weight_centers)
     w, w2 = centers[0], centers[-1]
-    heaps: dict[int, list[tuple[int, int]]] = {c: [] for c in centers}
+    heaps: dict[int, list[int]] = {c: [] for c in centers}
     for bid, root in enumerate(rv.branch_roots):
-        heaps[rv.side[root]].append((-len(queues[bid]), bid))
+        heaps[rv.side[root]].append(-len(queues[bid]) * nb + bid)
     for heap in heaps.values():
         heapq.heapify(heap)
-    order, side, prev = [w], w2, None
+    heap, other, order, prev = heaps[w2], heaps[w], [w], None
     for _ in range(rv.n - len(centers)):
-        heap = heaps[side]
-        held = heapq.heappop(heap) if heap and heap[0][1] == prev else None
+        held = heapq.heappop(heap) if heap and heap[0] % nb == prev else None
         if not heap:
             # a branch at one weight center holds fewer than n/2 vertices, and
             # each side of two centers holds n/2 - 1 besides its center
             raise InternalError("no allowed branch has an unplaced vertex")
-        prev = heapq.heappop(heap)[1]
+        prev = heapq.heappop(heap) % nb
         q = queues[prev]
         order.append(q.pop())
         if q:
-            heapq.heappush(heap, (-len(q), prev))
+            heapq.heappush(heap, -len(q) * nb + prev)
         if held is not None:
             heapq.heappush(heap, held)
-        side = w if side == w2 else w2
+        heap, other = other, heap
     order += centers[1:]
     cert = check_spacing(rv, order)
     if not cert.ok:

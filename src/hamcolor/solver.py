@@ -1,8 +1,9 @@
 """Coloring verification and the exact solver.
 
-``verify_coloring``'s color window is the one check of the hamiltonian
-condition over vertex pairs (``check_spacing`` reuses it); only ``exact_hc``
-builds an n x n distance matrix.
+One color window walk checks the hamiltonian condition over vertex pairs:
+``verify_coloring`` runs it over the vertices sorted by color,
+``ordering.check_spacing`` along its ordering.  Only ``exact_hc`` builds an
+n x n distance matrix.
 
 ``exact_hc`` minimises, over all vertex orderings, the span of the greedy
 color completion along the ordering; the completion is pointwise minimal for
@@ -66,16 +67,43 @@ class ExactResult:
         return self.ub if self.proved_optimal else None
 
 
+def _window(rv: RootedView, seq: Sequence[int], cs: Sequence[int], first: int = 1):
+    """Yield (i, j, need = n - 1 - d, gap) for each pair of positions i < j of
+    ``seq`` that violates the condition, in (i, j) order.  ``cs[i]``, the
+    color of ``seq[i]``, must not fall; pairs under ``first`` apart are skipped.
+
+    Only pairs less than n - 1 colors apart can violate.  Vertices in
+    different branches meet through the center(s): only same-branch pairs
+    ask ``rv._distance``."""
+    n, reach = rv.n, rv.n - 1
+    level, branch, side, b = rv.level, rv.branch, rv.side, rv.bicentral
+    for i in range(n - first):
+        cu = cs[i]
+        if cs[i + first] - cu >= reach:  # empty window: read nothing else
+            continue
+        u = seq[i]
+        lu, bu, su = level[u], branch[u], side[u]
+        j = i + first
+        while True:
+            v = seq[j]
+            if bu is None or bu != branch[v]:
+                need = reach - lu - level[v] - (b and su != side[v])
+            else:
+                need = reach - rv._distance(u, v)  # ids from range(n) or an ordering
+            if (gap := cs[j] - cu) < need:
+                yield i, j, need, gap
+            j += 1
+            if j == n or cs[j] - cu >= reach:
+                break
+
+
 def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
     """All pairs violating  d(u, v) + |h(u) - h(v)| >= n - 1;  empty means valid.
 
-    Distinct vertices are at distance at least 1, so only pairs whose color
-    gap is below n - 1 can violate.  The vertices are sorted by color and
-    each one is compared with the vertices after it while the gap stays
-    below n - 1.  No distance matrix is built, and the distance queries
-    number the pairs inside that window: a few per vertex when the colors
-    are spread out, as certified colorings are.  Violations come sorted by
-    (u, v), with u < v.
+    The vertices are sorted by color and walked by the color window, so no
+    distance matrix is built and a certified coloring, its colors spread
+    out, verifies in near linear time.  Violations come sorted by (u, v),
+    with u < v.
     """
     n = rv.n
     colors = coloring.colors
@@ -85,19 +113,11 @@ def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
         if isinstance(c, bool) or not isinstance(c, int) or c < 0:
             raise NegativeColorError(f"bad color {c!r}")
     by_color = sorted(range(n), key=colors.__getitem__)
-    distance = rv._distance  # the ids come from range(n)
-    out = []
-    for i, u in enumerate(by_color):
-        cu = colors[u]
-        j = i + 1
-        while j < n and (gap := colors[by_color[j]] - cu) < n - 1:
-            v = by_color[j]
-            need = n - 1 - distance(u, v)
-            if gap < need:
-                out.append(Violation(min(u, v), max(u, v), need, gap))
-            j += 1
-    out.sort(key=lambda viol: (viol.u, viol.v))
-    return out
+    out = [
+        Violation(*sorted((by_color[i], by_color[j])), need, gap)
+        for i, j, need, gap in _window(rv, by_color, [colors[v] for v in by_color])
+    ]
+    return sorted(out, key=lambda viol: (viol.u, viol.v))
 
 
 def min_span_for_order(rv: RootedView, order: Sequence[int]) -> Coloring:

@@ -206,9 +206,10 @@ class TestColor:
         assert code == 1
 
     def test_one_analysis_and_one_certificate_per_call(self, run, tmp_path, monkeypatch):
-        # one check_spacing, which builds and verifies the coloring once;
-        # color writes that coloring without recomputing it
-        counts = dict.fromkeys(("analyses", "checks", "colorings", "verifies"), 0)
+        # one check_spacing, which builds its coloring in one pass and checks
+        # it with one window walk; color writes that coloring without
+        # recomputing or re-verifying it
+        counts = dict.fromkeys(("analyses", "checks", "walks", "colorings", "verifies"), 0)
 
         def counting(key, fn):
             def wrapped(*args):
@@ -219,6 +220,7 @@ class TestColor:
 
         monkeypatch.setattr(RootedView, "__init__", counting("analyses", RootedView.__init__))
         monkeypatch.setattr(ordering, "check_spacing", counting("checks", ordering.check_spacing))
+        monkeypatch.setattr(solver, "_window", counting("walks", solver._window))
         color = counting("colorings", ordering.coloring_from_ordering)
         monkeypatch.setattr(ordering, "coloring_from_ordering", color)
         monkeypatch.setattr(cli, "coloring_from_ordering", color, raising=False)
@@ -236,7 +238,8 @@ class TestColor:
             counts.update(dict.fromkeys(counts, 0))
             code, _, _ = run("color", path)
             assert code == 0
-            assert counts == {"analyses": 1, "checks": 1, "colorings": 1, "verifies": 1}, path
+            want = {"analyses": 1, "checks": 1, "walks": 1, "colorings": 0, "verifies": 0}
+            assert counts == want, path
 
     def test_metadata_call_builds_one_tree(self, run, tmp_path, monkeypatch):
         # the family's edges are compared with the file's tree, not built

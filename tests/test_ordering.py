@@ -229,6 +229,18 @@ class TestCertificates:
                     continue
                 assert cert == oracles.all_pairs_spacing(rv, cert.ordering)
 
+    def test_certificate_coloring_is_the_arithmetic_coloring(self, ordering_cases):
+        # the coloring check_spacing builds in its own pass is the one
+        # coloring_from_ordering computes
+        certified = 0
+        for rv, _, orders in ordering_cases:
+            for order in orders:
+                cert = check_spacing(rv, order)
+                if cert.ok:
+                    certified += 1
+                    assert cert.coloring == coloring_from_ordering(rv, order), (rv.tree, order)
+        assert certified > 100, certified
+
     def test_accepts_every_ordering_the_alternation_check_accepted(self, ordering_cases):
         # the former check is a sufficient condition, so the exact one accepts
         # whatever it accepted, with the coloring the former color path wrote;
@@ -328,20 +340,22 @@ class TestSearchOrdering:
                 assert exact_of(t).hc == col.span
         assert succeeded == 26  # of the 40 applicable trees on up to 8 vertices
 
+    @staticmethod
+    def _greedy_outcomes(rv):
+        """(search_ordering's outcome, the one derived from the linear-scan oracle)."""
+        order = oracles.linear_scan_greedy(rv)
+        cert = check_spacing(rv, order)
+        if cert.ok:
+            want = "ok", tuple(order)
+        else:
+            want = "fail", f"greedy ordering failed certification: {cert.reason}"
+        try:
+            got = "ok", search_ordering(rv).ordering
+        except SearchFailedError as e:
+            got = "fail", str(e)
+        return got, want
+
     def test_heap_matches_linear_scan(self, corpus):
-        def expected(rv):
-            order = oracles.linear_scan_greedy(rv)
-            cert = check_spacing(rv, order)
-            if not cert.ok:
-                return "fail", f"greedy ordering failed certification: {cert.reason}"
-            return "ok", tuple(order)
-
-        def actual(rv):
-            try:
-                return "ok", search_ordering(rv).ordering
-            except SearchFailedError as e:
-                return "fail", str(e)
-
         rng = random.Random(31)
         trees = [t for n in range(4, 9) for t in corpus[n]]
         for shape in (
@@ -366,11 +380,39 @@ class TestSearchOrdering:
         for t in trees:
             if not is_applicable(t):
                 continue
-            rv = analyze(t)
-            want = expected(rv)
-            assert actual(rv) == want, t
+            got, want = self._greedy_outcomes(analyze(t))
+            assert got == want, t
             seen.add(want[0])
         # both successes and certification failures were compared; the greedy
         # never runs dry on a tree: a branch at a single weight center holds
         # fewer than n/2 vertices, and the sides at two centers are equal
         assert seen == {"ok", "fail"}
+
+    def test_heap_matches_linear_scan_at_scale(self):
+        # the int heap keys order many branches as the (-unplaced, branch id)
+        # scan does: color-large's five shapes (up to 1,500 branches) and
+        # random trees up to n = 300, each relabelled twice
+        rng = random.Random(37)
+        trees = [
+            generate(family, params)[0]
+            for family, params in (
+                ("star", {"n": 1500}),
+                ("caterpillar", {"m": 201, "d": 5}),
+                ("a_tree", {"d": 30}),
+                ("broom", {"n": 465, "d": 30}),
+                ("broom", {"n": 600, "d": 25}),
+            )
+        ]
+        trees += [oracles.random_tree(n, rng) for n in (60, 120, 200, 300) for _ in range(2)]
+        seen = set()
+        for base in trees:
+            for _ in range(2):
+                perm = list(range(base.n))
+                rng.shuffle(perm)
+                t = Tree(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+                if not is_applicable(t):
+                    continue
+                got, want = self._greedy_outcomes(analyze(t))
+                assert got == want, (base, perm)
+                seen.add(want[0])
+        assert "ok" in seen

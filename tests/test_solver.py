@@ -85,8 +85,11 @@ class TestVerifyColoring:
                 verify_coloring(rv, Coloring(colors))
 
     def test_matches_all_pairs_oracle(self):
+        # the window walk takes the distance of a pair in different branches
+        # from levels and sides, so violations of every pair kind are compared
         rng = random.Random(20)
         found = {"random": 0, "corrupted": 0, "all-equal": 0}
+        kinds = dict.fromkeys(("same branch", "one side", "across the center edge"), 0)
         for n in range(2, 61):
             for _ in range(3):
                 tree = oracles.random_tree(n, rng)
@@ -109,12 +112,21 @@ class TestVerifyColoring:
                     want = oracles.all_pairs_violations(tree, colors)
                     got = verify_coloring(rv, Coloring(tuple(colors)))
                     assert [(x.u, x.v, x.required, x.actual) for x in got] == want, (n, name)
+                    for u, v, _, _ in want:
+                        if rv.branch[u] is not None and rv.branch[u] == rv.branch[v]:
+                            kinds["same branch"] += 1
+                        elif rv.side[u] == rv.side[v]:
+                            kinds["one side"] += 1
+                        else:
+                            kinds["across the center edge"] += 1
                     if name in found:
                         found[name] += len(want)
                     else:
                         assert want == [], (n, name)
-        # every broken kind of coloring did produce violations to compare
+        # every broken kind of coloring did produce violations to compare,
+        # and so did every kind of pair
         assert all(found.values()), found
+        assert all(kinds.values()), kinds
 
 
 class TestGreedyCompletion:
