@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Check that ``hamcolor color``, ``verify``, ``exact``, ``analyze`` and
-``compare`` behave the same at a git revision and in the working tree.
+"""Check that ``hamcolor color``, ``verify``, ``exact``, ``analyze``,
+``compare`` and ``gen`` behave the same at a git revision and in the working
+tree.
 
 Extracts ``src/`` of REV with ``git archive``, then runs the verbs on one
 fixed input set once with each source tree, each in a fresh interpreter, and
@@ -20,9 +21,13 @@ instances of ``perfbench/pinned.json`` (read, never written) and, with
 ``--limit 12``, on the paths with n = 11 and 12 and four seeded Prufer trees
 with n = 12 and hc > lb; its exit code and ``hc`` must be identical, while
 the explored-node count and the witness may differ between search
-strategies, so the node counts are printed side by side with their total for each set, and so are
-the exit-code counts of each verb.  Exits 1 and names the first differing
-inputs on a mismatch.
+strategies, so the node counts are printed side by side with their total
+for each set.  ``gen`` runs on a grid of ``--params`` per family: valid
+instances, recognised and off-family brooms, both a-tree parities and both
+caterpillar m parities, parameters given out of order, and rejected ones
+(too small, unknown, missing, given twice, not an integer); its stdout,
+stderr and exit code must be identical.  The exit-code counts of each verb
+are printed.  Exits 1 and names the first differing inputs on a mismatch.
 
     python3 scripts/color_parity.py HEAD
     python3 scripts/color_parity.py HEAD~1 --prufer 300
@@ -66,6 +71,16 @@ RUNS = (
 )
 # verbs whose JSON output is compared key by key
 KEYED = ("analyze", "compare")
+# gen's --params per family, valid ones first, then rejected ones
+GEN = {
+    "star": [f"n={n}" for n in (3, 4, 9, 40)] + ["n=2", "n=-3", "n=4,q=1", "", "n=4,n=5", "n=four", "n=4.0", "n"],
+    "broom": [f"n={n},d={d}" for n, d in ((3, 2), (6, 3), (10, 4), (15, 5), (28, 7), (36, 8),
+                                             (9, 4), (11, 4), (7, 3), (12, 2), (40, 9))]
+    + ["d=4,n=10", "d=5,n=9", "n=4,d=4", "n=5,d=1", "n=10,d=4,k=2", "n=10", "n=10,d=4,d=4", "n=10,d=x"],
+    "a-tree": [f"d={d}" for d in range(2, 13)] + ["d=1", "d=-2", "n=5", "", "d=3,d=3", "d=2.5"],
+    "caterpillar": [f"m={m},d={d}" for m in range(3, 9) for d in (3, 4, 5)]
+    + ["d=4,m=5", "d=3,m=6", "m=2,d=3", "m=4,d=2", "m=4,d=3,n=6", "m=4", "m=4,m=4,d=3", "m=4,d=3e0"],
+}
 
 
 def _prufer_edges(seq: list[int]) -> list[tuple[int, int]]:
@@ -132,9 +147,17 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
         (workdir / "exact12" / f"prufer_s{seed}_n12.tree").write_text(_tree_text(12, edges))
 
 
+def _call(main, argv: list[str]) -> list:
+    """[exit code, stdout, stderr] of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
 def run_side(src: Path, workdir: Path) -> dict:
-    """Worker: make every call of ``RUNS`` with the package at ``src``;
-    returns the results by call."""
+    """Worker: make every call of ``RUNS`` and ``GEN`` with the package at
+    ``src``; returns the results by call."""
     sys.path.insert(0, str(src))
     from hamcolor.cli import main
 
@@ -146,15 +169,16 @@ def run_side(src: Path, workdir: Path) -> dict:
             if argv[0] == "verify":
                 tree = path.name.removesuffix(".coloring").removesuffix(".rotated") + ".tree"
                 files.insert(0, str(workdir / tree))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv + files)
+            results[name] = _call(main, argv + files)
             written = None
             if suffix is not None:
                 colored = Path(str(path) + suffix)
                 written = colored.read_text() if colored.exists() else None
                 colored.unlink(missing_ok=True)
-            results[name] = [code, out.getvalue(), err.getvalue(), written]
+            results[name].append(written)
+    for family, grid in GEN.items():
+        for params in grid:
+            results[f"gen {family} {params!r}"] = _call(main, ["gen", "--family", family, "--params", params])
     return results
 
 
@@ -215,7 +239,7 @@ def main() -> int:
     for verb, (rev_only, tree_only) in one_sided.items():
         print(f"{verb}: keys printed only at {args.rev}: {', '.join(sorted(rev_only)) or 'none'}; "
               f"only in the working tree: {', '.join(sorted(tree_only)) or 'none'}")
-    for verb in ("color", "verify", "analyze", "compare", "exact"):
+    for verb in ("color", "verify", "analyze", "compare", "exact", "gen"):
         before, after = (
             dict(sorted(Counter(res[0] for name, res in side.items() if name.startswith(verb + " ")).items()))
             for side in (old, new)
@@ -225,7 +249,8 @@ def main() -> int:
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
         return 1
     print("identical: color stdout, stderr, exit code and coloring file; verify stdout, stderr and exit code; "
-          "analyze and compare exit code, stderr and every key both sides print; exact exit code and hc")
+          "analyze and compare exit code, stderr and every key both sides print; exact exit code and hc; "
+          "gen stdout, stderr and exit code")
     return 0
 
 

@@ -11,17 +11,23 @@ known, the expected order, total level and hamiltonian chromatic number:
                 level;
 * a-trees:      indexed by d >= 2 (the instance has diameter d - 1).  The base
                 cases are a single edge (d = 2) and the 4-leaf star (d = 3);
-                each growth step
-                gives the two diameter-end leaves three children apiece (the
-                last child extends the diameter) and every other leaf one
-                child.  New ids are assigned in ascending order of the parent
-                leaf's id;
+                each growth step gives the two diameter-end leaves three
+                children apiece (the last child extends the diameter) and
+                every other leaf one child.  New ids are assigned in
+                ascending order of the parent leaf's id;
 * caterpillars: spine 0..m-1, every inner spine vertex brought up to degree d
                 by legs, which take ids m.. grouped by spine vertex (m = 3
                 gives the star on d + 1 vertices).
 
-``generate(family, params)`` is the one builder: it returns the tree and its
-spec.  ``NAMES`` lists the families and ``parse_params`` reads their
+``generate(family, params)`` returns the tree and its spec.  A family is one
+``_FAMILIES`` entry: parameter names, an order function and a builder, which
+only builds: it returns the family name (``broom_even`` or ``broom_odd`` on a
+recognised broom), the edges, the expected hc and the total level (None
+without a closed form; the closed forms are integer arithmetic).  ``_instance``
+assembles every instance: the order function validates the parameters before
+the builder runs, the edge count is checked against the order, and the one
+``FamilySpec`` takes the parameters in the family's order.  ``NAMES`` lists
+the families and ``parse_params`` reads their
 ``key=value`` parameters; ``spec_meta`` is the metadata of an instance's tree
 file, and ``spec_from_meta`` checks a tree against it and returns the spec.
 ``META_KEYS`` are the metadata keys, which ``hamcolor.io`` reads and writes.
@@ -38,7 +44,6 @@ other leaves.  On the a-trees (tested for d <= 30) it attains the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import ordering as _ord
 from .errors import BadParamsError, FormatError, InternalError, SearchFailedError
@@ -56,10 +61,16 @@ class FamilySpec:
     expected_total_level: int | None = None
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise InternalError(f"{what} is not an integer: {x}")
-    return int(x)
+# what a builder returns: family name, edges, expected hc, expected total level
+_Built = tuple[str, list[tuple[int, int]], int | None, int | None]
+
+
+def _as_int(num: int, den: int, what: str) -> int:
+    """``num / den``, which a closed form promises to be an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise InternalError(f"{what} is not an integer: {num}/{den}")
+    return q
 
 
 def _star_order(n: int) -> int:
@@ -68,17 +79,8 @@ def _star_order(n: int) -> int:
     return n
 
 
-def _star(n: int) -> tuple[list[tuple[int, int]], FamilySpec]:
-    expected_n = _star_order(n)
-    edges = [(0, i) for i in range(1, n)]
-    spec = FamilySpec(
-        family="star",
-        params={"n": n},
-        expected_n=expected_n,
-        expected_hc=(n - 2) ** 2,
-        expected_total_level=n - 1,
-    )
-    return edges, spec
+def _star(n: int) -> _Built:
+    return "star", [(0, i) for i in range(1, n)], (n - 2) ** 2, n - 1
 
 
 def _broom_order(n: int, d: int) -> int:
@@ -87,43 +89,26 @@ def _broom_order(n: int, d: int) -> int:
     return n
 
 
-def _broom(n: int, d: int) -> tuple[list[tuple[int, int]], FamilySpec]:
-    expected_n = _broom_order(n, d)
+def _broom(n: int, d: int) -> _Built:
     edges = [(i, i + 1) for i in range(d - 1)]
     edges += [(0, i) for i in range(d, n)]
-    family = "broom"
-    hc = total = None
-    if d % 2 == 0:
-        k = d // 2
-        if n == k * (2 * k + 1):
-            family = "broom_even"
-            total = 2 * k * (2 * k - 1)
-            hc = 4 * k**4 + 4 * k**3 - 11 * k**2 + 2 * k + 2
-    else:
-        k = (d - 1) // 2
-        if k >= 1 and n == (k + 1) * (2 * k + 1):
-            family = "broom_odd"
-            total = 2 * k * (2 * k + 1)
-            hc = (2 * k + 1) * (2 * k**3 + 5 * k**2 - 2 * k - 1) + 2
-    spec = FamilySpec(
-        family=family,
-        params={"n": n, "d": d},
-        expected_n=expected_n,
-        expected_hc=hc,
-        expected_total_level=total,
-    )
-    return edges, spec
+    k = d // 2  # (d - 1) // 2 when d is odd
+    if d % 2 == 0 and n == k * (2 * k + 1):
+        return "broom_even", edges, 4 * k**4 + 4 * k**3 - 11 * k**2 + 2 * k + 2, 2 * k * (2 * k - 1)
+    if d % 2 == 1 and n == (k + 1) * (2 * k + 1):
+        return "broom_odd", edges, (2 * k + 1) * (2 * k**3 + 5 * k**2 - 2 * k - 1) + 2, 2 * k * (2 * k + 1)
+    return "broom", edges, None, None
 
 
 def _grow_a_tree(
-    n: int,
     edges: list[tuple[int, int]],
     pendants: list[int],
     ends: tuple[int, int],
-) -> tuple[int, list[int], tuple[int, int]]:
-    """One growth step; returns (new order, new pendant list, new ends)."""
+) -> tuple[list[int], tuple[int, int]]:
+    """One growth step of the tree ``edges`` spans, whose ids run
+    0..len(edges); returns (new pendant list, new ends)."""
     left, right = ends
-    nxt = n
+    nxt = len(edges) + 1
     new_pendants: list[int] = []
     new_left = new_right = -1
     for u in pendants:
@@ -140,7 +125,7 @@ def _grow_a_tree(
             new_left = kids[-1]
         elif u == right:
             new_right = kids[-1]
-    return nxt, new_pendants, (new_left, new_right)
+    return new_pendants, (new_left, new_right)
 
 
 def _a_tree_order(d: int) -> int:
@@ -150,32 +135,19 @@ def _a_tree_order(d: int) -> int:
     return 2 * k**2 if d % 2 == 0 else 2 * k * (k + 1) + 1
 
 
-def _a_tree(d: int) -> tuple[list[tuple[int, int]], FamilySpec]:
-    expected_n = _a_tree_order(d)
+def _a_tree(d: int) -> _Built:
+    k = d // 2
     if d % 2 == 0:
-        k = d // 2
-        n, edges, pendants, ends = 2, [(0, 1)], [0, 1], (0, 1)
-        total = _as_int(Fraction(k * (k - 1) * (4 * k + 1), 3), "a-tree total level")
-        hc = _as_int(
-            Fraction(2 * (k - 1) * (6 * k**3 + 2 * k**2 - 4 * k - 3), 3), "a-tree span"
-        )
+        edges, pendants, ends = [(0, 1)], [0, 1], (0, 1)
+        total = _as_int(k * (k - 1) * (4 * k + 1), 3, "a-tree total level")
+        hc = _as_int(2 * (k - 1) * (6 * k**3 + 2 * k**2 - 4 * k - 3), 3, "a-tree span")
     else:
-        k = (d - 1) // 2
-        n, edges, pendants, ends = 5, [(0, i) for i in range(1, 5)], [1, 2, 3, 4], (1, 2)
-        total = _as_int(Fraction(2 * k * (k + 1) * (2 * k + 1), 3), "a-tree total level")
-        hc = _as_int(Fraction(4 * k * (k + 1) * (3 * k**2 + k - 1), 3), "a-tree span") + 1
+        edges, pendants, ends = [(0, i) for i in range(1, 5)], [1, 2, 3, 4], (1, 2)
+        total = _as_int(2 * k * (k + 1) * (2 * k + 1), 3, "a-tree total level")
+        hc = _as_int(4 * k * (k + 1) * (3 * k**2 + k - 1), 3, "a-tree span") + 1
     for _ in range(k - 1):
-        n, pendants, ends = _grow_a_tree(n, edges, pendants, ends)
-    if n != expected_n:
-        raise InternalError(f"a-tree growth produced {n} vertices, expected {expected_n}")
-    spec = FamilySpec(
-        family="a_tree",
-        params={"d": d},
-        expected_n=expected_n,
-        expected_hc=hc,
-        expected_total_level=total,
-    )
-    return edges, spec
+        pendants, ends = _grow_a_tree(edges, pendants, ends)
+    return "a_tree", edges, hc, total
 
 
 def _caterpillar_order(m: int, d: int) -> int:
@@ -184,40 +156,24 @@ def _caterpillar_order(m: int, d: int) -> int:
     return m + (m - 2) * (d - 2)
 
 
-def _caterpillar(m: int, d: int) -> tuple[list[tuple[int, int]], FamilySpec]:
-    expected_n = _caterpillar_order(m, d)
+def _caterpillar(m: int, d: int) -> _Built:
     edges = [(i, i + 1) for i in range(m - 1)]
-    nxt = m
+    n = m
     for s in range(1, m - 1):
         for _ in range(d - 2):
-            edges.append((s, nxt))
-            nxt += 1
+            edges.append((s, n))
+            n += 1
+    k = m // 2  # (m - 1) // 2 when m is odd
     if m % 2 == 1:
-        k = (m - 1) // 2
         total = (k * (k + 1) - 1) * (d - 1) + 1
-        hc = _as_int(
-            Fraction(2 * d - 3, 2 * d - 2) * (expected_n - 2) ** 2 + Fraction(d - 1, 2),
-            "caterpillar span",
-        )
     else:
-        k = m // 2
         total = k * (k - 1) * (d - 1)
-        hc = _as_int(
-            Fraction(2 * d - 3, 2 * d - 2) * (expected_n - 2) ** 2, "caterpillar span"
-        )
-    if nxt != expected_n:
-        raise InternalError(f"caterpillar has {nxt} vertices, expected {expected_n}")
-    spec = FamilySpec(
-        family="caterpillar",
-        params={"m": m, "d": d},
-        expected_n=expected_n,
-        expected_hc=hc,
-        expected_total_level=total,
-    )
-    return edges, spec
+    # (2d-3)/(2d-2) (n-2)^2, plus (d-1)/2 when m is odd
+    hc = _as_int((2 * d - 3) * (n - 2) ** 2 + (m % 2) * (d - 1) ** 2, 2 * d - 2, "caterpillar span")
+    return "caterpillar", edges, hc, total
 
 
-# family -> (parameter names, order from the parameters, edges and spec)
+# family -> (parameter names, order from the parameters, builder)
 _FAMILIES = {
     "star": (("n",), _star_order, _star),
     "broom": (("n", "d"), _broom_order, _broom),
@@ -229,26 +185,38 @@ NAMES = tuple(f.replace("_", "-") for f in _FAMILIES)
 META_KEYS = ("family", "params", "expected_n", "expected_hc", "expected_total_level")
 
 
-def _lookup(family: str, params: dict[str, int]):
-    f = family.replace("-", "_")
-    f = "broom" if f in ("broom_even", "broom_odd") else f
-    if f not in _FAMILIES:
+def _lookup(family: str, params: dict[str, int]) -> tuple[str, list[int]]:
+    """The ``_FAMILIES`` key of ``family`` and the values of ``params`` in
+    that family's parameter order."""
+    key = family.replace("-", "_")
+    key = "broom" if key in ("broom_even", "broom_odd") else key
+    if key not in _FAMILIES:
         raise BadParamsError(f"unknown family {family!r}")
-    names, order, gen = _FAMILIES[f]
+    names = _FAMILIES[key][0]
     unknown = [k for k in params if k not in names]
     if unknown:
         raise BadParamsError(f"family {family!r} takes no parameter {unknown[0]!r}")
     try:
-        return order, gen, [params[k] for k in names]
+        return key, [params[k] for k in names]
     except KeyError as e:
         raise BadParamsError(f"family {family!r} needs parameter {e.args[0]!r}") from None
+
+
+def _instance(key: str, args: list[int]) -> tuple[list[tuple[int, int]], FamilySpec]:
+    """The edges and spec of family ``key`` with parameter values ``args``."""
+    names, order, build = _FAMILIES[key]
+    n = order(*args)
+    family, edges, hc, total = build(*args)
+    params = dict(zip(names, args))
+    if len(edges) != n - 1:
+        raise InternalError(f"{family} {params} has {len(edges)} edges, expected {n - 1}")
+    return edges, FamilySpec(family, params, expected_n=n, expected_hc=hc, expected_total_level=total)
 
 
 def generate(family: str, params: dict[str, int]) -> tuple[Tree, FamilySpec]:
     """Build the instance and its spec; the family is named as in
     :data:`NAMES` or as in a spec ("a-tree" and "a_tree" both accepted)."""
-    _, make, args = _lookup(family, params)
-    edges, spec = make(*args)
+    edges, spec = _instance(*_lookup(family, params))
     return Tree(spec.expected_n, edges), spec
 
 
@@ -288,9 +256,9 @@ def spec_from_meta(tree: Tree, meta: dict[str, str]) -> FamilySpec | None:
     validated, sorted ones, so no second tree is built."""
     if "family" not in meta or "params" not in meta:
         return None
-    order, make, args = _lookup(meta["family"], parse_params(meta["params"]))
-    if order(*args) == tree.n:
-        edges, spec = make(*args)
+    key, args = _lookup(meta["family"], parse_params(meta["params"]))
+    if _FAMILIES[key][1](*args) == tree.n:
+        edges, spec = _instance(key, args)
         if sorted(edges) == list(tree.edges):
             return spec
     raise FormatError("tree does not match its family metadata")

@@ -25,6 +25,7 @@ Everything here requires n >= 4 and maximum degree >= 3.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -66,11 +67,17 @@ class Certificate:
 
 
 def validate_ordering(n: int, order: Sequence[int]) -> list[int]:
-    """Check that ``order`` is a permutation of 0..n-1 and return it as a list."""
+    """Check that ``order`` is a permutation of 0..n-1 and return it as a list
+    of plain ints; an entry is read with ``operator.index``, so ``1.0`` is
+    rejected and ``True`` is read as 1."""
     o = list(order)
-    if len(o) != n or sorted(o) != list(range(n)):
+    try:
+        ints: list[int] | None = list(map(operator.index, o))
+    except TypeError:
+        ints = None
+    if ints is None or len(ints) != n or sorted(ints) != list(range(n)):
         raise NotAPermutationError(f"ordering must be a permutation of 0..{n - 1}, got {o!r}")
-    return o
+    return ints
 
 
 def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:

@@ -1,8 +1,9 @@
 import oracles
 import pytest
 
+from hamcolor import families
 from hamcolor.bounds import is_applicable, lower_bound_weight
-from hamcolor.errors import BadParamsError, NotApplicableError
+from hamcolor.errors import BadParamsError, InternalError, NotApplicableError
 from hamcolor.families import (
     META_KEYS,
     FamilySpec,
@@ -152,6 +153,10 @@ class TestGenerate:
         assert t.n == 8
         assert generate("star", {"n": 4})[1].family == "star"
         assert generate("broom", {"n": 10, "d": 4})[1].family == "broom_even"
+        # params follow the family's parameter order, not the caller's
+        _, spec = generate("broom", {"d": 4, "n": 10})
+        assert list(spec.params.items()) == [("n", 10), ("d", 4)]
+        assert spec_meta(spec)["params"] == "n=10,d=4"
 
     def test_missing_and_unknown(self):
         with pytest.raises(BadParamsError):
@@ -193,6 +198,30 @@ class TestGenerate:
             closed_form_hc(generate("broom", {"n": 9, "d": 4})[1])
         with pytest.raises(BadParamsError):
             closed_form_hc(FamilySpec("star", {"n": 4}))  # recognised family, no value
+
+
+class TestAssembly:
+    SMALL = {"star": {"n": 5}, "broom": {"n": 10, "d": 4}, "a_tree": {"d": 4}, "caterpillar": {"m": 4, "d": 3}}
+
+    def test_every_builder_edge_count_is_checked(self, monkeypatch):
+        assert set(self.SMALL) == set(families._FAMILIES)
+        for key, params in self.SMALL.items():
+            names, order, build = families._FAMILIES[key]
+
+            def short(*args, build=build):
+                family, edges, hc, total = build(*args)
+                return family, edges[:-1], hc, total
+
+            with monkeypatch.context() as m:
+                m.setitem(families._FAMILIES, key, (names, order, short))
+                with pytest.raises(InternalError) as err:
+                    generate(key, params)
+            assert key in str(err.value) and "edges" in str(err.value)
+
+    def test_closed_form_division_must_be_exact(self):
+        assert families._as_int(12, 3, "a-tree span") == 4
+        with pytest.raises(InternalError, match="a-tree span is not an integer"):
+            families._as_int(13, 3, "a-tree span")
 
 
 class TestFamilyOrdering:

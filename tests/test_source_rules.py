@@ -2,11 +2,15 @@
 
 ``python -O`` strips ``assert`` statements, so invariants raise
 ``InternalError`` instead; only the command-line layer writes to the
-terminal; and ``families`` owns every family decision, so no other module
-names a family.
+terminal; ``families`` owns every family decision, so no other module
+names a family; and the closed forms are integer arithmetic, so the package
+does not load ``fractions``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hamcolor
@@ -40,3 +44,11 @@ def test_only_families_names_a_family():
             if isinstance(node, ast.Constant) and node.value in FAMILY_NAMES:
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert found == []
+
+
+def test_cli_does_not_load_fractions():
+    src = str(Path(hamcolor.__file__).resolve().parent.parent)
+    probe = "import sys, hamcolor.cli; print('fractions' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
