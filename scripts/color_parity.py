@@ -27,7 +27,9 @@ instances, recognised and off-family brooms, both a-tree parities and both
 caterpillar m parities, parameters given out of order, and rejected ones
 (too small, unknown, missing, given twice, not an integer); its stdout,
 stderr and exit code must be identical.  The exit-code counts of each verb
-are printed.  Exits 1 and names the first differing inputs on a mismatch.
+are printed, and so is the line count of each ``src/hamcolor/*.py`` file and
+their total, at REV and in the working tree, with the net change.  Exits 1
+and names the first differing inputs on a mismatch.
 
     python3 scripts/color_parity.py HEAD
     python3 scripts/color_parity.py HEAD~1 --prufer 300
@@ -147,6 +149,11 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
         (workdir / "exact12" / f"prufer_s{seed}_n12.tree").write_text(_tree_text(12, edges))
 
 
+def line_counts(src: Path) -> dict[str, int]:
+    """Lines of each module of the package at ``src``, as ``wc -l`` counts them."""
+    return {p.name: p.read_bytes().count(b"\n") for p in sorted((src / "hamcolor").glob("*.py"))}
+
+
 def _call(main, argv: list[str]) -> list:
     """[exit code, stdout, stderr] of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -197,6 +204,7 @@ def main() -> int:
                                  check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "rev", filter="data")
+        lines = [line_counts(src) for src in (tmp / "rev" / "src", REPO / "src")]
         workdir = tmp / "inputs"
         workdir.mkdir()
         make_inputs(tmp / "rev" / "src", workdir, args.prufer)
@@ -245,6 +253,10 @@ def main() -> int:
             for side in (old, new)
         )
         print(f"{verb}: {sum(before.values())} inputs, exit codes at {args.rev}: {before}, working tree: {after}")
+    print(f"src/hamcolor lines at {args.rev} -> working tree:")
+    for module in sorted(lines[0].keys() | lines[1].keys()) + ["total"]:
+        before, after = (sum(side.values()) if module == "total" else side.get(module, 0) for side in lines)
+        print(f"  {module:<12} {before:>5} -> {after:>5} ({after - before:+d})")
     if differ or set(new) != set(old):
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
         return 1

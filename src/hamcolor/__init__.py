@@ -8,9 +8,9 @@ Modules
 -------
 tree      tree structure, weight centers, levels, branch bookkeeping
 bounds    weight-center and graph-center lower bounds
-ordering  ordering certificates and the arithmetic coloring they induce
+ordering  walks along a vertex ordering: certificates, colorings, pair window
 families  stars, brooms, a-trees, caterpillars with closed forms
-solver    verification and exact branch-and-bound search
+solver    coloring verification and exact branch-and-bound search
 io        text formats and DOT export
 cli       command-line interface
 """
@@ -34,6 +34,7 @@ from .ordering import (
     Coloring,
     check_spacing,
     coloring_from_ordering,
+    min_span_for_order,
     search_ordering,
     validate_ordering,
 )
@@ -41,7 +42,6 @@ from .solver import (
     ExactResult,
     Violation,
     exact_hc,
-    min_span_for_order,
     search_backend,
     verify_coloring,
 )

@@ -25,11 +25,12 @@ only builds: it returns the family name (``broom_even`` or ``broom_odd`` on a
 recognised broom), the edges, the expected hc and the total level (None
 without a closed form; the closed forms are integer arithmetic).  ``_instance``
 assembles every instance: the order function validates the parameters before
-the builder runs, the edge count is checked against the order, and the one
+the builder runs, the edge count is checked against the order, a name other
+than the ``_FAMILIES`` key must be the one the builder returns, and the one
 ``FamilySpec`` takes the parameters in the family's order.  ``NAMES`` lists
-the families and ``parse_params`` reads their
-``key=value`` parameters; ``spec_meta`` is the metadata of an instance's tree
-file, and ``spec_from_meta`` checks a tree against it and returns the spec.
+the families and ``parse_params`` reads their ``key=value`` parameters;
+``spec_meta`` is the metadata of an instance's tree file, and
+``spec_from_meta`` checks a tree against it and returns the spec.
 ``META_KEYS`` are the metadata keys, which ``hamcolor.io`` reads and writes.
 ``family_certificate`` certifies the one ordering path of every family, the
 greedy of ``ordering.search_ordering``, with ``check_spacing`` (the paper's
@@ -185,11 +186,11 @@ NAMES = tuple(f.replace("_", "-") for f in _FAMILIES)
 META_KEYS = ("family", "params", "expected_n", "expected_hc", "expected_total_level")
 
 
-def _lookup(family: str, params: dict[str, int]) -> tuple[str, list[int]]:
-    """The ``_FAMILIES`` key of ``family`` and the values of ``params`` in
-    that family's parameter order."""
-    key = family.replace("-", "_")
-    key = "broom" if key in ("broom_even", "broom_odd") else key
+def _lookup(family: str, params: dict[str, int]) -> tuple[str, str, list[int]]:
+    """``family`` with ``-`` read as ``_``, its ``_FAMILIES`` key and the
+    values of ``params`` in that family's parameter order."""
+    name = family.replace("-", "_")
+    key = "broom" if name in ("broom_even", "broom_odd") else name
     if key not in _FAMILIES:
         raise BadParamsError(f"unknown family {family!r}")
     names = _FAMILIES[key][0]
@@ -197,25 +198,29 @@ def _lookup(family: str, params: dict[str, int]) -> tuple[str, list[int]]:
     if unknown:
         raise BadParamsError(f"family {family!r} takes no parameter {unknown[0]!r}")
     try:
-        return key, [params[k] for k in names]
+        return name, key, [params[k] for k in names]
     except KeyError as e:
         raise BadParamsError(f"family {family!r} needs parameter {e.args[0]!r}") from None
 
 
-def _instance(key: str, args: list[int]) -> tuple[list[tuple[int, int]], FamilySpec]:
-    """The edges and spec of family ``key`` with parameter values ``args``."""
+def _instance(name: str, key: str, args: list[int]) -> tuple[list[tuple[int, int]], FamilySpec]:
+    """The edges and spec of family ``key`` with parameter values ``args``,
+    named ``name``: the key, or the family the builder returns."""
     names, order, build = _FAMILIES[key]
     n = order(*args)
     family, edges, hc, total = build(*args)
     params = dict(zip(names, args))
     if len(edges) != n - 1:
         raise InternalError(f"{family} {params} has {len(edges)} edges, expected {n - 1}")
+    if name not in (key, family):
+        raise BadParamsError(f"parameters {params} build {family!r}, not {name!r}")
     return edges, FamilySpec(family, params, expected_n=n, expected_hc=hc, expected_total_level=total)
 
 
 def generate(family: str, params: dict[str, int]) -> tuple[Tree, FamilySpec]:
     """Build the instance and its spec; the family is named as in
-    :data:`NAMES` or as in a spec ("a-tree" and "a_tree" both accepted)."""
+    :data:`NAMES` or as in a spec ("a-tree" and "a_tree" both accepted), and
+    as a sub-family only where the parameters build that sub-family."""
     edges, spec = _instance(*_lookup(family, params))
     return Tree(spec.expected_n, edges), spec
 
@@ -256,9 +261,9 @@ def spec_from_meta(tree: Tree, meta: dict[str, str]) -> FamilySpec | None:
     validated, sorted ones, so no second tree is built."""
     if "family" not in meta or "params" not in meta:
         return None
-    key, args = _lookup(meta["family"], parse_params(meta["params"]))
+    name, key, args = _lookup(meta["family"], parse_params(meta["params"]))
     if _FAMILIES[key][1](*args) == tree.n:
-        edges, spec = _instance(key, args)
+        edges, spec = _instance(name, key, args)
         if sorted(edges) == list(tree.edges):
             return spec
     raise FormatError("tree does not match its family metadata")

@@ -1,4 +1,5 @@
-"""Ordering certificates and the arithmetic coloring they induce.
+"""Every walk along a vertex sequence: the pair window, ordering
+certificates and the colorings an ordering induces.
 
 A hamiltonian coloring must satisfy  d(u, v) + |h(u) - h(v)| >= n - 1  for
 every vertex pair.  On trees whose weight-center lower bound is attained, an
@@ -7,19 +8,17 @@ ordering and add, at each step,
 
     increment(i) = (n - 1 - b) - level(x_i) - level(x_{i+1})
 
-where b is 1 for two weight centers and 0 for one.  This module provides
+where b is 1 for two weight centers and 0 for one.  ``check_spacing``, the
+one certificate check, is the paper's necessary and sufficient condition:
+the induced coloring attains the bound if and only if it holds.  It builds
+that coloring in one pass and checks it with ``_window``, the one pair
+check, along the same ordering (``solver.verify_coloring`` runs the window
+over the vertices sorted by color).  ``search_ordering`` is a deterministic
+greedy that builds one ordering and returns its certificate, and
+``min_span_for_order`` is the greedy completion: the least valid colors
+along any ordering, which completes ``solver.exact_hc``'s witness.
 
-* ``check_spacing``   -- the one certificate check, the paper's necessary and
-                         sufficient condition: the induced coloring attains
-                         the bound if and only if it holds.  It builds that
-                         coloring in one pass along the ordering, checks it
-                         with the solver's window walk along the same
-                         ordering, and returns a ``Certificate`` holding the
-                         ordering and the coloring, or the first failure;
-* ``search_ordering`` -- a deterministic greedy that builds one ordering and
-                         returns its certificate.
-
-Everything here requires n >= 4 and maximum degree >= 3.
+The certificates require n >= 4 and maximum degree >= 3.
 """
 
 from __future__ import annotations
@@ -80,6 +79,36 @@ def validate_ordering(n: int, order: Sequence[int]) -> list[int]:
     return ints
 
 
+def _window(rv: RootedView, seq: Sequence[int], cs: Sequence[int], first: int = 1):
+    """Yield (i, j, need = n - 1 - d, gap) for each pair of positions i < j of
+    ``seq`` that violates the condition, in (i, j) order.  ``cs[i]``, the
+    color of ``seq[i]``, must not fall; pairs under ``first`` apart are skipped.
+
+    Only pairs less than n - 1 colors apart can violate.  Vertices in
+    different branches meet through the center(s): only same-branch pairs
+    ask ``rv._distance``."""
+    n, reach = rv.n, rv.n - 1
+    level, branch, side, b = rv.level, rv.branch, rv.side, rv.bicentral
+    for i in range(n - first):
+        cu = cs[i]
+        if cs[i + first] - cu >= reach:  # empty window: read nothing else
+            continue
+        u = seq[i]
+        lu, bu, su = level[u], branch[u], side[u]
+        j = i + first
+        while True:
+            v = seq[j]
+            if bu is None or bu != branch[v]:
+                need = reach - lu - level[v] - (b and su != side[v])
+            else:
+                need = reach - rv._distance(u, v)  # ids from range(n) or an ordering
+            if (gap := cs[j] - cu) < need:
+                yield i, j, need, gap
+            j += 1
+            if j == n or cs[j] - cu >= reach:
+                break
+
+
 def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
     """Certify ``order``: the exact condition for its induced coloring to
     attain the weight-center lower bound.
@@ -93,13 +122,11 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
     branch (two centers: lie on opposite sides), read from ``branch`` and
     ``side`` without a distance query.  One pass checks that and adds up the
     increments, each then n - 1 - d >= 0, so the colors rise along the
-    ordering: the solver's window walk checks the other pairs along it, with
-    no sort, in (i, j) order, and stops at the first failure.  Reported: the
+    ordering: the window walk checks the other pairs along it, with no
+    sort, in (i, j) order, and stops at the first failure.  Reported: the
     first failing consecutive pair, else the first (i, j).  On success the
     certificate holds the ordering and the coloring that was verified.
     """
-    from .solver import _window  # solver imports this module
-
     require_applicable(rv.tree, "ordering certificates")
     o = validate_ordering(rv.n, order)
     n = rv.n
@@ -147,6 +174,28 @@ def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
             )
         c += inc
         colors[o[i + 1]] = c
+    return Coloring(tuple(colors))
+
+
+def min_span_for_order(rv: RootedView, order: Sequence[int]) -> Coloring:
+    """Greedy completion: each vertex takes the least color consistent with
+    everything placed before it.  Minimal among colorings whose sorted vertex
+    order refines ``order`` (ties allowed); always a valid coloring.  Colors
+    rise along ``order`` and a vertex asks at most n - 2 above its own, so the
+    placed vertices are scanned newest-first until one is that far below."""
+    o = validate_ordering(rv.n, order)
+    n = rv.n
+    distance = rv._distance  # the ids come from the validated ordering
+    colors = [0] * n
+    for i in range(1, n):
+        v = o[i]
+        c = 0
+        for j in range(i - 1, -1, -1):
+            u = o[j]
+            if colors[u] + n - 2 <= c:
+                break
+            c = max(c, colors[u] + n - 1 - distance(u, v))
+        colors[v] = c
     return Coloring(tuple(colors))
 
 

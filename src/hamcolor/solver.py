@@ -1,13 +1,13 @@
 """Coloring verification and the exact solver.
 
-One color window walk checks the hamiltonian condition over vertex pairs:
-``verify_coloring`` runs it over the vertices sorted by color,
-``ordering.check_spacing`` along its ordering.  Only ``exact_hc`` builds an
-n x n distance matrix.
+``verify_coloring`` sorts the vertices by color and checks the hamiltonian
+condition with the window walk of ``ordering``, where every walk along a
+vertex sequence lives.  Only ``exact_hc`` builds an n x n distance matrix.
 
 ``exact_hc`` minimises, over all vertex orderings, the span of the greedy
-color completion along the ordering; the completion is pointwise minimal for
-a fixed ordering, so the overall minimum is the hamiltonian chromatic number.
+color completion along the ordering (``ordering.min_span_for_order``); the
+completion is pointwise minimal for a fixed ordering, so the overall minimum
+is the hamiltonian chromatic number.
 The search runs on the pure-Python kernel in ``_bnb_py`` (reported by
 :func:`search_backend`).  Node budgets are deterministic, so runs are
 reproducible.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
 
 from .bounds import lower_bound_weight
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     NegativeColorError,
     TooLargeError,
 )
-from .ordering import Coloring, validate_ordering
+from .ordering import Coloring, _window, min_span_for_order
 from . import _bnb_py as _kernel
 from .tree import RootedView
 
@@ -67,36 +66,6 @@ class ExactResult:
         return self.ub if self.proved_optimal else None
 
 
-def _window(rv: RootedView, seq: Sequence[int], cs: Sequence[int], first: int = 1):
-    """Yield (i, j, need = n - 1 - d, gap) for each pair of positions i < j of
-    ``seq`` that violates the condition, in (i, j) order.  ``cs[i]``, the
-    color of ``seq[i]``, must not fall; pairs under ``first`` apart are skipped.
-
-    Only pairs less than n - 1 colors apart can violate.  Vertices in
-    different branches meet through the center(s): only same-branch pairs
-    ask ``rv._distance``."""
-    n, reach = rv.n, rv.n - 1
-    level, branch, side, b = rv.level, rv.branch, rv.side, rv.bicentral
-    for i in range(n - first):
-        cu = cs[i]
-        if cs[i + first] - cu >= reach:  # empty window: read nothing else
-            continue
-        u = seq[i]
-        lu, bu, su = level[u], branch[u], side[u]
-        j = i + first
-        while True:
-            v = seq[j]
-            if bu is None or bu != branch[v]:
-                need = reach - lu - level[v] - (b and su != side[v])
-            else:
-                need = reach - rv._distance(u, v)  # ids from range(n) or an ordering
-            if (gap := cs[j] - cu) < need:
-                yield i, j, need, gap
-            j += 1
-            if j == n or cs[j] - cu >= reach:
-                break
-
-
 def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
     """All pairs violating  d(u, v) + |h(u) - h(v)| >= n - 1;  empty means valid.
 
@@ -118,28 +87,6 @@ def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
         for i, j, need, gap in _window(rv, by_color, [colors[v] for v in by_color])
     ]
     return sorted(out, key=lambda viol: (viol.u, viol.v))
-
-
-def min_span_for_order(rv: RootedView, order: Sequence[int]) -> Coloring:
-    """Greedy completion: each vertex takes the least color consistent with
-    everything placed before it.  Minimal among colorings whose sorted vertex
-    order refines ``order`` (ties allowed); always a valid coloring.  Colors
-    rise along ``order`` and a vertex asks at most n - 2 above its own, so the
-    placed vertices are scanned newest-first until one is that far below."""
-    o = validate_ordering(rv.n, order)
-    n = rv.n
-    distance = rv._distance  # the ids come from the validated ordering
-    colors = [0] * n
-    for i in range(1, n):
-        v = o[i]
-        c = 0
-        for j in range(i - 1, -1, -1):
-            u = o[j]
-            if colors[u] + n - 2 <= c:
-                break
-            c = max(c, colors[u] + n - 1 - distance(u, v))
-        colors[v] = c
-    return Coloring(tuple(colors))
 
 
 def _flat_distances(rv: RootedView) -> array:

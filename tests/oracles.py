@@ -13,7 +13,8 @@ it pruned with the weight-center bound, kept verbatim as an oracle for the
 pruning rules added since; ``rescan_bnb_exact`` is the kernel with every
 rule it has now, as it was before each placement fused its bookkeeping into
 one pass over the unplaced vertices, kept verbatim as the reference for the
-same search, node for node; ``twin_before`` is the twin rule as the kernel
+same search, node for node, with its levels from ``weight_levels`` here, not
+the kernel's; ``twin_before`` is the twin rule as the kernel
 first had it, a comparison of distance rows.  ``certify_alternation`` is the
 package's former certificate check, a weaker sufficient condition read from
 the package's levels and bounds, kept as the reference that ``check_spacing``
@@ -33,7 +34,6 @@ from typing import Sequence
 
 import networkx as nx
 
-from hamcolor._bnb_py import weight_levels
 from hamcolor.bounds import bound_formula, lower_bound_weight, require_applicable
 from hamcolor.errors import BadVertexIdError, FormatError, InternalError, NotATreeError
 from hamcolor.ordering import Certificate, Coloring, validate_ordering
@@ -207,6 +207,17 @@ def bnb_exact(
     if state["best_order"] is None:
         return -1, None, state["nodes"], state["limit_hit"]
     return state["best_span"], state["best_order"], state["nodes"], state["limit_hit"]
+
+
+def weight_levels(dist: Sequence[int], n: int) -> tuple[list[int], bool]:
+    """Levels below the weight center(s), and whether there are two, from the
+    flat distance matrix of a tree: the centers are networkx's barycenter of
+    the graph on the pairs at distance 1."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((u, v) for u in range(n) for v in range(u + 1, n) if dist[u * n + v] == 1)
+    centers = nx.barycenter(g)
+    return [min(dist[w * n + v] for w in centers) for v in range(n)], len(centers) == 2
 
 
 def rescan_bnb_exact(

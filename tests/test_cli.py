@@ -220,7 +220,7 @@ class TestColor:
 
         monkeypatch.setattr(RootedView, "__init__", counting("analyses", RootedView.__init__))
         monkeypatch.setattr(ordering, "check_spacing", counting("checks", ordering.check_spacing))
-        monkeypatch.setattr(solver, "_window", counting("walks", solver._window))
+        monkeypatch.setattr(ordering, "_window", counting("walks", ordering._window))
         color = counting("colorings", ordering.coloring_from_ordering)
         monkeypatch.setattr(ordering, "coloring_from_ordering", color)
         monkeypatch.setattr(cli, "coloring_from_ordering", color, raising=False)
@@ -320,6 +320,14 @@ class TestColor:
         assert code == 1
         assert "does not match" in err
 
+    def test_false_sub_family_claim_exit_1(self, run, tmp_path):
+        # a broom that is not broom_odd may not claim to be one
+        path = str(tmp_path / "claim.tree")
+        t = generate("broom", {"n": 9, "d": 4})[0]
+        open(path, "w").write(format_tree(t, {"family": "broom_odd", "params": "n=9,d=4"}))
+        code, out, err = run("color", "--json", path)
+        assert code == 1 and out == ""
+        assert err == "error: parameters {'n': 9, 'd': 4} build 'broom', not 'broom_odd'\n"
 
     def test_unknown_or_repeated_metadata_param_exit_1(self, run, tmp_path):
         path = str(tmp_path / "star.tree")
@@ -565,6 +573,38 @@ class TestJsonOutput:
                         continue
                     assert code in (0, 2), (argv, err)
                     assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+class TestInternalGuards:
+    """Invariants that no input can break, forced one at a time: each exits 5
+    with its message and no traceback."""
+
+    @staticmethod
+    def lenient_int(tok, what):
+        # io's slow reader names the first bad line; this one finds none
+        return int(tok) if tok.isdigit() else 0
+
+    @pytest.mark.parametrize("case", ["tree", "coloring", "apart", "unbalanced"])
+    def test_exit_5_without_traceback(self, case, run, tmp_path, monkeypatch):
+        star = tmp_path / "star.tree"
+        star.write_text("5\n0 1\n0 2\n0 3\n0 4\n")
+        if case in ("tree", "coloring"):
+            monkeypatch.setattr(hamcolor.io, "_int", self.lenient_int)
+        if case == "tree":
+            star.write_text("5\n0 1\n0 2\n0 3\n0 x\n")
+            argv, want = ("color", str(star)), "an edge list the fast reader rejected has no bad line"
+        elif case == "coloring":
+            bad = tmp_path / "bad.coloring"
+            bad.write_text("0 0\n1 x\n2 5\n3 7\n4 9\n")
+            argv, want = ("verify", str(star), str(bad)), "a coloring file the fast reader rejected has no bad line"
+        elif case == "apart":
+            monkeypatch.setattr(hamcolor.tree, "weight_centers", lambda t: frozenset({1, 2}))
+            argv, want = ("color", str(star)), "weight centers [1, 2] are not adjacent"
+        else:
+            monkeypatch.setattr(hamcolor.tree, "weight_centers", lambda t: frozenset({0, 1}))
+            argv, want = ("color", str(star)), "halves at weight centers [0, 1] do not balance"
+        code, out, err = run(*argv)
+        assert (code, out, err) == (5, "", f"internal error: {want}\n")
 
 
 class TestNonUtf8Input:

@@ -168,8 +168,10 @@ class TestGenerate:
         # the metadata gen writes reads back through a tree file as the spec,
         # every key it fills included, and a bad family or parameter fails
         # there as in generate
+        brooms = [{"n": n, "d": d} for n in range(3, 12) for d in range(2, n)]
+        even = [p for p in brooms if generate("broom", p)[1].family == "broom_even"]
         cases = [("star", {"n": n}) for n in range(3, 9)]
-        cases += [(f, {"n": n, "d": d}) for f in ("broom", "broom_even") for n in range(3, 12) for d in range(2, n)]
+        cases += [("broom", p) for p in brooms] + [("broom_even", p) for p in even]
         cases += [(f, {"d": d}) for f in ("a-tree", "a_tree") for d in range(2, 12)]
         cases += [("caterpillar", {"m": m, "d": d}) for m in range(3, 10) for d in range(3, 7)]
         for family, params in cases:
@@ -184,13 +186,24 @@ class TestGenerate:
         bad = [("star", {"n": 2}), ("star", {}), ("broom", {"n": 4, "d": 4}), ("broom_odd", {"d": 3}),
                ("a-tree", {"d": 1}), ("caterpillar", {"m": 2, "d": 3}), ("caterpillar", {"m": 4}),
                ("wheel", {"n": 5}), ("star", {"n": 5, "q": 3}), ("broom", {"n": 9, "d": 4, "m": 3})]
-        for family, params in bad:
+        bad = [(family, params, t) for family, params in bad]
+        # a broom_even claim on any other broom, read against that broom's tree
+        bad += [("broom_even", p, generate("broom", p)[0]) for p in brooms if p not in even]
+        for family, params, tree in bad:
             with pytest.raises(BadParamsError) as gen_err:
                 generate(family, params)
             meta = {"family": family, "params": ",".join(f"{k}={v}" for k, v in params.items())}
             with pytest.raises(BadParamsError) as meta_err:
-                spec_from_meta(t, meta)
+                spec_from_meta(tree, meta)
             assert str(meta_err.value) == str(gen_err.value)
+
+    def test_sub_family_claim_must_match(self):
+        with pytest.raises(BadParamsError, match="build 'broom_odd', not 'broom_even'"):
+            generate("broom-even", {"n": 6, "d": 3})
+        # plain broom stays valid for every broom, recognised ones included
+        t, spec = generate("broom", {"n": 10, "d": 4})
+        back = spec_from_meta(t, {"family": "broom", "params": "n=10,d=4"})
+        assert back == spec and back.family == "broom_even"
 
     def test_closed_form_lookup(self):
         assert closed_form_hc(generate("star", {"n": 6})[1]) == 16

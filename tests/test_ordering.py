@@ -6,7 +6,9 @@ import pytest
 import oracles
 
 from hamcolor.bounds import is_applicable, lower_bound_weight
+from hamcolor import ordering
 from hamcolor.errors import (
+    InternalError,
     NegativeIncrementError,
     NotApplicableError,
     NotAPermutationError,
@@ -18,10 +20,11 @@ from hamcolor.ordering import (
     Coloring,
     check_spacing,
     coloring_from_ordering,
+    min_span_for_order,
     search_ordering,
     validate_ordering,
 )
-from hamcolor.solver import min_span_for_order, verify_coloring
+from hamcolor.solver import verify_coloring
 from hamcolor.tree import Tree, analyze
 
 
@@ -132,6 +135,20 @@ class TestCheckSpacing:
                     kind = "consecutive"
                 seen.add(kind)
         assert seen == {"ok", "endpoints", "window", "consecutive"}
+
+    def test_negative_increment_guard(self):
+        # analyze() never gives two vertices of different branches levels
+        # summing past n - 1; a doctored view does
+        rv = analyze(generate("star", {"n": 5})[0])
+        rv.level = (0, 1, 10, 1, 1)
+        with pytest.raises(InternalError, match="negative increment between vertices that share no branch"):
+            check_spacing(rv, [0, 1, 2, 3, 4])
+
+    def test_span_guard(self, monkeypatch):
+        rv = analyze(generate("star", {"n": 5})[0])
+        monkeypatch.setattr(ordering, "lower_bound_weight", lambda rv: -1)
+        with pytest.raises(InternalError, match="certified span 9 != weight-center bound -1"):
+            check_spacing(rv, [0, 1, 2, 3, 4])
 
     def test_deep_caterpillar_without_matrix(self, monkeypatch):
         # n = 9,998 at depth 1,250: no n x n matrix, and the window keeps the
@@ -335,6 +352,14 @@ class TestSearchOrdering:
         # certified ordering exists
         with pytest.raises(SearchFailedError, match="positions 1,3: distance 1 < required 4"):
             search_ordering(analyze(spider_331()))
+
+    def test_no_allowed_branch_guard(self):
+        # a doctored view with one branch holding three of four vertices: the
+        # greedy runs out of branches other than the one it just used
+        rv = analyze(generate("star", {"n": 5})[0])
+        rv.branch, rv.branch_roots = (None, 0, 0, 0, 1), (1, 4)
+        with pytest.raises(InternalError, match="no allowed branch has an unplaced vertex"):
+            search_ordering(rv)
 
     def test_corpus_successes_are_optimal(self, corpus, exact_of):
         succeeded = 0

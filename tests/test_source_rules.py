@@ -3,11 +3,13 @@
 ``python -O`` strips ``assert`` statements, so invariants raise
 ``InternalError`` instead; only the command-line layer writes to the
 terminal; ``families`` owns every family decision, so no other module
-names a family; and the closed forms are integer arithmetic, so the package
-does not load ``fractions``.
+names a family; the closed forms are integer arithmetic, so the package
+does not load ``fractions``; and the modules import each other only at
+module level and without a cycle.
 """
 
 import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -52,3 +54,38 @@ def test_cli_does_not_load_fractions():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def _package_imports(tree: ast.Module):
+    """(node, module) for each import of a package module; a bare
+    ``hamcolor`` is its ``__init__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = ("hamcolor." + (node.module or "")).rstrip(".") if node.level else node.module or ""
+            names = [f"{base}.{a.name}" for a in node.names] if base == "hamcolor" else [base]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".") + ["__init__"]
+            if parts[0] == "hamcolor":
+                yield node, parts[1]
+
+
+def test_package_imports_are_module_level_and_acyclic():
+    # an import inside a function hides a cycle between two modules
+    sources = sorted(Path(hamcolor.__file__).resolve().parent.glob("*.py"))
+    modules = {p.stem for p in sources}
+    graph, nested = {}, []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        top = set(map(id, tree.body))
+        graph[path.stem] = set()
+        for node, target in _package_imports(tree):
+            assert target in modules, f"{path.name}:{node.lineno} imports {target!r}"
+            graph[path.stem].add(target)
+            if id(node) not in top:
+                nested.append(f"{path.name}:{node.lineno} imports {target}")
+    assert nested == []
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
