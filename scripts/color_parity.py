@@ -9,7 +9,12 @@ compares the calls one by one.  ``color`` runs on five large family shapes
 (star n=1500, caterpillar m=201 d=5, a-tree d=30, broom n=465 d=30 and broom
 n=600 d=25), each with its family metadata and relabelled without it, plus
 seeded Prufer trees with n from 4 to 40; its stdout, stderr, exit code and
-written coloring file must be identical.  ``verify`` and ``verify --json``
+written coloring file must be identical.  The ``hubs`` set runs ``color`` in
+the same way on trees whose weight centers carry many leaves: stars and
+brooms, each with its family metadata and relabelled without it, and double
+stars and spiders with unit legs and one long leg, each as built and
+relabelled; it is compared byte for byte and its exit codes are counted
+apart from ``color``'s.  ``verify`` and ``verify --json``
 run on the coloring that REV's ``color`` wrote for each of those inputs and
 on a copy with the colors of three seeded vertices rotated; their stdout,
 stderr and exit code must be identical.  ``analyze --json`` and
@@ -58,12 +63,23 @@ SHAPES = [
     ("broom", {"n": 465, "d": 30}),
     ("broom", {"n": 600, "d": 25}),
 ]
+# the hubs set: (family, params) with metadata, then (name, edges) without
+HUB_FAMILIES = [("star", {"n": n}) for n in (4, 5, 9, 40, 301)] + [
+    ("broom", {"n": n, "d": d}) for n, d in ((6, 3), (10, 4), (21, 5), (50, 3), (120, 10), (300, 7))]
+HUB_SHAPES = (
+    [(f"double_star{a}_{b}", [(0, 1)] + [(0, 2 + i) for i in range(a)] + [(1, 2 + a + i) for i in range(b)])
+     for a, b in ((2, 2), (3, 3), (10, 10), (40, 40), (5, 8), (150, 150))]
+    + [(f"spider{long}_{k}", [(0 if i == 0 else i, i + 1) for i in range(long)]
+        + [(0, long + 1 + i) for i in range(k)])
+       for long, k in ((2, 2), (3, 5), (6, 6), (5, 20), (12, 60), (30, 200))]
+)
 # seeds of Prufer trees with n = 12 and hc > lb, for exact past the benchmark's n <= 10
 EXACT12_SEEDS = (5, 113, 153, 243)
 # (label, inputs, argv before the file, suffix of the written coloring or None);
 # a verify input is a coloring in colorings/, named after its tree
 RUNS = (
     ("color", "*.tree", ["color", "--json"], ".coloring"),
+    ("hubs", "hubs/*.tree", ["color", "--json"], ".coloring"),
     ("verify", "colorings/*.coloring", ["verify"], None),
     ("verify --json", "colorings/*.coloring", ["verify", "--json"], None),
     ("analyze", "*.tree", ["analyze", "--json"], None),
@@ -105,6 +121,13 @@ def _tree_text(n: int, edges, meta: dict | None = None) -> str:
     return head + f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
+def _relabel(name: str, n: int, edges) -> list[tuple[int, int]]:
+    """``edges`` under a permutation of 0..n-1 seeded by ``name``."""
+    perm = list(range(n))
+    random.Random(name).shuffle(perm)
+    return [(perm[u], perm[v]) for u, v in edges]
+
+
 def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
     """Write the input tree files; families come from the package at ``src``,
     and so do the colorings that ``verify`` checks."""
@@ -117,10 +140,18 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
         name = spec.family + "_" + "_".join(f"{k}{v}" for k, v in params.items())
         meta = {"family": spec.family, "params": ",".join(f"{k}={v}" for k, v in spec.params.items())}
         (workdir / f"{name}.meta.tree").write_text(_tree_text(tree.n, tree.edges, meta))
-        perm = list(range(tree.n))
-        random.Random(name).shuffle(perm)
-        plain = [(perm[u], perm[v]) for u, v in tree.edges]
-        (workdir / f"{name}.plain.tree").write_text(_tree_text(tree.n, plain))
+        (workdir / f"{name}.plain.tree").write_text(_tree_text(tree.n, _relabel(name, tree.n, tree.edges)))
+    (workdir / "hubs").mkdir()
+    for fam, params in HUB_FAMILIES:
+        tree, spec = generate(fam, params)
+        name = spec.family + "_" + "_".join(f"{k}{v}" for k, v in params.items())
+        meta = {"family": spec.family, "params": ",".join(f"{k}={v}" for k, v in spec.params.items())}
+        (workdir / "hubs" / f"{name}.meta.tree").write_text(_tree_text(tree.n, tree.edges, meta))
+        (workdir / "hubs" / f"{name}.plain.tree").write_text(_tree_text(tree.n, _relabel(name, tree.n, tree.edges)))
+    for name, edges in HUB_SHAPES:
+        n = len(edges) + 1
+        (workdir / "hubs" / f"{name}.tree").write_text(_tree_text(n, edges))
+        (workdir / "hubs" / f"{name}.plain.tree").write_text(_tree_text(n, _relabel(name, n, edges)))
     for i in range(prufer):
         n = 4 + i % 37
         rng = random.Random(i)
@@ -247,7 +278,7 @@ def main() -> int:
     for verb, (rev_only, tree_only) in one_sided.items():
         print(f"{verb}: keys printed only at {args.rev}: {', '.join(sorted(rev_only)) or 'none'}; "
               f"only in the working tree: {', '.join(sorted(tree_only)) or 'none'}")
-    for verb in ("color", "verify", "analyze", "compare", "exact", "gen"):
+    for verb in ("color", "hubs", "verify", "analyze", "compare", "exact", "gen"):
         before, after = (
             dict(sorted(Counter(res[0] for name, res in side.items() if name.startswith(verb + " ")).items()))
             for side in (old, new)
@@ -260,7 +291,7 @@ def main() -> int:
     if differ or set(new) != set(old):
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
         return 1
-    print("identical: color stdout, stderr, exit code and coloring file; verify stdout, stderr and exit code; "
+    print("identical: color and hubs stdout, stderr, exit code and coloring file; verify stdout, stderr and exit code; "
           "analyze and compare exit code, stderr and every key both sides print; exact exit code and hc; "
           "gen stdout, stderr and exit code")
     return 0

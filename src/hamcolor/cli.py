@@ -2,10 +2,10 @@
 
 Verbs: gen, analyze, color, exact, verify, compare, dot.  Exit codes:
 0 success, 1 parse/validation problem (usage errors too), 2 verification
-failure, 3 size or budget limit, 4 the greedy ordering fails the spacing
-condition on a tree without a closed form (not a proof that hc exceeds the
-lower bound), 5 internal error (a bug), among them a greedy failure on a
-family instance with a closed form.  ``color`` writes the coloring that
+failure, 3 size limit, or a budget that ran out before the span was proved,
+4 the greedy ordering fails the spacing condition on a tree without a closed
+form (not a proof that hc exceeds the lower bound), 5 internal error (a bug),
+among them a greedy failure on a family instance with a closed form.  ``color`` writes the coloring that
 ``check_spacing`` verified.
 
 ``main(argv)`` may be called any number of times in one process: the
@@ -55,7 +55,7 @@ def _json(data: dict) -> str:
         return json.dumps(data, indent=2)
     items = []
     for key, val in data.items():
-        if type(val) is list and val and all(type(x) is int for x in val):
+        if type(val) is list and set(map(type, val)) == {int}:
             body = "[\n    " + ",\n    ".join(map(str, val)) + "\n  ]"
         else:
             body = json.dumps(val, indent=2).replace("\n", "\n  ")
@@ -175,7 +175,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             "witness_file": out,
         },
     )
-    return 3 if res.limit_hit else 0
+    return 0 if res.proved_optimal else 3
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -34,15 +34,15 @@ def _content_lines(text: str) -> list[str]:
 
 def parse_tree_text(text: str) -> tuple[Tree, dict[str, str]]:
     """Parse a tree file; returns the tree and any ``# key: value`` metadata."""
+    lines = [s for s in map(str.strip, text.splitlines()) if s]
     meta: dict[str, str] = {}
+    content = lines
     if "#" in text:
-        for line in text.splitlines():
-            body = line.strip()
-            if body.startswith("#") and ":" in body:
-                key, _, val = body[1:].partition(":")
-                if key.strip() in META_KEYS:
-                    meta[key.strip()] = val.strip()
-    content = _content_lines(text)
+        content = [s for s in lines if s[0] != "#"]
+        for body in [s for s in lines if s[0] == "#"]:
+            key, sep, val = body[1:].partition(":")
+            if sep and key.strip() in META_KEYS:
+                meta[key.strip()] = val.strip()
     if not content:
         raise FormatError("empty tree file")
     if len(content[0].split()) != 1:

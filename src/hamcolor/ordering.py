@@ -14,9 +14,12 @@ the induced coloring attains the bound if and only if it holds.  It builds
 that coloring in one pass and checks it with ``_window``, the one pair
 check, along the same ordering (``solver.verify_coloring`` runs the window
 over the vertices sorted by color).  ``search_ordering`` is a deterministic
-greedy that builds one ordering and returns its certificate, and
-``min_span_for_order`` is the greedy completion: the least valid colors
-along any ordering, which completes ``solver.exact_hc``'s witness.
+greedy that builds one ordering and returns its certificate; it pays a heap
+step only for a vertex whose place is still open, and with one weight center
+it appends the tail of single-vertex branches (the leaves at a star's or a
+broom's hub) in one sort.  ``min_span_for_order`` is the greedy
+completion: the least valid colors along any ordering, which completes
+``solver.exact_hc``'s witness.
 
 The certificates require n >= 4 and maximum degree >= 3.
 """
@@ -222,40 +225,53 @@ def search_ordering(rv: RootedView) -> Certificate:
     means only that this one ordering fails the condition, which is not a
     proof that no ordering passes it (nor that hc exceeds the bound).
 
-    The branches wait in one heap per weight center, keyed by the int
-    -unplaced * nb + branch id (nb branches; ordered as (-unplaced, branch id),
-    key % nb is the branch), so each step costs O(log n) instead of a scan
-    over every branch.  One loop places the n - (number of centers) vertices:
-    it pops the top branch, setting it aside while it is the previous branch,
-    takes that branch's deepest vertex, pushes both entries back and switches
-    to the other side's heap (the same heap with one center).  With two
-    centers the previous branch lies on the other heap, so nothing is ever
-    set aside.
+    The branches wait in one heap per weight center (one heap in all with one
+    center), keyed by the int -unplaced * nb + branch id (nb branches; ordered
+    as (-unplaced, branch id), key % nb is the branch), so each step costs
+    O(log n) instead of a scan over every branch.  One loop places the
+    vertices: it pops the top key, pushes back the branch taken at the
+    previous step if that branch still has vertices, takes the popped
+    branch's deepest vertex, keeps that branch as the next step's push-back
+    (its key rises by nb) and switches to the other side's heap.  With one
+    center the previous branch is thus out of the heap during exactly the pop
+    that must skip it; with two it re-enters its own heap before that heap's
+    next pop.
+
+    With one center the loop stops at a single-vertex tail.  When a step
+    empties its branch and the top key is at least -nb, every branch left
+    holds one vertex.  From there each step sees every count at 1 and the
+    previous branch empty, so it takes the smallest branch id left, and its
+    own branch empties in turn: the tail is the remaining branches in
+    ascending id, which is their keys sorted.
     """
     require_applicable(rv.tree, "ordering certificates")
     queues = _branch_queues(rv)
     nb = len(queues)
     centers = sorted(rv.weight_centers)
-    w, w2 = centers[0], centers[-1]
-    heaps: dict[int, list[int]] = {c: [] for c in centers}
-    for bid, root in enumerate(rv.branch_roots):
-        heaps[rv.side[root]].append(-len(queues[bid]) * nb + bid)
-    for heap in heaps.values():
-        heapq.heapify(heap)
-    heap, other, order, prev = heaps[w2], heaps[w], [w], None
+    keys = [bid - len(q) * nb for bid, q in enumerate(queues)]
+    if rv.bicentral:
+        heap, other = [], []  # at the second center, where the first pop goes, and at the first
+        for key, root in zip(keys, rv.branch_roots):
+            (heap if rv.side[root] == centers[1] else other).append(key)
+        heapq.heapify(other)
+    else:
+        heap = other = keys
+    heapq.heapify(heap)
+    order, pending = [centers[0]], None
     for _ in range(rv.n - len(centers)):
-        held = heapq.heappop(heap) if heap and heap[0] % nb == prev else None
         if not heap:
             # a branch at one weight center holds fewer than n/2 vertices, and
             # each side of two centers holds n/2 - 1 besides its center
             raise InternalError("no allowed branch has an unplaced vertex")
-        prev = heapq.heappop(heap) % nb
-        q = queues[prev]
+        key = heapq.heappop(heap)
+        if pending is not None:
+            heapq.heappush(*pending)
+        q = queues[key % nb]
         order.append(q.pop())
-        if q:
-            heapq.heappush(heap, -len(q) * nb + prev)
-        if held is not None:
-            heapq.heappush(heap, held)
+        pending = (heap, key + nb) if q else None
+        if pending is None and not rv.bicentral and heap and heap[0] >= -nb:
+            order += [queues[k % nb][0] for k in sorted(heap)]
+            break
         heap, other = other, heap
     order += centers[1:]
     cert = check_spacing(rv, order)

@@ -21,8 +21,11 @@ used throughout for bound arithmetic and ordering certificates.
 Construction checks each edge once, in input order, so the first faulty edge
 decides the error.  The edges are sorted once, and appending them in that
 order leaves every adjacency list sorted.  The connectivity search from
-vertex 0 is kept: :func:`all_vertex_weights` and the diameter start from
-it instead of searching again.  ``RootedView._distance`` is the distance
+vertex 0 is kept: the subtree sizes below each vertex, rooted at 0, are
+summed over it, and the diameter starts from it instead of searching again.
+:func:`weight_centers` walks down those sizes to the center(s) (Zelinka's
+characterisation, proved in its docstring) without computing any vertex's
+weight; :func:`all_vertex_weights` gives every weight from the same sizes.  ``RootedView._distance`` is the distance
 query without its id checks, for callers whose ids are already valid.
 """
 
@@ -112,7 +115,7 @@ class Tree:
 
     @cached_property
     def max_degree(self) -> int:
-        return max(len(a) for a in self.adj)
+        return max(map(len, self.adj))
 
     @cached_property
     def _diameter_path(self) -> list[int]:
@@ -137,6 +140,16 @@ def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     return Tree(n, edges)
 
 
+def _subtree_sizes(tree: Tree) -> list[int]:
+    """Vertices below each vertex, itself included, in the tree rooted at 0:
+    the kept search from vertex 0, summed in reverse visit order."""
+    _, parent, order = tree._bfs_from_0
+    size = [1] * tree.n
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]  # type: ignore[index]
+    return size
+
+
 def all_vertex_weights(tree: Tree) -> list[int]:
     """Total-distance weights of all vertices in O(n) by rerooting.
 
@@ -145,20 +158,45 @@ def all_vertex_weights(tree: Tree) -> list[int]:
     """
     n = tree.n
     dist, parent, order = tree._bfs_from_0
-    size = [1] * n
-    for u in reversed(order[1:]):
-        size[parent[u]] += size[u]  # type: ignore[index]
+    size = _subtree_sizes(tree)
     weights = [0] * n
     weights[0] = sum(dist)
     for u in order[1:]:
         weights[u] = weights[parent[u]] + n - 2 * size[u]  # type: ignore[index]
     return weights
 
+
 def weight_centers(tree: Tree) -> frozenset[int]:
-    """Vertices of minimum total distance; always one vertex or two adjacent ones."""
-    w = all_vertex_weights(tree)
-    lo = min(w)
-    return frozenset(v for v in range(tree.n) if w[v] == lo)
+    """Vertices of minimum total distance; always one vertex or two adjacent ones.
+
+    By Zelinka (1968), the vertices of minimum total distance are exactly
+    those v whose branches (the components of T - v) all hold at most n/2
+    vertices.  Rooted at vertex 0, the branches of v are its children's
+    subtrees and, unless v = 0, the n - size(v) vertices above it.
+
+    The walk starts at 0 and moves into a child whose subtree holds more
+    than n/2 vertices while there is one; at most one child can, and it is
+    the last of the children sorted by subtree size.  Where it stops, at c,
+    every child's subtree holds at most n/2, and the part above c fewer than
+    n/2 (c was entered for holding more), so c is a weight center.
+
+    Any other vertex v lies in a branch of c with s <= n/2 vertices.  The
+    branch of v that holds c has n - s vertices if v is adjacent to c, and
+    more otherwise, so v is a center only if it is adjacent to c with
+    s = n/2: a child of c, since the part above c holds fewer.  Such a child
+    is a center, as its other branches lie inside its own n/2 vertices.
+    """
+    n, parent, adj = tree.n, tree._bfs_from_0[1], tree.adj
+    size = _subtree_sizes(tree)
+    c = 0
+    while True:
+        kids = sorted(adj[c], key=size.__getitem__)
+        if parent[c] is not None:
+            kids.pop()  # the parent: its subtree holds c's, so it sorts last
+        if not (kids and 2 * size[kids[-1]] > n):
+            break
+        c = kids[-1]
+    return frozenset([c, kids[-1]] if kids and 2 * size[kids[-1]] == n else [c])
 
 
 def graph_centers(tree: Tree) -> frozenset[int]:
@@ -198,7 +236,7 @@ class RootedView:
         # the branches hang off the centers' other neighbours, indexed in id
         # order; the search visits parents first, so each vertex inherits
         # its parent's side and branch
-        roots = sorted(v for c in centers for v in tree.adj[c] if v not in self.weight_centers)
+        roots = sorted(set(tree.adj[centers[0]]).union(tree.adj[centers[-1]]) - self.weight_centers)
         side = [0] * n
         branch: list[int | None] = [None] * n
         for c in centers:

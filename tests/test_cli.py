@@ -377,6 +377,19 @@ class TestExact:
         code, _, _ = run("verify", path, path + ".hc.coloring")
         assert code == 0
 
+    def test_budget_hit_with_proof_exit_0(self, run, tmp_path):
+        # budget 0 explores nothing, but the star's fallback witness meets lb:
+        # the span is proved, so the run is not a budget failure
+        path = str(tmp_path / "s4.tree")
+        open(path, "w").write("4\n0 1\n0 2\n0 3\n")
+        code, out, _ = run("exact", "--json", path, "--budget", "0")
+        data = json.loads(out)
+        assert (data["hc"], data["lb"], data["proved_optimal"], data["limit_hit"]) == (4, 4, True, True)
+        assert code == 0
+        code, out, _ = run("exact", path, "--budget", "0")
+        assert code == 0
+        assert "hc: 4" in out
+
     def test_negative_budget_exit_1(self, run, tmp_path):
         path = gen_file(run, tmp_path, "star", "n=5")
         code, out, err = run("exact", path, "--budget", "-5")

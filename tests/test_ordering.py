@@ -1,5 +1,7 @@
+import heapq
 import random
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -300,6 +302,103 @@ class TestCertificates:
                     assert not oracles.all_pairs_violations(rv.tree, new.coloring.colors)
                     assert new.coloring.span == lower_bound_weight(rv)
         assert both > 100 and only_new > 10, (both, only_new)
+
+
+def spider(legs: list[int]) -> Tree:
+    """Hub 0 with one path per entry of ``legs``, of that many vertices."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return Tree(n, edges)
+
+
+def with_leaves(tree: Tree, at: int, k: int) -> Tree:
+    """``tree`` with ``k`` more leaves hung on vertex ``at``."""
+    return Tree(tree.n + k, list(tree.edges) + [(at, tree.n + i) for i in range(k)])
+
+
+def double_broom(a: int, p: int, b: int, q: int) -> Tree:
+    """Adjacent hubs 0 and 1: hub 0 with ``a`` leaves and a path of ``p``
+    vertices, hub 1 with ``b`` leaves and a path of ``q``.  Two weight
+    centers when a + p == b + q."""
+    edges, n = [(0, 1)], 2
+    for hub, leaves, length in ((0, a, p), (1, b, q)):
+        edges += [(hub, n + i) for i in range(leaves)]
+        n += leaves
+        edges += [(hub if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return Tree(n, edges)
+
+
+def tail_pops(rv, order) -> int:
+    """Heap pops the greedy makes before its one-center tail takes over: the
+    first step p after which every branch left holds one vertex and the
+    branch of order[p] is empty (n - 1, no tail, when that is the last step)."""
+    left: dict = {}
+    for v in order[1:]:
+        left[rv.branch[v]] = left.get(rv.branch[v], 0) + 1
+    multi = sum(c > 1 for c in left.values())
+    for p in range(1, len(order)):
+        bid = rv.branch[order[p]]
+        left[bid] -= 1
+        multi -= left[bid] == 1
+        if left[bid] == 0 and multi == 0:
+            return p
+    raise AssertionError("the ordering never reaches a single-vertex tail")
+
+
+class TestGreedyTail:
+    """The heap greedy's push-back one step late and its sorted single-vertex
+    tail, against the linear-scan oracle, on trees where most branches are
+    single leaves at a weight center."""
+
+    @staticmethod
+    def _cases():
+        yield from (generate("star", {"n": n})[0] for n in range(4, 81))
+        yield from (generate("broom", {"n": n, "d": d})[0] for n in range(4, 41) for d in range(2, n - 1))
+        yield from (spider([long] + [1] * k) for long in range(2, 14) for k in range(2, 16))
+        for family, params in (
+            ("broom", {"n": 12, "d": 5}),
+            ("broom", {"n": 20, "d": 9}),
+            ("broom", {"n": 30, "d": 6}),
+            ("caterpillar", {"m": 5, "d": 3}),
+            ("caterpillar", {"m": 7, "d": 4}),
+            ("caterpillar", {"m": 9, "d": 3}),
+        ):
+            base = generate(family, params)[0]
+            hub = min(analyze(base).weight_centers)
+            yield from (with_leaves(base, hub, k) for k in (1, 2, 5, 11))
+        yield from (double_broom(k, 0, k, 0) for k in range(2, 16))
+        yield from (double_broom(a, p, b, a + p - b) for a in (2, 3, 6) for p in (0, 2, 5) for b in (2, 4, 7)
+                    if a + p - b >= 0)
+
+    def test_tail_and_reentry_match_linear_scan(self, monkeypatch):
+        pops = 0
+
+        def heappop(heap):
+            nonlocal pops
+            pops += 1
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(ordering, "heapq", SimpleNamespace(
+            heappop=heappop, heappush=heapq.heappush, heapify=heapq.heapify))
+        rng = random.Random(43)
+        kinds = {True: 0, False: 0}
+        for base in self._cases():
+            assert is_applicable(base)
+            for _ in range(2):
+                perm = list(range(base.n))
+                rng.shuffle(perm)
+                rv = analyze(Tree(base.n, [(perm[u], perm[v]) for u, v in base.edges]))
+                pops = 0
+                got, want = TestSearchOrdering._greedy_outcomes(rv)
+                assert got == want, (base, perm)
+                kinds[rv.bicentral] += 1
+                if not rv.bicentral:
+                    # the tail fires at the first step it can
+                    assert pops == tail_pops(rv, oracles.linear_scan_greedy(rv)) < rv.n - 1, (base, perm)
+        assert kinds[True] > 50 and kinds[False] > 1000, kinds
 
 
 class TestSpacingSoundness:

@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 
 import oracles
@@ -108,9 +111,31 @@ class TestWeights:
                 if len(w) == 2:
                     assert w[1] in t.adj[w[0]]
 
-    def test_graph_centers_match_networkx(self, corpus):
-        import networkx as nx
+    def test_weight_centers_match_barycenter_and_weights(self):
+        # every non-isomorphic tree with n <= 12, then relabelled random trees
+        # up to n = 300: the subtree-size walk against networkx's barycenter
+        # and against the argmin of the rerooted weights
+        rng = random.Random(47)
+        trees = [Tree(n, [(0, 1)][: n - 1]) for n in (1, 2)]
+        trees += [Tree(n, [(int(u), int(v)) for u, v in g.edges()])
+                  for n in range(3, 13) for g in nx.nonisomorphic_trees(n)]
+        assert len(trees) == 2 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106 + 235 + 551
+        for n in (13, 20, 40, 75, 150, 300):
+            for _ in range(3):
+                base = oracles.random_tree(n, rng)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                trees.append(Tree(n, [(perm[u], perm[v]) for u, v in base.edges]))
+        counts = {1: 0, 2: 0}
+        for t in trees:
+            w = all_vertex_weights(t)
+            got = weight_centers(t)
+            assert got == set(nx.barycenter(oracles.nx_graph(t))), t
+            assert got == {v for v in range(t.n) if w[v] == min(w)}, t
+            counts[len(got)] += 1
+        assert counts[2] > 100, counts
 
+    def test_graph_centers_match_networkx(self, corpus):
         for n in range(1, 9):
             for t in corpus[n]:
                 assert graph_centers(t) == set(nx.center(oracles.nx_graph(t)))
