@@ -48,7 +48,6 @@ from .solver import (
 from .tree import (
     RootedView,
     Tree,
-    all_vertex_weights,
     analyze,
     build_tree,
     graph_centers,

@@ -258,8 +258,11 @@ def spec_from_meta(tree: Tree, meta: dict[str, str]) -> FamilySpec | None:
     """Regenerate the family instance recorded in tree-file metadata, if any;
     the order the parameters give is compared first, so a false claim costs
     nothing to reject.  The generator's edges are compared with the file's
-    validated, sorted ones, so no second tree is built."""
+    validated, sorted ones, so no second tree is built.  A half claim, one of
+    ``family`` and ``params`` without the other, cannot be checked: rejected."""
     if "family" not in meta or "params" not in meta:
+        if "family" in meta or "params" in meta:
+            raise FormatError("family metadata needs both 'family' and 'params'")
         return None
     name, key, args = _lookup(meta["family"], parse_params(meta["params"]))
     if _FAMILIES[key][1](*args) == tree.n:

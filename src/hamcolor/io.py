@@ -3,8 +3,8 @@
 Tree files: ``#`` starts a comment line; the first content line is the order
 n, followed by exactly n-1 lines ``u v``.  Generated files carry their family
 metadata in leading comments (``# key: value``), which the reader returns as
-a dict.  Ordering files are a single line of n vertex ids.  Coloring files
-are n lines ``v c``.
+a dict.  Coloring files are n lines ``v c``.  Ordering files, which only
+``color --ordering-out`` writes and no verb reads, are one line of n ids.
 
 The tree and coloring readers convert every line in one comprehension.  Only
 when that fails, or a coloring names a vertex outside 0..n-1 or twice, do
@@ -25,11 +25,6 @@ def _int(tok: str, what: str) -> int:
         return int(tok)
     except ValueError:
         raise FormatError(f"{what}: expected an integer, got {tok!r}") from None
-
-
-def _content_lines(text: str) -> list[str]:
-    """Stripped lines that are neither blank nor ``#`` comments."""
-    return [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
 
 
 def parse_tree_text(text: str) -> tuple[Tree, dict[str, str]]:
@@ -90,24 +85,13 @@ def load_tree(path: str) -> tuple[Tree, dict[str, str]]:
     return parse_tree_text(_read_text(path))
 
 
-def parse_ordering_text(text: str, n: int) -> list[int]:
-    """One line of n vertex ids (comments and blank lines ignored)."""
-    lines = _content_lines(text)
-    if len(lines) != 1:
-        raise FormatError(f"ordering file must hold one content line, got {len(lines)}")
-    toks = lines[0].split()
-    if len(toks) != n:
-        raise FormatError(f"ordering must list {n} vertices, got {len(toks)}")
-    return [_int(t, "ordering") for t in toks]
-
-
 def format_ordering(order: list[int]) -> str:
     return " ".join(str(v) for v in order) + "\n"
 
 
 def parse_coloring_text(text: str, n: int) -> Coloring:
-    """n lines of ``vertex color``."""
-    lines = _content_lines(text)
+    """n lines of ``vertex color`` (blank lines and ``#`` comments skipped)."""
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     if len(lines) != n:
         raise FormatError(f"coloring file must hold {n} lines, got {len(lines)}")
     try:

@@ -242,9 +242,11 @@ def search_ordering(rv: RootedView) -> Certificate:
     holds one vertex.  From there each step sees every count at 1 and the
     previous branch empty, so it takes the smallest branch id left, and its
     own branch empties in turn: the tail is the remaining branches in
-    ascending id, which is their keys sorted.
+    ascending id, which is their keys sorted.  Only :func:`check_spacing`,
+    at the end, checks applicability: a tree it rejects is a path, whose two
+    equal branches at one center, or one at each of two, never empty a heap
+    before the loop ends.
     """
-    require_applicable(rv.tree, "ordering certificates")
     queues = _branch_queues(rv)
     nb = len(queues)
     centers = sorted(rv.weight_centers)

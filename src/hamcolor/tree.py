@@ -25,8 +25,8 @@ vertex 0 is kept: the subtree sizes below each vertex, rooted at 0, are
 summed over it, and the diameter starts from it instead of searching again.
 :func:`weight_centers` walks down those sizes to the center(s) (Zelinka's
 characterisation, proved in its docstring) without computing any vertex's
-weight; :func:`all_vertex_weights` gives every weight from the same sizes.  ``RootedView._distance`` is the distance
-query without its id checks, for callers whose ids are already valid.
+weight.  ``RootedView._distance`` is the distance query without its id
+checks, for callers whose ids are already valid.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class Tree:
             adj[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         # connectivity; with exactly n-1 edges this also rules out cycles.
-        # The search is kept: weights and the diameter start from vertex 0 too
+        # The search is kept: subtree sizes and the diameter start from vertex 0 too
         self._bfs_from_0 = self.bfs([0])
         if len(self._bfs_from_0[2]) < n:
             raise NotATreeError("graph is not connected")
@@ -140,32 +140,6 @@ def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     return Tree(n, edges)
 
 
-def _subtree_sizes(tree: Tree) -> list[int]:
-    """Vertices below each vertex, itself included, in the tree rooted at 0:
-    the kept search from vertex 0, summed in reverse visit order."""
-    _, parent, order = tree._bfs_from_0
-    size = [1] * tree.n
-    for u in reversed(order[1:]):
-        size[parent[u]] += size[u]  # type: ignore[index]
-    return size
-
-
-def all_vertex_weights(tree: Tree) -> list[int]:
-    """Total-distance weights of all vertices in O(n) by rerooting.
-
-    Moving the root across an edge towards a subtree with s vertices changes
-    the weight by n - 2*s.
-    """
-    n = tree.n
-    dist, parent, order = tree._bfs_from_0
-    size = _subtree_sizes(tree)
-    weights = [0] * n
-    weights[0] = sum(dist)
-    for u in order[1:]:
-        weights[u] = weights[parent[u]] + n - 2 * size[u]  # type: ignore[index]
-    return weights
-
-
 def weight_centers(tree: Tree) -> frozenset[int]:
     """Vertices of minimum total distance; always one vertex or two adjacent ones.
 
@@ -186,8 +160,11 @@ def weight_centers(tree: Tree) -> frozenset[int]:
     s = n/2: a child of c, since the part above c holds fewer.  Such a child
     is a center, as its other branches lie inside its own n/2 vertices.
     """
-    n, parent, adj = tree.n, tree._bfs_from_0[1], tree.adj
-    size = _subtree_sizes(tree)
+    n, adj, (_, parent, order) = tree.n, tree.adj, tree._bfs_from_0
+    # size[v]: vertices in v's subtree (v included) rooted at 0, in reverse BFS order
+    size = [1] * n
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]  # type: ignore[index]
     c = 0
     while True:
         kids = sorted(adj[c], key=size.__getitem__)

@@ -337,6 +337,21 @@ class TestColor:
             assert code == 1
             assert "error:" in err
 
+    @pytest.mark.parametrize("head", ["# family: broom_odd\n", "# family: nosuch\n", "# params: n=5\n"])
+    def test_half_family_claim_exit_1(self, run, tmp_path, head):
+        # family without params, or params without family, cannot be checked
+        path = str(tmp_path / "star.tree")
+        open(path, "w").write(head + "5\n0 1\n0 2\n0 3\n0 4\n")
+        code, out, err = run("color", path)
+        assert code == 1 and out == ""
+        assert err == "error: family metadata needs both 'family' and 'params'\n"
+
+    def test_no_family_claim_exit_0(self, run, tmp_path):
+        path = str(tmp_path / "star.tree")
+        open(path, "w").write("# expected_hc: 9\n# a plain star\n5\n0 1\n0 2\n0 3\n0 4\n")
+        code, out, _ = run("color", path)
+        assert code == 0 and "span: 9" in out
+
 
 class TestExact:
     def test_star_exact(self, run, tmp_path):

@@ -442,8 +442,21 @@ class TestSearchOrdering:
         assert col.span == lower_bound_weight(rv) == 43
 
     def test_needs_applicable_tree(self):
-        with pytest.raises(NotApplicableError):
-            search_ordering(analyze(path(5)))
+        # every path up to n = 12, relabelled: the greedy runs to its end and
+        # check_spacing's NotApplicableError is the error, never InternalError
+        rng = random.Random(23)
+        for n in range(1, 13):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rv = analyze(Tree(n, [(perm[i], perm[i + 1]) for i in range(n - 1)]))
+            msg = (f"ordering certificates need order >= 4 and max degree >= 3 "
+                   f"(got n={n}, max degree {min(n - 1, 2)})")
+            with pytest.raises(NotApplicableError) as spacing:
+                check_spacing(rv, perm)
+            assert str(spacing.value) == msg
+            with pytest.raises(NotApplicableError) as greedy:
+                search_ordering(rv)
+            assert str(greedy.value) == msg
 
     def test_long_spider_fails_even_though_ordering_exists(self):
         # greedy places the two deep tips at positions 1 and 3, too close in

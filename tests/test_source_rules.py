@@ -4,8 +4,9 @@
 ``InternalError`` instead; only the command-line layer writes to the
 terminal; ``families`` owns every family decision, so no other module
 names a family; the closed forms are integer arithmetic, so the package
-does not load ``fractions``; and the modules import each other only at
-module level and without a cycle.
+does not load ``fractions``; the modules import each other only at
+module level and without a cycle; and every module-level function has a
+caller inside the package, or is a named entry point.
 """
 
 import ast
@@ -89,3 +90,33 @@ def test_package_imports_are_module_level_and_acyclic():
                 nested.append(f"{path.name}:{node.lineno} imports {target}")
     assert nested == []
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+# public functions no package module calls, kept for the callers named here
+ENTRY_POINTS = {
+    "closed_form_hc",  # the public closed-form query; ROADMAP item 5 extends it to spiders
+    "family_ordering",  # perfbench/workloads.py:151 builds verify-mixed's orderings with it
+    "coloring_from_ordering",  # perfbench/workloads.py:152 colors those orderings with it
+}
+
+
+def test_every_function_has_a_caller():
+    # a name read in any module but __init__, which only re-exports
+    sources = sorted(Path(hamcolor.__file__).resolve().parent.glob("*.py"))
+    defined, used = {}, set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert ENTRY_POINTS <= defined.keys()
+    orphans = [f"{where}: {name}" for name, where in defined.items()
+               if name not in used and name not in ENTRY_POINTS]
+    assert orphans == []

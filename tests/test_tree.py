@@ -8,7 +8,6 @@ from hamcolor.errors import BadVertexIdError, NotATreeError
 from hamcolor.families import generate
 from hamcolor.tree import (
     Tree,
-    all_vertex_weights,
     analyze,
     build_tree,
     graph_centers,
@@ -88,16 +87,6 @@ class TestDistances:
 
 
 class TestWeights:
-    def test_broom_hub_weight(self):
-        t = broom_10_4()
-        assert all_vertex_weights(t)[0] == 12 == oracles.nx_transmission(t, 0)
-
-    def test_reroot_weights_match_direct(self, corpus, rng):
-        trees = corpus[7] + corpus[8] + [oracles.random_tree(20, rng) for _ in range(5)]
-        for t in trees:
-            direct = [oracles.nx_transmission(t, v) for v in range(t.n)]
-            assert all_vertex_weights(t) == direct
-
     def test_weight_centers_examples(self):
         assert weight_centers(broom_10_4()) == {0}
         assert weight_centers(double_star()) == {0, 1}
@@ -113,8 +102,8 @@ class TestWeights:
 
     def test_weight_centers_match_barycenter_and_weights(self):
         # every non-isomorphic tree with n <= 12, then relabelled random trees
-        # up to n = 300: the subtree-size walk against networkx's barycenter
-        # and against the argmin of the rerooted weights
+        # up to n = 300: the subtree-size walk against networkx's barycenter,
+        # the vertices of least total distance
         rng = random.Random(47)
         trees = [Tree(n, [(0, 1)][: n - 1]) for n in (1, 2)]
         trees += [Tree(n, [(int(u), int(v)) for u, v in g.edges()])
@@ -128,10 +117,8 @@ class TestWeights:
                 trees.append(Tree(n, [(perm[u], perm[v]) for u, v in base.edges]))
         counts = {1: 0, 2: 0}
         for t in trees:
-            w = all_vertex_weights(t)
             got = weight_centers(t)
             assert got == set(nx.barycenter(oracles.nx_graph(t))), t
-            assert got == {v for v in range(t.n) if w[v] == min(w)}, t
             counts[len(got)] += 1
         assert counts[2] > 100, counts
 
