@@ -27,14 +27,17 @@ instances of ``perfbench/pinned.json`` (read, never written) and, with
 with n = 12 and hc > lb; its exit code and ``hc`` must be identical, while
 the explored-node count and the witness may differ between search
 strategies, so the node counts are printed side by side with their total
-for each set.  ``gen`` runs on a grid of ``--params`` per family: valid
+for each set, and the explored total of a set may not rise above REV's:
+that is a gate, since a pruning change that costs nodes on the pinned
+instances is a regression whatever its answers.  ``gen`` runs on a grid of ``--params`` per family: valid
 instances, recognised and off-family brooms, both a-tree parities and both
 caterpillar m parities, parameters given out of order, and rejected ones
 (too small, unknown, missing, given twice, not an integer); its stdout,
 stderr and exit code must be identical.  The exit-code counts of each verb
 are printed, and so is the line count of each ``src/hamcolor/*.py`` file and
 their total, at REV and in the working tree, with the net change.  Exits 1
-and names the first differing inputs on a mismatch.
+and names the first differing inputs on a mismatch, or the sets whose
+explored total rose.
 
     python3 scripts/color_parity.py HEAD
     python3 scripts/color_parity.py HEAD~1 --prufer 300
@@ -288,11 +291,16 @@ def main() -> int:
     for module in sorted(lines[0].keys() | lines[1].keys()) + ["total"]:
         before, after = (sum(side.values()) if module == "total" else side.get(module, 0) for side in lines)
         print(f"  {module:<12} {before:>5} -> {after:>5} ({after - before:+d})")
+    rose = [f"{inputs}/ {before} -> {after}" for inputs, (before, after) in totals.items() if after > before]
     if differ or set(new) != set(old):
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")
+    if rose:
+        print(f"explored total ROSE on {', '.join(rose)}")
+    if differ or set(new) != set(old) or rose:
         return 1
     print("identical: color and hubs stdout, stderr, exit code and coloring file; verify stdout, stderr and exit code; "
-          "analyze and compare exit code, stderr and every key both sides print; exact exit code and hc; "
+          "analyze and compare exit code, stderr and every key both sides print; exact exit code and hc, "
+          "with no explored total above REV's; "
           "gen stdout, stderr and exit code")
     return 0
 

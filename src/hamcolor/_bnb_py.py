@@ -12,7 +12,7 @@ matrix (minimum row sums give the centers, a level is the distance to the
 nearest one); b is 1 when there are two centers.  Every path between two
 vertices may detour through the center(s), so d(u, v) <= L(u) + L(v) + b.
 
-Five pruning rules, each sound for the reason given:
+Six pruning rules, each sound for the reason given:
 
 1. Pending color.  An unplaced vertex already forced to color p ends at p or
    later, so the span is at least p; a placement that forces some color to
@@ -23,8 +23,9 @@ Five pruning rules, each sound for the reason given:
    unplaced level sum S gives a span of at least
    c + rem*(n-1-b) - L(v) - 2*S + L(last): the weight-center bound applied
    to every suffix.  L(last) is at least the least level among the unplaced
-   vertices other than v, and at least L(first) under rule 5.  A candidate
-   it rules out is skipped and the scan goes on.
+   vertices other than v, at least L(first) under rule 5, and at least
+   L(first) + 1 under rule 6.  A candidate it rules out is skipped and the
+   scan goes on.
 3. Twin symmetry.  Two vertices are twins when their distance rows agree
    except toward each other.  Swapping two twins is an isometry, so it maps
    orderings to orderings of the same span, and twins are placed in
@@ -53,6 +54,18 @@ Five pruning rules, each sound for the reason given:
    count L(first) for L(last).  Twin swaps preserve levels, so rules 3 and 5
    hold together.  A forced ``prefix`` turns the rule off: the reverse of an
    ordering that starts with the prefix does not.
+6. Reversal tie-break.  Some optimal ordering keeps rule 3's twin order and
+   has (L(first), first) < (L(last), last).  Take an optimal ordering in
+   twin order whose ends compare the other way (they differ, as first !=
+   last).  Its reverse has the same span by rule 5 and its ends in order.
+   Sorting each twin class into ascending id along it keeps the span by
+   rule 3 and every level, and it can only lower the id in first place and
+   raise the id in last place, so the ends stay in order.  Rule 2 may
+   therefore count L(first) + 1 for L(last) whenever no unplaced vertex
+   other than the candidate has level L(first) and an id above first.
+   ``place`` carries the number of those vertices down as an int, counted
+   at the root and decremented when one is placed.  A forced ``prefix``
+   turns the rule off, as it does rule 5.
 
 Candidates are visited by (c + L(v), c, v): c + L(v) is the part of rule 2's
 bound that varies with v, so the orderings it favours, and with them good
@@ -149,10 +162,11 @@ def bnb_exact(
     best_span = incumbent if incumbent >= 0 else n * n
     best_order = None
 
-    def place(m: int, cand: list, unplaced: list, unplaced_level: int) -> None:
+    def place(m: int, cand: list, unplaced: list, unplaced_level: int, ties: int) -> None:
         """Try each candidate (key, c, v), key = c + L(v), at position m.
         ``unplaced`` holds the unplaced vertices by ascending level, which
-        sum to ``unplaced_level``; the caller has applied rule 1."""
+        sum to ``unplaced_level``, and ``ties`` of them have level L(first)
+        and an id above first; the caller has applied rule 1."""
         nonlocal nodes, limit_hit, stop, best_span, best_order
         fm = forced[m]
         if m < forced_depth:
@@ -164,18 +178,26 @@ def bnb_exact(
         lo1 = level[unplaced[0]]
         lo2 = level[unplaced[1]] if rem else n
         slack = rem * step - 2 * unplaced_level  # rule 2 reads key + slack + L(last)
+        # rules 5 and 6 read the first vertex and its level; -1 keeps them
+        # off until the root candidate sets it, and under a forced prefix
+        root = not m and not forced_depth
+        first = order[0]
+        lf = level[first] if m and not forced_depth else -1
         for key, c, v in cand:
             if stop:
                 return
             best = best_span
             lv = level[v]
-            order[m] = v  # before the bound, which reads order[0]
+            order[m] = v
+            if root:
+                first, lf, ties = v, lv, level[v + 1:].count(lv)
             if rem:
                 # the last vertex's level: the least among the other
-                # unplaced vertices, and at least L(first) by rule 5
+                # unplaced vertices, at least L(first) by rule 5, and above
+                # it by rule 6 unless one of them ties with first after it
                 end = lo2 if lv == lo1 else lo1
-                if not forced_depth and level[order[0]] > end:
-                    end = level[order[0]]
+                if end <= lf:
+                    end = lf if ties - (lv == lf and v > first) else lf + 1
                 if key + slack + end >= best:
                     continue
             if budget >= 0 and nodes >= budget:
@@ -213,13 +235,13 @@ def bnb_exact(
                 if key < cut and used[before[w]]:
                     sub.append((key, need, w))
             else:
-                place(m + 1, sub, left, rest)
+                place(m + 1, sub, left, rest, ties - (lv == lf and v > first))
             used[v] = False
 
     # rule 1 at the root, where every forced color is 0
     if not stop:
         place(0, [(level[v], 0, v) for v in range(n) if used[before[v]]],
-              sorted(range(n), key=level.__getitem__), sum(level))
+              sorted(range(n), key=level.__getitem__), sum(level), 0)
 
     if best_order is None:
         return -1, None, nodes, limit_hit

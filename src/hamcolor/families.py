@@ -258,16 +258,21 @@ def spec_from_meta(tree: Tree, meta: dict[str, str]) -> FamilySpec | None:
     """Regenerate the family instance recorded in tree-file metadata, if any;
     the order the parameters give is compared first, so a false claim costs
     nothing to reject.  The generator's edges are compared with the file's
-    validated, sorted ones, so no second tree is built.  A half claim, one of
-    ``family`` and ``params`` without the other, cannot be checked: rejected."""
+    validated, sorted ones, so no second tree is built, and each ``expected_*``
+    value present must read as :func:`spec_meta` writes it.  A half claim,
+    any metadata without both ``family`` and ``params``, cannot be checked:
+    rejected."""
     if "family" not in meta or "params" not in meta:
-        if "family" in meta or "params" in meta:
+        if any(key in meta for key in META_KEYS):
             raise FormatError("family metadata needs both 'family' and 'params'")
         return None
     name, key, args = _lookup(meta["family"], parse_params(meta["params"]))
     if _FAMILIES[key][1](*args) == tree.n:
         edges, spec = _instance(name, key, args)
-        if sorted(edges) == list(tree.edges):
+        written = {k: str(v) for k, v in spec_meta(spec).items() if v is not None}
+        if sorted(edges) == list(tree.edges) and all(
+            written.get(k) == meta[k] for k in META_KEYS[2:] if k in meta
+        ):
             return spec
     raise FormatError("tree does not match its family metadata")
 

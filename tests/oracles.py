@@ -12,10 +12,12 @@ for the recognised brooms, the package's own until the greedy replaced it.  ``bn
 it pruned with the weight-center bound, kept verbatim as an oracle for the
 pruning rules added since; ``rescan_bnb_exact`` is the kernel with every
 rule it has now, as it was before each placement fused its bookkeeping into
-one pass over the unplaced vertices, kept verbatim as the reference for the
-same search, node for node, with its levels from ``weight_levels`` here, not
-the kernel's; ``twin_before`` is the twin rule as the kernel
-first had it, a comparison of distance rows.  ``certify_alternation`` is the
+one pass over the unplaced vertices, kept as the reference for the same
+search, node for node, with its levels from ``weight_levels`` here, not the
+kernel's; it gained rule 6 (the reversal tie-break) by a scan over the
+unplaced vertices, and ``tie_break=False`` turns that rule off again.
+``twin_before`` is the twin rule as the kernel first had it, a comparison
+of distance rows.  ``certify_alternation`` is the
 package's former certificate check, a weaker sufficient condition read from
 the package's levels and bounds, kept as the reference that ``check_spacing``
 accepts every ordering it accepted.  ``ReferenceTree``,
@@ -226,15 +228,20 @@ def rescan_bnb_exact(
     budget: int = -1,
     prefix: Sequence[int] = (),
     incumbent: int = -1,
+    tie_break: bool = True,
 ):
     """Minimise the greedy-completion span over all vertex orderings, with
-    the package kernel's five rules, rescanning all n vertices at every node.
+    the package kernel's six rules, rescanning all n vertices at every node.
 
     dist       flat row-major distance matrix of a tree, length n*n
     budget     maximum number of vertex placements, or -1 for unlimited
     prefix     forced initial placements (distinct vertex ids), pruned and
                counted like any other placement
     incumbent  known upper bound to prune against, or -1 for none
+    tie_break  apply rule 6: when no unplaced vertex other than the
+               candidate has level L(first) and an id above first, the last
+               vertex's level is above L(first); False gives the search
+               with rules 1-5 only
 
     Returns ``(best_span, best_order, nodes, limit_hit)``; ``best_order`` is
     None (and ``best_span`` -1) when no complete ordering beat the incumbent
@@ -306,6 +313,11 @@ def rescan_bnb_exact(
                 end = lo2 if lv == lo1 else lo1
                 if not forced_depth and level[order[0]] > end:
                     end = level[order[0]]
+                # rule 6: a last vertex at L(first) must come after first
+                first = order[0]
+                if (tie_break and not forced_depth and end == level[first]
+                        and not any(not used[w] and w != v and w > first and level[w] == end for w in range(n))):
+                    end += 1
                 if c + rem * step - lv - 2 * rest + end >= best:
                     continue
             if budget >= 0 and state["nodes"] >= budget:

@@ -337,18 +337,32 @@ class TestColor:
             assert code == 1
             assert "error:" in err
 
-    @pytest.mark.parametrize("head", ["# family: broom_odd\n", "# family: nosuch\n", "# params: n=5\n"])
+    @pytest.mark.parametrize(
+        "head", ["# family: broom_odd\n", "# family: nosuch\n", "# params: n=5\n", "# expected_hc: 999\n"]
+    )
     def test_half_family_claim_exit_1(self, run, tmp_path, head):
-        # family without params, or params without family, cannot be checked
+        # family without params, params without family, or an expected_*
+        # value without either, cannot be checked
         path = str(tmp_path / "star.tree")
         open(path, "w").write(head + "5\n0 1\n0 2\n0 3\n0 4\n")
         code, out, err = run("color", path)
         assert code == 1 and out == ""
         assert err == "error: family metadata needs both 'family' and 'params'\n"
 
+    @pytest.mark.parametrize("head", ["# expected_hc: 999\n# expected_n: 7\n", "# expected_total_level: 1\n"])
+    def test_false_expected_claim_exit_1(self, run, tmp_path, head):
+        # a 5-vertex star does not have the order, hc or level sum it claims
+        path = str(tmp_path / "star.tree")
+        open(path, "w").write("# family: star\n# params: n=5\n" + head + "5\n0 1\n0 2\n0 3\n0 4\n")
+        code, out, err = run("color", path)
+        assert code == 1 and out == ""
+        assert err == "error: tree does not match its family metadata\n"
+
     def test_no_family_claim_exit_0(self, run, tmp_path):
         path = str(tmp_path / "star.tree")
-        open(path, "w").write("# expected_hc: 9\n# a plain star\n5\n0 1\n0 2\n0 3\n0 4\n")
+        # a comment that is no metadata key; an expected_* key alone is a
+        # half claim (test_half_family_claim_exit_1)
+        open(path, "w").write("# a plain star\n# hc: 9\n5\n0 1\n0 2\n0 3\n0 4\n")
         code, out, _ = run("color", path)
         assert code == 0 and "span: 9" in out
 
@@ -373,7 +387,7 @@ class TestExact:
         assert code == 3
 
     def test_budget_exit_3_with_upper_bound(self, run, tmp_path):
-        # the path on 10 vertices (hc 34) needs about 9k nodes
+        # the path on 10 vertices (hc 34) needs 604 nodes
         path = str(tmp_path / "p10.tree")
         open(path, "w").write("10\n" + "".join(f"{i} {i + 1}\n" for i in range(9)))
         code, out, _ = run("exact", "--json", path, "--budget", "50")

@@ -3,7 +3,7 @@ import pytest
 
 from hamcolor import families
 from hamcolor.bounds import is_applicable, lower_bound_weight
-from hamcolor.errors import BadParamsError, InternalError, NotApplicableError
+from hamcolor.errors import BadParamsError, FormatError, InternalError, NotApplicableError
 from hamcolor.families import (
     META_KEYS,
     FamilySpec,
@@ -204,6 +204,22 @@ class TestGenerate:
         t, spec = generate("broom", {"n": 10, "d": 4})
         back = spec_from_meta(t, {"family": "broom", "params": "n=10,d=4"})
         assert back == spec and back.family == "broom_even"
+
+    def test_expected_claims_must_match(self):
+        # each expected_* value present is a claim about the instance; the
+        # broom n=9, d=4 has no closed form, so it may not claim an hc
+        for family, params in (("star", {"n": 5}), ("broom", {"n": 10, "d": 4}), ("broom", {"n": 9, "d": 4})):
+            t, spec = generate(family, params)
+            true = {k: str(v) for k, v in spec_meta(spec).items() if v is not None}
+            assert spec_from_meta(t, true) == spec
+            for key in META_KEYS[2:]:
+                wrong = str(getattr(spec, key) or 0) + "1"
+                for lie in (wrong, "None", " "):
+                    with pytest.raises(FormatError, match="tree does not match its family metadata"):
+                        spec_from_meta(t, {**true, key: lie})
+                # a claim with no family and params cannot be checked
+                with pytest.raises(FormatError, match="needs both 'family' and 'params'"):
+                    spec_from_meta(t, {key: true.get(key, "1")})
 
     def test_closed_form_lookup(self):
         assert closed_form_hc(generate("star", {"n": 6})[1]) == 16

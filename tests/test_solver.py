@@ -31,11 +31,11 @@ from hamcolor.tree import Tree, analyze
 PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json"
 # explored nodes per pinned instance, at most
 NODES = {
-    "star8": 8, "broom9_d4": 9, "path9": 384, "path10": 824,
+    "star8": 8, "broom9_d4": 9, "path9": 384, "path10": 604,
     "rand9_tight0": 9, "rand9_tight1": 9, "rand9_tight2": 9, "rand9_tight3": 9,
     "rand9_tight4": 9, "rand9_tight5": 9, "rand9_tight6": 9,
-    "rand8_gap0": 71, "rand8_gap1": 71, "rand8_gap2": 70, "rand8_gap3": 70,
-    "rand8_gap4": 71, "rand8_gap5": 71, "rand8_gap6": 70,
+    "rand8_gap0": 31, "rand8_gap1": 31, "rand8_gap2": 45, "rand8_gap3": 45,
+    "rand8_gap4": 31, "rand8_gap5": 31, "rand8_gap6": 45,
 }
 
 
@@ -292,7 +292,7 @@ class TestExact:
 
 class TestBudget:
     def test_exhaustion_reports_upper_bound(self):
-        # the path on 10 vertices (hc 34) needs about 9k nodes
+        # the path on 10 vertices (hc 34) needs 604 nodes
         rv = analyze(path(10))
         res = exact_hc(rv, budget=50)
         assert res.limit_hit
@@ -394,6 +394,38 @@ class TestKernel:
                 assert got == want, (t.edges, prefix, budget, incumbent)
                 limit_hits += got[3]
         assert limit_hits > 0
+
+    def test_tie_break_keeps_every_span(self, corpus):
+        # rule 6 is sound: on every non-isomorphic tree with n <= 10,
+        # relabelled, the rescanning kernel finds the same span with the rule
+        # as with rules 1-5 only, and never explores more nodes
+        rng = random.Random(37)
+        trees = [t for n in range(1, 9) for t in corpus[n]]
+        trees += [Tree(n, [(int(u), int(v)) for u, v in g.edges()]) for n in (9, 10) for g in nx.nonisomorphic_trees(n)]
+        assert len(trees) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106
+        fewer = 0
+        for t in trees:
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+            flat = [d for row in oracles.nx_distance_matrix(t) for d in row]
+            span, _, nodes, _ = oracles.rescan_bnb_exact(flat, t.n)
+            span_without, _, nodes_without, _ = oracles.rescan_bnb_exact(flat, t.n, tie_break=False)
+            assert span == span_without, t.edges
+            assert nodes <= nodes_without, t.edges
+            fewer += nodes < nodes_without
+        assert fewer > 0
+
+    def test_matches_pre_bound_kernel_on_every_tree(self, corpus):
+        # every non-isomorphic tree with n <= 8, relabelled, against the
+        # kernel from before any pruning rule, which has no reversal rule
+        rng = random.Random(41)
+        for n in range(1, 9):
+            for t in corpus[n]:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                t = Tree(n, [(perm[u], perm[v]) for u, v in t.edges])
+                assert exact_hc(analyze(t)).hc == oracles.pre_bound_hc(t), t.edges
 
     def test_prefixes(self, corpus, exact_of):
         # in corpus[6][2], sibling leaves 2, 3 and 4, 5 are twins, so prefixes
