@@ -28,12 +28,12 @@ with n = 12 and hc > lb; its exit code and ``hc`` must be identical, while
 the explored-node count and the witness may differ between search
 strategies, so the node counts are printed side by side with their total
 for each set, and the explored total of a set may not rise above REV's:
-that is a gate, since a pruning change that costs nodes on the pinned
-instances is a regression whatever its answers.  ``gen`` runs on a grid of ``--params`` per family: valid
-instances, recognised and off-family brooms, both a-tree parities and both
-caterpillar m parities, parameters given out of order, and rejected ones
-(too small, unknown, missing, given twice, not an integer); its stdout,
-stderr and exit code must be identical.  The exit-code counts of each verb
+that is a gate, since a pruning change that costs nodes on these instances
+is a regression whatever its answers.  ``gen`` runs on a grid of
+``--params`` per family: valid instances, recognised and off-family brooms,
+both a-tree parities and both caterpillar m parities, parameters given out
+of order, and rejected ones (too small, unknown, missing, given twice, not
+an integer); its stdout, stderr and exit code must be identical.  The exit-code counts of each verb
 are printed, and so is the line count of each ``src/hamcolor/*.py`` file and
 their total, at REV and in the working tree, with the net change.  Exits 1
 and names the first differing inputs on a mismatch, or the sets whose

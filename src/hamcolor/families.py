@@ -270,9 +270,8 @@ def spec_from_meta(tree: Tree, meta: dict[str, str]) -> FamilySpec | None:
     if _FAMILIES[key][1](*args) == tree.n:
         edges, spec = _instance(name, key, args)
         written = {k: str(v) for k, v in spec_meta(spec).items() if v is not None}
-        if sorted(edges) == list(tree.edges) and all(
-            written.get(k) == meta[k] for k in META_KEYS[2:] if k in meta
-        ):
+        claims = [(k, v) for k, v in meta.items() if k.startswith("expected_")]
+        if sorted(edges) == list(tree.edges) and all(written.get(k) == v for k, v in claims):
             return spec
     raise FormatError("tree does not match its family metadata")
 
