@@ -431,7 +431,8 @@ class TestKernel:
         # in corpus[6][2], sibling leaves 2, 3 and 4, 5 are twins, so prefixes
         # such as (3, 2) force a twin pair in descending order; three other
         # trees have prefixes whose best completions all end at a level below
-        # L(first), where the reversal rule must stay off
+        # L(first), or at L(first) with a smaller id, where the reversal rules
+        # 5 and 6 must stay off
         t = corpus[6][2]
         assert t.adj[2] == t.adj[3] == (1,) and t.adj[4] == t.adj[5] == (0,)
         for t in corpus[6]:
