@@ -12,7 +12,7 @@ matrix (minimum row sums give the centers, a level is the distance to the
 nearest one); b is 1 when there are two centers.  Every path between two
 vertices may detour through the center(s), so d(u, v) <= L(u) + L(v) + b.
 
-Six pruning rules, each sound for the reason given:
+Seven pruning rules, each sound for the reason given:
 
 1. Pending color.  An unplaced vertex already forced to color p ends at p or
    later, so the span is at least p; a placement that forces some color to
@@ -66,6 +66,24 @@ Six pruning rules, each sound for the reason given:
    ``place`` carries the number of those vertices down as an int, counted
    at the root and decremented when one is placed.  A forced ``prefix``
    turns the rule off, as it does rule 5.
+7. Orbits.  An automorphism of the tree maps orderings to orderings of the
+   same span, and it keeps the weight center(s), every level and so every
+   vertex's parent, its neighbour one level up.  Among the images of an
+   optimal ordering under the automorphisms and reversal, take one whose
+   (L(first), first, second) is least, then sort its twin classes into
+   ascending id along it: that is an automorphism too, so it cannot lower
+   first or second and keeps them.  The result keeps rule 3's twin order
+   and rule 6 (its reverse is an image), its first vertex is the least of
+   its orbit, and when every automorphism fixes first, so is its second.
+   So only such vertices are tried at the first two positions.  Two
+   vertices share an orbit exactly when their paths from a center pass
+   subtrees that are isomorphic level by level: ``least_in_orbit`` numbers
+   the subtrees bottom-up and the paths top-down.  Vertices of one orbit
+   have one level and one forced color there, and rule 2 never keeps a
+   vertex while dropping a smaller one of its orbit, so the first candidate
+   that passes rule 2 is the least of its orbit; the orbits are computed
+   when a later candidate comes up, never in a search that ends in its
+   first dive.  A forced ``prefix`` turns the rule off.
 
 Candidates are visited by (c + L(v), c, v): c + L(v) is the part of rule 2's
 bound that varies with v, so the orderings it favours, and with them good
@@ -122,6 +140,38 @@ def twin_before(dist: Sequence[int], n: int) -> list[int]:
     return before
 
 
+def least_in_orbit(dist: Sequence[int], n: int, level: Sequence[int]) -> list[int]:
+    """For each vertex, the least vertex of its orbit under the automorphisms
+    of the tree (module docstring, rule 7), from the flat distance matrix and
+    the levels below the weight center(s)."""
+    by_level = sorted(range(n), key=level.__getitem__)
+    parent = [-1] * n  # the neighbour one level up; -1 at a center
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v in by_level:
+        up = level[v] - 1
+        if up >= 0:
+            base = v * n
+            w = dist.index(1, base, base + n) - base
+            while level[w] != up:
+                w = dist.index(1, base + w + 1, base + n) - base
+            parent[v] = w
+            kids[w].append(v)
+    # shape[v] numbers the subtree below v up to isomorphism (0: a leaf),
+    # key[v] the shapes along the path from a center down to v
+    shape = [0] * n
+    shapes: dict[tuple[int, ...], int] = {(): 0}
+    for v in reversed(by_level):
+        if kids[v]:
+            shape[v] = shapes.setdefault(tuple(sorted([shape[k] for k in kids[v]])), len(shapes))
+    key = [0] * n
+    keys: dict[tuple[int, int], int] = {}
+    for v in by_level:
+        p = parent[v]
+        key[v] = keys.setdefault((key[p] if p >= 0 else -1, shape[v]), len(keys))
+    least: dict[int, int] = {}
+    return [least.setdefault(k, v) for v, k in enumerate(key)]
+
+
 def bnb_exact(
     dist: Sequence[int],
     n: int,
@@ -161,13 +211,14 @@ def bnb_exact(
     # below n*n: with no incumbent, n*n prunes nothing
     best_span = incumbent if incumbent >= 0 else n * n
     best_order = None
+    orbit = None  # least_in_orbit, computed when rule 7 first has a choice
 
     def place(m: int, cand: list, unplaced: list, unplaced_level: int, ties: int) -> None:
         """Try each candidate (key, c, v), key = c + L(v), at position m.
         ``unplaced`` holds the unplaced vertices by ascending level, which
         sum to ``unplaced_level``, and ``ties`` of them have level L(first)
         and an id above first; the caller has applied rule 1."""
-        nonlocal nodes, limit_hit, stop, best_span, best_order
+        nonlocal nodes, limit_hit, stop, best_span, best_order, orbit
         fm = forced[m]
         if m < forced_depth:
             v = prefix[m]
@@ -183,6 +234,10 @@ def bnb_exact(
         root = not m and not forced_depth
         first = order[0]
         lf = level[first] if m and not forced_depth else -1
+        # rule 7 reads the first two positions; the first candidate that
+        # passes rule 2 there is always the least of its orbit
+        sym = m < 2 and not forced_depth
+        later = False
         for key, c, v in cand:
             if stop:
                 return
@@ -200,6 +255,14 @@ def bnb_exact(
                     end = lf if ties - (lv == lf and v > first) else lf + 1
                 if key + slack + end >= best:
                     continue
+            if sym:
+                if later:
+                    if orbit is None:
+                        orbit = least_in_orbit(dist, n, level)
+                    # at position 1 only when every automorphism fixes first
+                    if orbit[v] != v and (not m or orbit.count(first) == 1):
+                        continue
+                later = True
             if budget >= 0 and nodes >= budget:
                 limit_hit = stop = True
                 return

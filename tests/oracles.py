@@ -15,7 +15,10 @@ rule it has now, as it was before each placement fused its bookkeeping into
 one pass over the unplaced vertices, kept as the reference for the same
 search, node for node, with its levels from ``weight_levels`` here, not the
 kernel's; it gained rule 6 (the reversal tie-break) by a scan over the
-unplaced vertices, and ``tie_break=False`` turns that rule off again.
+unplaced vertices and rule 7 (orbits at the first two positions) from
+``automorphism_orbits``, which compares the rootings of the tree, not the
+kernel's codes below the weight center(s); ``tie_break=False`` and
+``orbits=False`` turn those rules off again.
 ``twin_before`` is the twin rule as the kernel first had it, a comparison
 of distance rows.  ``certify_alternation`` is the
 package's former certificate check, a weaker sufficient condition read from
@@ -229,9 +232,10 @@ def rescan_bnb_exact(
     prefix: Sequence[int] = (),
     incumbent: int = -1,
     tie_break: bool = True,
+    orbits: bool = True,
 ):
     """Minimise the greedy-completion span over all vertex orderings, with
-    the package kernel's six rules, rescanning all n vertices at every node.
+    the package kernel's seven rules, rescanning all n vertices at every node.
 
     dist       flat row-major distance matrix of a tree, length n*n
     budget     maximum number of vertex placements, or -1 for unlimited
@@ -240,8 +244,10 @@ def rescan_bnb_exact(
     incumbent  known upper bound to prune against, or -1 for none
     tie_break  apply rule 6: when no unplaced vertex other than the
                candidate has level L(first) and an id above first, the last
-               vertex's level is above L(first); False gives the search
-               with rules 1-5 only
+               vertex's level is above L(first); False turns it off
+    orbits     apply rule 7: the first vertex is the least of its orbit
+               under the automorphisms, and so is the second when every
+               automorphism fixes the first; False turns it off
 
     Returns ``(best_span, best_order, nodes, limit_hit)``; ``best_order`` is
     None (and ``best_span`` -1) when no complete ordering beat the incumbent
@@ -252,6 +258,7 @@ def rescan_bnb_exact(
     target = bound_formula(n, bicentral, sum(level))
     # before[v]: the largest twin of v below it, which must be placed first
     before = twin_before(dist, n)
+    orbit = automorphism_orbits(dist, n)
     used = [False] * n
     order = [0] * n
     forced = [[0] * n for _ in range(n + 1)]
@@ -288,6 +295,12 @@ def rescan_bnb_exact(
                     else:
                         lo2 = lv
                 t = before[v]
+                # rule 7: at the first two positions, only the least vertex
+                # of an orbit, at the second one only if first's orbit is
+                # first alone
+                if (orbits and not forced_depth and m < 2 and min(orbit[v]) != v
+                        and (m == 0 or orbit[order[0]] == {order[0]})):
+                    continue
                 if t < 0 or used[t]:
                     cand.append((c + lv, c, v))
         best = state["best_span"]
@@ -339,6 +352,19 @@ def rescan_bnb_exact(
     if state["best_order"] is None:
         return -1, None, state["nodes"], state["limit_hit"]
     return state["best_span"], state["best_order"], state["nodes"], state["limit_hit"]
+
+
+def automorphism_orbits(dist: Sequence[int], n: int) -> list[set[int]]:
+    """For each vertex v, its orbit under the automorphisms of the tree: the
+    vertices w such that the tree rooted at w is isomorphic to the tree
+    rooted at v, compared by the nested-parenthesis code of each rooting."""
+    adj = [[w for w in range(n) if dist[v * n + w] == 1] for v in range(n)]
+
+    def code(v: int, up: int) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != up)) + ")"
+
+    codes = [code(r, -1) for r in range(n)]
+    return [{w for w in range(n) if codes[w] == codes[v]} for v in range(n)]
 
 
 def twin_before(dist: Sequence[int], n: int) -> list[int]:

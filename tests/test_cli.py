@@ -387,7 +387,7 @@ class TestExact:
         assert code == 3
 
     def test_budget_exit_3_with_upper_bound(self, run, tmp_path):
-        # the path on 10 vertices (hc 34) needs 604 nodes
+        # the path on 10 vertices (hc 34) needs 427 nodes
         path = str(tmp_path / "p10.tree")
         open(path, "w").write("10\n" + "".join(f"{i} {i + 1}\n" for i in range(9)))
         code, out, _ = run("exact", "--json", path, "--budget", "50")

@@ -31,7 +31,7 @@ from hamcolor.tree import Tree, analyze
 PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json"
 # explored nodes per pinned instance, at most
 NODES = {
-    "star8": 8, "broom9_d4": 9, "path9": 384, "path10": 604,
+    "star8": 8, "broom9_d4": 9, "path9": 217, "path10": 427,
     "rand9_tight0": 9, "rand9_tight1": 9, "rand9_tight2": 9, "rand9_tight3": 9,
     "rand9_tight4": 9, "rand9_tight5": 9, "rand9_tight6": 9,
     "rand8_gap0": 31, "rand8_gap1": 31, "rand8_gap2": 45, "rand8_gap3": 45,
@@ -292,7 +292,7 @@ class TestExact:
 
 class TestBudget:
     def test_exhaustion_reports_upper_bound(self):
-        # the path on 10 vertices (hc 34) needs 604 nodes
+        # the path on 10 vertices (hc 34) needs 427 nodes
         rv = analyze(path(10))
         res = exact_hc(rv, budget=50)
         assert res.limit_hit
@@ -395,26 +395,50 @@ class TestKernel:
                 limit_hits += got[3]
         assert limit_hits > 0
 
-    def test_tie_break_keeps_every_span(self, corpus):
-        # rule 6 is sound: on every non-isomorphic tree with n <= 10,
-        # relabelled, the rescanning kernel finds the same span with the rule
-        # as with rules 1-5 only, and never explores more nodes
+    def test_symmetry_rules_keep_every_span(self, corpus):
+        # rules 6 and 7 are sound: on every non-isomorphic tree with n <= 10,
+        # relabelled, the rescanning kernel finds the same span with both
+        # rules, with either one, and with neither, and never explores more
+        # nodes with both
         rng = random.Random(37)
         trees = [t for n in range(1, 9) for t in corpus[n]]
         trees += [Tree(n, [(int(u), int(v)) for u, v in g.edges()]) for n in (9, 10) for g in nx.nonisomorphic_trees(n)]
         assert len(trees) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106
-        fewer = 0
+        fewer = {"rule 6": 0, "rule 7": 0}
         for t in trees:
             perm = list(range(t.n))
             rng.shuffle(perm)
             t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
             flat = [d for row in oracles.nx_distance_matrix(t) for d in row]
             span, _, nodes, _ = oracles.rescan_bnb_exact(flat, t.n)
-            span_without, _, nodes_without, _ = oracles.rescan_bnb_exact(flat, t.n, tie_break=False)
-            assert span == span_without, t.edges
-            assert nodes <= nodes_without, t.edges
-            fewer += nodes < nodes_without
-        assert fewer > 0
+            for rule, flags in (("rule 6", (False, True)), ("rule 7", (True, False)), (None, (False, False))):
+                span_without, _, nodes_without, _ = oracles.rescan_bnb_exact(flat, t.n, -1, (), -1, *flags)
+                assert span == span_without, (t.edges, flags)
+                assert nodes <= nodes_without, (t.edges, flags)
+                if rule:
+                    fewer[rule] += nodes < nodes_without
+        assert all(fewer.values()), fewer
+
+    def test_orbits_match_the_rootings(self, corpus):
+        # every non-isomorphic tree with n <= 10, relabelled: the kernel's
+        # codes below the weight center(s) against rooting the tree at each
+        # vertex in turn
+        rng = random.Random(43)
+        trees = [t for n in range(1, 9) for t in corpus[n]]
+        trees += [Tree(n, [(int(u), int(v)) for u, v in g.edges()]) for n in (9, 10) for g in nx.nonisomorphic_trees(n)]
+        moved = 0
+        for t in trees:
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+            dist = solver._flat_distances(analyze(t))
+            level, _ = solver._kernel.weight_levels(dist, t.n)
+            least = solver._kernel.least_in_orbit(dist, t.n, level)
+            flat = [d for row in oracles.nx_distance_matrix(t) for d in row]
+            assert least == [min(orbit) for orbit in oracles.automorphism_orbits(flat, t.n)], t.edges
+            # vertices in the orbit of a smaller one that is not their twin
+            moved += sum(least[v] != v and t.adj[v] != t.adj[least[v]] for v in range(t.n))
+        assert moved > 0
 
     def test_matches_pre_bound_kernel_on_every_tree(self, corpus):
         # every non-isomorphic tree with n <= 8, relabelled, against the
