@@ -79,11 +79,13 @@ Seven pruning rules, each sound for the reason given:
    vertices share an orbit exactly when their paths from a center pass
    subtrees that are isomorphic level by level: ``least_in_orbit`` numbers
    the subtrees bottom-up and the paths top-down.  Vertices of one orbit
-   have one level and one forced color there, and rule 2 never keeps a
-   vertex while dropping a smaller one of its orbit, so the first candidate
-   that passes rule 2 is the least of its orbit; the orbits are computed
-   when a later candidate comes up, never in a search that ends in its
-   first dive.  A forced ``prefix`` turns the rule off.
+   have one level and one forced color there, so they are neighbours in
+   the candidate order, by id, and rule 2 never keeps a vertex while
+   dropping a smaller one of its orbit: a candidate that passes rule 2 and
+   is not the least of its orbit comes right after another that passed
+   with its key and color.  Only such a candidate is looked up, and the
+   orbits are computed at the first one, never in a search that ends in
+   its first dive.  A forced ``prefix`` turns the rule off.
 
 Candidates are visited by (c + L(v), c, v): c + L(v) is the part of rule 2's
 bound that varies with v, so the orderings it favours, and with them good
@@ -234,10 +236,10 @@ def bnb_exact(
         root = not m and not forced_depth
         first = order[0]
         lf = level[first] if m and not forced_depth else -1
-        # rule 7 reads the first two positions; the first candidate that
-        # passes rule 2 there is always the least of its orbit
+        # rule 7 reads the first two positions, where a vertex that is not
+        # the least of its orbit comes right after one with its key and color
         sym = m < 2 and not forced_depth
-        later = False
+        pk = pc = -1
         for key, c, v in cand:
             if stop:
                 return
@@ -256,13 +258,13 @@ def bnb_exact(
                 if key + slack + end >= best:
                     continue
             if sym:
-                if later:
+                if key == pk and c == pc:
                     if orbit is None:
                         orbit = least_in_orbit(dist, n, level)
                     # at position 1 only when every automorphism fixes first
                     if orbit[v] != v and (not m or orbit.count(first) == 1):
                         continue
-                later = True
+                pk, pc = key, c
             if budget >= 0 and nodes >= budget:
                 limit_hit = stop = True
                 return
