@@ -395,6 +395,20 @@ class TestKernel:
                 limit_hits += got[3]
         assert limit_hits > 0
 
+    def test_same_search_on_every_tree_with_ten_vertices(self):
+        # four relabellings of each: some symmetric trees with n = 10 put a
+        # candidate at the third position right after one with its key and
+        # color although it is not the least of its orbit (no tree of the
+        # n <= 9 corpus above does), which pins rule 7 to two positions
+        rng = random.Random(31)
+        for g in nx.nonisomorphic_trees(10):
+            for _ in range(4):
+                perm = list(range(10))
+                rng.shuffle(perm)
+                t = Tree(10, [(perm[int(u)], perm[int(v)]) for u, v in g.edges()])
+                dist = solver._flat_distances(analyze(t))
+                assert solver._kernel.bnb_exact(dist, 10) == oracles.rescan_bnb_exact(dist, 10), t.edges
+
     def test_symmetry_rules_keep_every_span(self, corpus):
         # rules 6 and 7 are sound: on every non-isomorphic tree with n <= 10,
         # relabelled, the rescanning kernel finds the same span with both
