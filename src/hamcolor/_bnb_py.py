@@ -79,9 +79,10 @@ Seven pruning rules, each sound for the reason given:
    vertices share an orbit exactly when their paths from a center pass
    subtrees that are isomorphic level by level: ``least_in_orbit`` numbers
    the subtrees bottom-up and the paths top-down.  Vertices of one orbit
-   have one level and one forced color there, so they are neighbours in
-   the candidate order, by id, and rule 2 never keeps a vertex while
-   dropping a smaller one of its orbit: a candidate that passes rule 2 and
+   have one level and one forced color where the rule applies, so they
+   share a key and come in id order among the candidates with that key and
+   color, and rule 2 never keeps a vertex while dropping a smaller one of
+   its orbit or of that run: a candidate that passes rule 2 and
    is not the least of its orbit comes right after another that passed
    with its key and color.  Only such a candidate is looked up, and the
    orbits are computed at the first one, never in a search that ends in
