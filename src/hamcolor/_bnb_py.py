@@ -82,11 +82,11 @@ Seven pruning rules, each sound for the reason given:
    have one level and one forced color where the rule applies, so they
    share a key and come in id order among the candidates with that key and
    color, and rule 2 never keeps a vertex while dropping a smaller one of
-   its orbit or of that run: a candidate that passes rule 2 and
-   is not the least of its orbit comes right after another that passed
-   with its key and color.  Only such a candidate is looked up, and the
-   orbits are computed at the first one, never in a search that ends in
-   its first dive.  A forced ``prefix`` turns the rule off.
+   its orbit or of that run: a candidate that passes rule 2 and is not
+   the least of its orbit comes right after another that passed with its
+   key and color.  Only such a candidate is looked up, and the orbits are
+   computed at the first one, never in a search that ends in its first
+   dive.  A forced ``prefix`` turns the rule off.
 
 Candidates are visited by (c + L(v), c, v): c + L(v) is the part of rule 2's
 bound that varies with v, so the orderings it favours, and with them good
