@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
-"""Check that ``hamcolor color``, ``verify``, ``exact``, ``analyze``,
-``compare`` and ``gen`` behave the same at a git revision and in the working
-tree.
+"""Check that ``hamcolor color``, ``verify``, ``exact``, ``analyze`` and
+``gen`` behave the same at a git revision and in the working tree.
 
 Extracts ``src/`` of REV with ``git archive``, then runs the verbs on one
 fixed input set once with each source tree, each in a fresh interpreter, and
@@ -14,30 +13,29 @@ the same way on trees whose weight centers carry many leaves: stars and
 brooms, each with its family metadata and relabelled without it, and double
 stars and spiders with unit legs and one long leg, each as built and
 relabelled; it is compared byte for byte and its exit codes are counted
-apart from ``color``'s.  ``verify`` and ``verify --json``
-run on the coloring that REV's ``color`` wrote for each of those inputs and
-on a copy with the colors of three seeded vertices rotated; their stdout,
-stderr and exit code must be identical.  ``analyze --json`` and
-``compare --json --force`` run on the same inputs as ``color``; their exit
-code, stderr and the value of every key that both sides print must be
-identical, and the keys that only one side prints are listed once per verb
+apart from ``color``'s.  ``verify`` and ``verify --json`` run on the
+coloring that REV's ``color`` wrote for each of those inputs and on a copy
+with the colors of three seeded vertices rotated; their stdout, stderr and
+exit code must be identical.  ``analyze --json`` runs on the same inputs as
+``color``; its exit code, stderr and the value of every key that both sides
+print must be identical, and the keys that only one side prints are listed
 (a key added or removed on purpose shows there).  ``exact`` runs on the 18
 instances of ``perfbench/pinned.json`` (read, never written) and, with
 ``--limit 12``, on the paths with n = 11 and 12 and four seeded Prufer trees
 with n = 12 and hc > lb; its exit code and ``hc`` must be identical, while
 the explored-node count and the witness may differ between search
-strategies, so the node counts are printed side by side with their total
-for each set, and the explored total of a set may not rise above REV's:
-that is a gate, since a pruning change that costs nodes on these instances
-is a regression whatever its answers.  ``gen`` runs on a grid of
-``--params`` per family: valid instances, recognised and off-family brooms,
-both a-tree parities and both caterpillar m parities, parameters given out
-of order, and rejected ones (too small, unknown, missing, given twice, not
-an integer); its stdout, stderr and exit code must be identical.  The exit-code counts of each verb
-are printed, and so is the line count of each ``src/hamcolor/*.py`` file and
-their total, at REV and in the working tree, with the net change.  Exits 1
-and names the first differing inputs on a mismatch, or the sets whose
-explored total rose.
+strategies, so the node counts are printed side by side with their total for
+each set, and the explored total of a set may not rise above REV's: that is
+a gate, since a pruning change that costs nodes on these instances is a
+regression whatever its answers.  ``gen`` runs on a grid of ``--params`` per
+family: valid instances, recognised and off-family brooms, both a-tree
+parities and both caterpillar m parities, parameters given out of order, and
+rejected ones (too small, unknown, missing, given twice, not an integer);
+its stdout, stderr and exit code must be identical.  The exit-code counts of
+each verb are printed, and so is the line count of each
+``src/hamcolor/*.py`` file and their total, at REV and in the working tree,
+with the net change.  Exits 1 and names the first differing inputs on a
+mismatch, or the sets whose explored total rose.
 
     python3 scripts/color_parity.py HEAD
     python3 scripts/color_parity.py HEAD~1 --prufer 300
@@ -86,12 +84,11 @@ RUNS = (
     ("verify", "colorings/*.coloring", ["verify"], None),
     ("verify --json", "colorings/*.coloring", ["verify", "--json"], None),
     ("analyze", "*.tree", ["analyze", "--json"], None),
-    ("compare", "*.tree", ["compare", "--json", "--force"], None),
     ("exact", "exact/*.tree", ["exact", "--json"], ".hc.coloring"),
     ("exact", "exact12/*.tree", ["exact", "--json", "--limit", "12"], ".hc.coloring"),
 )
 # verbs whose JSON output is compared key by key
-KEYED = ("analyze", "compare")
+KEYED = ("analyze",)
 # gen's --params per family, valid ones first, then rejected ones
 GEN = {
     "star": [f"n={n}" for n in (3, 4, 9, 40)] + ["n=2", "n=-3", "n=4,q=1", "", "n=4,n=5", "n=four", "n=4.0", "n"],
@@ -281,7 +278,7 @@ def main() -> int:
     for verb, (rev_only, tree_only) in one_sided.items():
         print(f"{verb}: keys printed only at {args.rev}: {', '.join(sorted(rev_only)) or 'none'}; "
               f"only in the working tree: {', '.join(sorted(tree_only)) or 'none'}")
-    for verb in ("color", "hubs", "verify", "analyze", "compare", "exact", "gen"):
+    for verb in ("color", "hubs", "verify", "analyze", "exact", "gen"):
         before, after = (
             dict(sorted(Counter(res[0] for name, res in side.items() if name.startswith(verb + " ")).items()))
             for side in (old, new)
@@ -299,7 +296,7 @@ def main() -> int:
     if differ or set(new) != set(old) or rose:
         return 1
     print("identical: color and hubs stdout, stderr, exit code and coloring file; verify stdout, stderr and exit code; "
-          "analyze and compare exit code, stderr and every key both sides print; exact exit code and hc, "
+          "analyze exit code, stderr and every key both sides print; exact exit code and hc, "
           "with no explored total above REV's; "
           "gen stdout, stderr and exit code")
     return 0

@@ -12,8 +12,8 @@ dominates and is the one certified by ordering certificates.  The raw formula
 is a valid lower bound on every tree, paths and n <= 3 included: the 1 - b
 term needs two distinct ends of an ordering, so a one-vertex tree gets 0.
 :func:`is_applicable` (n >= 4 and maximum degree >= 3) says whether the bound
-certifies anything; the callers that issue certificates, and the CLI, make
-that check themselves.
+certifies anything; the callers that issue certificates make that check
+themselves, and the CLI prints it next to the bounds.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ def is_applicable(tree: Tree) -> bool:
     return tree.n >= 4 and tree.max_degree >= 3
 
 
-def require_applicable(tree: Tree, what: str, hint: str = "") -> None:
+def require_applicable(tree: Tree, what: str) -> None:
     """Raise :class:`NotApplicableError` naming ``what`` unless :func:`is_applicable`."""
     if not is_applicable(tree):
         raise NotApplicableError(
             f"{what} need order >= 4 and max degree >= 3 "
-            f"(got n={tree.n}, max degree {tree.max_degree}){hint}"
+            f"(got n={tree.n}, max degree {tree.max_degree})"
         )
 
 
@@ -53,13 +53,8 @@ def lower_bound_weight(rv: RootedView) -> int:
 
 @dataclass(frozen=True)
 class BoundReport:
-    n: int
-    applicable: bool
     lb_weight: int
     lb_center: int
-    weight_bicentral: bool
-    center_bicentral: bool
-    weight_total_level: int
     center_total_level: int
 
     @property
@@ -72,15 +67,9 @@ def compare_bounds(rv: RootedView) -> BoundReport:
     centers; the center bound never exceeds the weight-center bound."""
     tree = rv.tree
     centers = graph_centers(tree)
-    bicentral = len(centers) == 2
     center_level = sum(tree.bfs(centers)[0])
     return BoundReport(
-        n=tree.n,
-        applicable=is_applicable(tree),
         lb_weight=lower_bound_weight(rv),
-        lb_center=bound_formula(tree.n, bicentral, center_level),
-        weight_bicentral=rv.bicentral,
-        center_bicentral=bicentral,
-        weight_total_level=rv.total_level,
+        lb_center=bound_formula(tree.n, len(centers) == 2, center_level),
         center_total_level=center_level,
     )

@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Verbs: gen, analyze, color, exact, verify, compare, dot.  Exit codes:
-0 success, 1 parse/validation problem (usage errors too), 2 verification
-failure, 3 size limit, or a budget that ran out before the span was proved,
-4 the greedy ordering fails the spacing condition on a tree without a closed
-form (not a proof that hc exceeds the lower bound), 5 internal error (a bug),
-among them a greedy failure on a family instance with a closed form.  ``color`` writes the coloring that
-``check_spacing`` verified.
+Verbs: gen, analyze, color, exact, verify, dot.  Exit codes: 0 success,
+1 parse/validation problem (usage errors too), 2 verification failure,
+3 size limit, or a budget that ran out before the span was proved, 4 the
+greedy ordering fails the spacing condition on a tree without a closed form
+(not a proof that hc exceeds the lower bound), 5 internal error (a bug),
+among them a greedy failure on a family instance with a closed form.
+``color`` writes the coloring that ``check_spacing`` verified.
 
 ``main(argv)`` may be called any number of times in one process: the
 argument parser is built on the first call and reused by every later one.
@@ -22,7 +22,7 @@ import sys
 from typing import NoReturn
 
 from . import families
-from .bounds import compare_bounds, is_applicable, require_applicable
+from .bounds import compare_bounds, is_applicable
 from .errors import (
     HamcolorError,
     InternalError,
@@ -38,7 +38,7 @@ from .io import (
     to_dot,
 )
 from .ordering import search_ordering
-from .solver import exact_hc, search_backend, verify_coloring
+from .solver import exact_hc, verify_coloring
 from .tree import analyze, graph_centers
 
 
@@ -108,6 +108,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     tree, _ = load_tree(args.file)
     rv = analyze(tree)
     centers = graph_centers(tree)
+    report = compare_bounds(rv)
     data: dict = {
         "n": tree.n,
         "max_degree": tree.max_degree,
@@ -119,15 +120,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "total_level_weight": rv.total_level,
         "upper_bound_trivial": (tree.n - 2) ** 2 if tree.n >= 2 else 0,
         "applicable": is_applicable(tree),
+        "total_level_center": report.center_total_level,
+        "lb_weight": report.lb_weight,
+        "lb_center": report.lb_center,
+        "lb_difference": report.difference,
     }
-    if is_applicable(tree) or args.force:
-        report = compare_bounds(rv)
-        data["total_level_center"] = report.center_total_level
-        data["lb_weight"] = report.lb_weight
-        data["lb_center"] = report.lb_center
-        data["lb_difference"] = report.difference
-        if not report.applicable:
-            data["certifying"] = False
     _emit(args, data)
     return 0
 
@@ -170,7 +167,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             "proved_optimal": res.proved_optimal,
             "explored": res.explored,
             "limit_hit": res.limit_hit,
-            "backend": search_backend(),
             "witness_span": res.witness.span,
             "witness_file": out,
         },
@@ -191,28 +187,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for viol in violations:
             print(f"violation: u={viol.u} v={viol.v} required={viol.required} actual={viol.actual}")
     return 2 if violations else 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    tree, _ = load_tree(args.file)
-    if not args.force:
-        require_applicable(tree, "bounds", "; pass --force for the raw value")
-    report = compare_bounds(analyze(tree))
-    _emit(
-        args,
-        {
-            "n": report.n,
-            "applicable": report.applicable,
-            "lb_weight": report.lb_weight,
-            "lb_center": report.lb_center,
-            "difference": report.difference,
-            "weight_bicentral": report.weight_bicentral,
-            "center_bicentral": report.center_bicentral,
-            "total_level_weight": report.weight_total_level,
-            "total_level_center": report.center_total_level,
-        },
-    )
-    return 0
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
@@ -257,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common], help="structure and bounds of a tree")
     p.add_argument("file")
-    p.add_argument("--force", action="store_true", help="evaluate bounds even when non-certifying")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("color", parents=[common], help="certified optimal coloring via an ordering")
@@ -277,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.add_argument("coloring")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("compare", parents=[common], help="compare the two lower bounds")
-    p.add_argument("file")
-    p.add_argument("--force", action="store_true", help="evaluate bounds even when non-certifying")
-    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("dot", parents=[common], help="DOT export, optionally labelled by a coloring")
     p.add_argument("file")

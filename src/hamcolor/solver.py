@@ -8,9 +8,9 @@ vertex sequence lives.  Only ``exact_hc`` builds an n x n distance matrix.
 color completion along the ordering (``ordering.min_span_for_order``); the
 completion is pointwise minimal for a fixed ordering, so the overall minimum
 is the hamiltonian chromatic number.
-The search runs on the pure-Python kernel in ``_bnb_py`` (reported by
-:func:`search_backend`).  Node budgets are deterministic, so runs are
-reproducible.
+The search runs on the pure-Python kernel in ``_bnb_py``, which
+:func:`search_backend` names for benchmark records.  Node budgets are
+deterministic, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .tree import RootedView
 
 
 def search_backend() -> str:
-    """Name of the search kernel that ``exact`` reports: always "python"."""
+    """Name of the search kernel, which perfbench records: always "python"."""
     return "python"
 
 

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import random
@@ -117,18 +118,17 @@ class TestAnalyze:
         assert data["lb_weight"] == 30
         assert "diam_within_half" not in data
 
-    def test_path_needs_force_for_bounds(self, run, tmp_path):
+    def test_path_prints_bounds(self, run, tmp_path):
+        # the formula bounds hc on every tree; applicable says whether it certifies
         path = str(tmp_path / "p4.tree")
         open(path, "w").write("4\n0 1\n1 2\n2 3\n")
+        code, out, _ = run("analyze", path)
+        assert code == 0
+        assert "lb_weight: 2\n" in out and "applicable: false\n" in out
         code, out, _ = run("analyze", "--json", path)
         data = json.loads(out)
-        assert code == 0
-        assert data["applicable"] is False
-        assert "lb_weight" not in data
-        code, out, _ = run("analyze", "--json", "--force", path)
-        data = json.loads(out)
-        assert data["lb_weight"] == 2
-        assert data["certifying"] is False
+        assert (data["lb_weight"], data["applicable"]) == (2, False)
+        assert "certifying" not in data
 
     def test_one_rooted_view_per_call(self, run, tmp_path, monkeypatch):
         # the bounds are read from the view analyze built, not a second one
@@ -141,12 +141,10 @@ class TestAnalyze:
             init(self, tree)
 
         monkeypatch.setattr(RootedView, "__init__", counting)
-        for verb in ("analyze", "compare"):
-            views.clear()
-            code, out, _ = run(verb, "--json", path)
-            assert code == 0
-            assert json.loads(out)["lb_center"] == 50
-            assert len(views) == 1, verb
+        code, out, _ = run("analyze", "--json", path)
+        assert code == 0
+        assert json.loads(out)["lb_center"] == 50
+        assert len(views) == 1
 
     def test_missing_file_exit_1(self, run):
         code, _, err = run("analyze", "no-such-file.tree")
@@ -484,9 +482,9 @@ class TestParserReuse:
         del parsers_built[:]
         assert run("exact", path)[0] == 0
         assert parsers_built == []
-        # the counter does see a build
+        # the counter does see a build: the root, the shared options and six verbs
         cli.build_parser.__wrapped__()
-        assert len(parsers_built) == 9
+        assert len(parsers_built) == 8
 
     def test_calls_share_no_state(self, run, tmp_path):
         path = gen_file(run, tmp_path, "star", "n=9")
@@ -532,7 +530,7 @@ class TestParserReuse:
         src = str(Path(hamcolor.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-        assert json.loads(proc.stdout) == [0, 9]
+        assert json.loads(proc.stdout) == [0, 8]
 
 
 class TestVerify:
@@ -605,8 +603,7 @@ class TestJsonOutput:
         for n in range(1, 9):
             for tree in corpus[n]:
                 open(path, "w").write(format_tree(tree))
-                calls = [("analyze", "--json", "--force", path), ("compare", "--json", "--force", path),
-                         ("color", "--json", path), ("exact", "--json", path),
+                calls = [("analyze", "--json", path), ("color", "--json", path), ("exact", "--json", path),
                          ("verify", "--json", path, path + ".hc.coloring")]
                 for argv in calls:
                     code, out, err = run(*argv)
@@ -701,74 +698,65 @@ class TestScale:
 
 
 class TestCompare:
+    """The weight-center bound against the graph-center bound, as ``analyze``
+    prints them on every tree."""
+
     def test_broom_gap(self, run, tmp_path):
         path = gen_file(run, tmp_path, "broom", "n=10,d=4")
-        code, out, _ = run("compare", "--json", path)
+        code, out, _ = run("analyze", "--json", path)
         assert code == 0
         data = json.loads(out)
         assert data["lb_weight"] == 58
         assert data["lb_center"] == 50
-        assert data["difference"] == 8
+        assert data["lb_difference"] == 8
 
-    def test_path_needs_force(self, run, tmp_path):
-        path = str(tmp_path / "p4.tree")
-        open(path, "w").write("4\n0 1\n1 2\n2 3\n")
-        code, _, _ = run("compare", path)
-        assert code == 1
-        code, out, _ = run("compare", "--json", "--force", path)
-        assert code == 0
-        assert json.loads(out)["applicable"] is False
-
-    def test_hint_names_the_cli_flag(self, run, tmp_path):
-        path = str(tmp_path / "p4.tree")
-        open(path, "w").write("4\n0 1\n1 2\n2 3\n")
-        code, out, err = run("compare", path)
-        assert (code, out) == (1, "")
-        assert "--force" in err
-        assert "force=True" not in err
-
-    def test_corpus_matches_analyze_and_networkx(self, run, tmp_path, corpus):
-        # every tree with n <= 8, forced: compare and analyze print the same
-        # bounds, and both match centers and levels computed with networkx
+    def test_corpus_matches_networkx(self, run, tmp_path, corpus):
+        # every tree with n <= 8: centers, levels and both bounds match
+        # networkx, paths and n <= 3 included
         import networkx as nx
 
         path = tmp_path / "t.tree"
-        shared = ("applicable", "lb_weight", "lb_center", "weight_bicentral", "center_bicentral",
-                  "total_level_weight", "total_level_center")
         for n in range(1, 9):
             for t in corpus[n]:
                 path.write_text(format_tree(t))
-                outputs = []
-                for verb in ("analyze", "compare"):
-                    code, out, err = run(verb, "--json", "--force", str(path))
-                    assert (code, err) == (0, ""), (verb, t.edges)
-                    outputs.append(json.loads(out))
-                an, cmp = outputs
-                assert "diam_within_half" not in an and "diam_within_half" not in cmp
-                assert an["lb_difference"] == cmp["difference"]
-                assert {k: an[k] for k in shared} == {k: cmp[k] for k in shared}, t.edges
+                code, out, err = run("analyze", "--json", str(path))
+                assert (code, err) == (0, ""), t.edges
+                an = json.loads(out)
+                assert "diam_within_half" not in an and "certifying" not in an
                 dist = oracles.nx_distance_matrix(t)
                 transmission = [oracles.nx_transmission(t, v) for v in range(n)]
                 weight = [v for v in range(n) if transmission[v] == min(transmission)]
                 center = sorted(nx.center(oracles.nx_graph(t)))
                 assert (an["weight_centers"], an["graph_centers"]) == (weight, center)
-                assert cmp["applicable"] == (n >= 4 and t.max_degree >= 3)
+                assert an["applicable"] == (n >= 4 and t.max_degree >= 3)
                 for kind, centers, lb in (("weight", weight, "lb_weight"), ("center", center, "lb_center")):
                     total = sum(min(dist[v][c] for c in centers) for v in range(n))
-                    assert cmp[f"total_level_{kind}"] == total
-                    assert cmp[f"{kind}_bicentral"] == (len(centers) == 2)
-                    assert cmp[lb] == bound_formula(n, len(centers) == 2, total)
+                    assert an[f"total_level_{kind}"] == total
+                    assert an[f"{kind}_bicentral"] == (len(centers) == 2)
+                    assert an[lb] == bound_formula(n, len(centers) == 2, total)
+                assert an["lb_difference"] == an["lb_weight"] - an["lb_center"]
 
-    def test_one_vertex_forced_bounds_are_zero(self, run, tmp_path):
+    def test_one_vertex_bounds_are_zero(self, run, tmp_path):
         path = str(tmp_path / "one.tree")
         open(path, "w").write("1\n")
-        code, out, _ = run("compare", "--force", path)
+        code, out, _ = run("analyze", path)
         assert code == 0
         assert "lb_weight: 0\n" in out and "lb_center: 0\n" in out
         code, out, _ = run("exact", "--json", path)
         assert code == 0
         data = json.loads(out)
         assert (data["hc"], data["lb"], data["proved_optimal"]) == (0, 0, True)
+
+    @pytest.mark.parametrize("argv", [["compare"], ["compare", "--force"], ["analyze", "--force"]])
+    def test_removed_verb_and_option_are_usage_errors(self, argv, run, tmp_path):
+        path = gen_file(run, tmp_path, "broom", "n=10,d=4")
+        src = str(Path(hamcolor.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "hamcolor.cli", *argv, path],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("usage: hamcolor")
+        assert "error: " in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestDot:
@@ -789,12 +777,21 @@ class TestDot:
         assert "\\nc=" in text
 
 
-@pytest.mark.skipif(shutil.which("hamcolor") is None, reason="entry point not on PATH")
-def test_console_script():
-    out = subprocess.run(
-        ["hamcolor", "gen", "--family", "star", "--params", "n=4"],
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0
-    assert out.stdout.splitlines()[-1] == "0 3"
+def test_console_script(capsys):
+    # the installed script when it is on PATH, else the entry pyproject.toml
+    # declares for it, resolved and called in-process
+    argv = ["gen", "--family", "star", "--params", "n=4"]
+    if shutil.which("hamcolor") is not None:
+        proc = subprocess.run(["hamcolor", *argv], capture_output=True, text=True)
+        code, out = proc.returncode, proc.stdout
+    else:
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        entry = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["hamcolor"]
+        assert entry == "hamcolor.cli:main"
+        module, _, name = entry.partition(":")
+        script = getattr(importlib.import_module(module), name)
+        code = script(argv)
+        out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[-1] == "0 3"

@@ -97,6 +97,7 @@ ENTRY_POINTS = {
     "closed_form_hc",  # the public closed-form query; ROADMAP item 5 extends it to spiders
     "family_ordering",  # perfbench/workloads.py:151 builds verify-mixed's orderings with it
     "coloring_from_ordering",  # perfbench/workloads.py:152 colors those orderings with it
+    "search_backend",  # perfbench/client.py:310 records the kernel's name in every result
 }
 
 
