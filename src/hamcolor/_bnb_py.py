@@ -29,9 +29,7 @@ Seven pruning rules, each sound for the reason given:
 3. Twin symmetry.  Two vertices are twins when their distance rows agree
    except toward each other.  Swapping two twins is an isometry, so it maps
    orderings to orderings of the same span, and twins are placed in
-   ascending id order.  Placements inside a forced ``prefix`` ignore the
-   rule; any permutation of the twins outside the prefix fixes the prefix,
-   so the rule stays sound after it.  In a tree with n >= 3 the twins are
+   ascending id order.  In a tree with n >= 3 the twins are
    exactly the leaves with a common neighbour, which ``twin_before`` finds
    in O(n^2) instead of comparing rows in O(n^3).  Leaves u, v of p are
    twins, since every path from either to another vertex w passes through
@@ -52,8 +50,7 @@ Seven pruning rules, each sound for the reason given:
    reversed ordering completes to a span of at most s (and so exactly s).
    Some optimal ordering therefore has L(first) <= L(last), and rule 2 may
    count L(first) for L(last).  Twin swaps preserve levels, so rules 3 and 5
-   hold together.  A forced ``prefix`` turns the rule off: the reverse of an
-   ordering that starts with the prefix does not.
+   hold together.
 6. Reversal tie-break.  Some optimal ordering keeps rule 3's twin order and
    has (L(first), first) < (L(last), last).  Take an optimal ordering in
    twin order whose ends compare the other way (they differ, as first !=
@@ -64,8 +61,7 @@ Seven pruning rules, each sound for the reason given:
    therefore count L(first) + 1 for L(last) whenever no unplaced vertex
    other than the candidate has level L(first) and an id above first.
    ``place`` carries the number of those vertices down as an int, counted
-   at the root and decremented when one is placed.  A forced ``prefix``
-   turns the rule off, as it does rule 5.
+   at the root and decremented when one is placed.
 7. Orbits.  An automorphism of the tree maps orderings to orderings of the
    same span, and it keeps the weight center(s), every level and so every
    vertex's parent, its neighbour one level up.  Among the images of an
@@ -86,7 +82,7 @@ Seven pruning rules, each sound for the reason given:
    the least of its orbit comes right after another that passed with its
    key and color.  Only such a candidate is looked up, and the orbits are
    computed at the first one, never in a search that ends in its first
-   dive.  A forced ``prefix`` turns the rule off.
+   dive.
 
 Candidates are visited by (c + L(v), c, v): c + L(v) is the part of rule 2's
 bound that varies with v, so the orderings it favours, and with them good
@@ -113,6 +109,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .bounds import bound_formula
+from .errors import BadParamsError
 
 
 def weight_levels(dist: Sequence[int], n: int) -> tuple[list[int], bool]:
@@ -186,14 +183,16 @@ def bnb_exact(
 
     dist       flat row-major distance matrix of a tree, length n*n
     budget     maximum number of vertex placements, or -1 for unlimited
-    prefix     forced initial placements (distinct vertex ids), pruned and
-               counted like any other placement
+    prefix     must be empty (else BadParamsError); the slot keeps the
+               positional calls ``bnb_exact(dist, n, -1, (), -1)`` working
     incumbent  known upper bound to prune against, or -1 for none
 
     Returns ``(best_span, best_order, nodes, limit_hit)``; ``best_order`` is
     None (and ``best_span`` -1) when no complete ordering beat the incumbent
     or the budget ran out first.
     """
+    if prefix:
+        raise BadParamsError(f"the search takes no forced prefix, got {tuple(prefix)}")
     level, bicentral = weight_levels(dist, n)
     step = n - 2 if bicentral else n - 1
     target = bound_formula(n, bicentral, sum(level))
@@ -206,7 +205,6 @@ def bnb_exact(
     # forced[m][w]: the least color w can take after m placements, valid
     # only while w is unplaced
     forced = [[0] * n for _ in range(n)]
-    forced_depth = len(prefix)
     nodes = 0
     limit_hit = False
     stop = 0 <= incumbent <= target
@@ -223,23 +221,19 @@ def bnb_exact(
         and an id above first; the caller has applied rule 1."""
         nonlocal nodes, limit_hit, stop, best_span, best_order, orbit
         fm = forced[m]
-        if m < forced_depth:
-            v = prefix[m]
-            cand = [(fm[v] + level[v], fm[v], v)]
-        else:
-            cand.sort()
+        cand.sort()
         rem = n - m - 1
         lo1 = level[unplaced[0]]
         lo2 = level[unplaced[1]] if rem else n
         slack = rem * step - 2 * unplaced_level  # rule 2 reads key + slack + L(last)
         # rules 5 and 6 read the first vertex and its level; -1 keeps them
-        # off until the root candidate sets it, and under a forced prefix
-        root = not m and not forced_depth
+        # off until the root candidate sets it
+        root = not m
         first = order[0]
-        lf = level[first] if m and not forced_depth else -1
+        lf = level[first] if m else -1
         # rule 7 reads the first two positions, where a vertex that is not
         # the least of its orbit comes right after one with its key and color
-        sym = m < 2 and not forced_depth
+        sym = m < 2
         pk = pc = -1
         for key, c, v in cand:
             if stop:

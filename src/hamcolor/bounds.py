@@ -29,11 +29,11 @@ def is_applicable(tree: Tree) -> bool:
     return tree.n >= 4 and tree.max_degree >= 3
 
 
-def require_applicable(tree: Tree, what: str) -> None:
-    """Raise :class:`NotApplicableError` naming ``what`` unless :func:`is_applicable`."""
+def require_applicable(tree: Tree) -> None:
+    """Raise :class:`NotApplicableError` unless :func:`is_applicable`."""
     if not is_applicable(tree):
         raise NotApplicableError(
-            f"{what} need order >= 4 and max degree >= 3 "
+            "ordering certificates need order >= 4 and max degree >= 3 "
             f"(got n={tree.n}, max degree {tree.max_degree})"
         )
 

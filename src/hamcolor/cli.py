@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Verbs: gen, analyze, color, exact, verify, dot.  Exit codes: 0 success,
+Verbs: gen, analyze, color, exact, verify, dot; the four that print data
+(analyze, color, exact, verify) take ``--json``.  Exit codes: 0 success,
 1 parse/validation problem (usage errors too), 2 verification failure,
 3 size limit, or a budget that ran out before the span was proved, 4 the
 greedy ordering fails the spacing condition on a tree without a closed form
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .io import (
     format_coloring,
-    format_ordering,
     format_tree,
     load_coloring,
     load_tree,
@@ -134,15 +134,13 @@ def _cmd_color(args: argparse.Namespace) -> int:
     rv = analyze(tree)
     spec = families.spec_from_meta(tree, meta)
     cert = families.family_certificate(spec, rv) if spec is not None else search_ordering(rv)
-    order, coloring = cert.ordering, cert.coloring
+    coloring = cert.coloring
     out = args.coloring_out or args.file + ".coloring"
     _write(out, format_coloring(coloring))
-    if args.ordering_out:
-        _write(args.ordering_out, format_ordering(order))
     _emit(
         args,
         {
-            "ordering": list(order),
+            "ordering": list(cert.ordering),
             "certificate": cert.kind,
             "span": coloring.span,
             "colors": list(coloring.colors),
@@ -223,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a family instance")
+    p = sub.add_parser("gen", help="generate a family instance")
     p.add_argument("--family", required=True, choices=families.NAMES)
     p.add_argument("--params", required=True, help="comma-separated key=value, e.g. n=10,d=4")
     p.add_argument("-o", "--output", help="write the tree file here (default stdout)")
@@ -236,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", parents=[common], help="certified optimal coloring via an ordering")
     p.add_argument("file")
     p.add_argument("--coloring-out", help="coloring file path (default FILE.coloring)")
-    p.add_argument("--ordering-out", help="also write the ordering here")
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("exact", parents=[common], help="exact search (small trees)")
@@ -251,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coloring")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("dot", parents=[common], help="DOT export, optionally labelled by a coloring")
+    p = sub.add_parser("dot", help="DOT export, optionally labelled by a coloring")
     p.add_argument("file")
     p.add_argument("coloring", nargs="?", default=None)
     p.add_argument("-o", "--output", help="write DOT here (default stdout)")

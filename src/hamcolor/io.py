@@ -1,10 +1,9 @@
-"""Plain-text formats for trees, orderings and colorings, plus DOT export.
+"""Plain-text formats for trees and colorings, plus DOT export.
 
 Tree files: ``#`` starts a comment line; the first content line is the order
 n, followed by exactly n-1 lines ``u v``.  Generated files carry their family
 metadata in leading comments (``# key: value``), which the reader returns as
-a dict.  Coloring files are n lines ``v c``.  Ordering files, which only
-``color --ordering-out`` writes and no verb reads, are one line of n ids.
+a dict.  Coloring files are n lines ``v c``.
 
 The tree and coloring readers convert every line in one comprehension.  Only
 when that fails, or a coloring names a vertex outside 0..n-1 or twice, do
@@ -83,10 +82,6 @@ def _read_text(path: str) -> str:
 
 def load_tree(path: str) -> tuple[Tree, dict[str, str]]:
     return parse_tree_text(_read_text(path))
-
-
-def format_ordering(order: list[int]) -> str:
-    return " ".join(str(v) for v in order) + "\n"
 
 
 def parse_coloring_text(text: str, n: int) -> Coloring:

@@ -130,7 +130,7 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
     first failing consecutive pair, else the first (i, j).  On success the
     certificate holds the ordering and the coloring that was verified.
     """
-    require_applicable(rv.tree, "ordering certificates")
+    require_applicable(rv.tree)
     o = validate_ordering(rv.n, order)
     n = rv.n
     b = 1 if rv.bicentral else 0

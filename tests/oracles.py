@@ -8,14 +8,16 @@ unpruned search over every vertex ordering, violations, the spacing
 condition (with its coloring, from prefix sums) and the greedy completion
 from scans over all pairs, and the greedy ordering from a scan over every
 branch on every step.  ``paper_broom_ordering`` is the paper's construction
-for the recognised brooms, the package's own until the greedy replaced it.  ``bnb_exact`` is the search kernel as it was before
-it pruned with the weight-center bound, kept verbatim as an oracle for the
-pruning rules added since; ``rescan_bnb_exact`` is the kernel with every
-rule it has now, as it was before each placement fused its bookkeeping into
-one pass over the unplaced vertices, kept as the reference for the same
-search, node for node, with its levels from ``weight_levels`` here, not the
-kernel's; it gained rule 6 (the reversal tie-break) by a scan over the
-unplaced vertices and rule 7 (orbits at the first two positions) from
+for the recognised brooms, the package's own until the greedy replaced it.
+``bnb_exact`` is the search kernel as it was before it pruned with the
+weight-center bound, kept verbatim but for its forced prefix, which the
+package kernel no longer takes, as an oracle for the pruning rules added
+since; ``rescan_bnb_exact`` is the kernel with every rule it has now, as it
+was before each placement fused its bookkeeping into one pass over the
+unplaced vertices, kept as the reference for the same search, node for
+node, with its levels from ``weight_levels`` here, not the kernel's; it
+gained rule 6 (the reversal tie-break) by a scan over the unplaced
+vertices and rule 7 (orbits at the first two positions) from
 ``automorphism_orbits``, which compares the rootings of the tree, not the
 kernel's codes below the weight center(s); ``tie_break=False`` and
 ``orbits=False`` turn those rules off again.
@@ -134,15 +136,12 @@ def bnb_exact(
     dist: Sequence[int],
     n: int,
     budget: int = -1,
-    prefix: Sequence[int] = (),
     incumbent: int = -1,
 ):
     """Minimise the greedy-completion span over all vertex orderings.
 
     dist       flat row-major distance matrix, length n*n
     budget     maximum number of vertex placements, or -1 for unlimited
-    prefix     forced initial placements (distinct vertex ids), pruned and
-               counted like any other placement
     incumbent  known upper bound to prune against, or -1 for none
 
     Returns ``(best_span, best_order, nodes, limit_hit)``; ``best_order`` is
@@ -154,7 +153,6 @@ def bnb_exact(
     used = [False] * n
     order = [0] * n
     forced = [[0] * n for _ in range(n + 1)]
-    forced_depth = len(prefix)
     state = {
         "nodes": 0,
         "limit_hit": False,
@@ -180,11 +178,7 @@ def bnb_exact(
         best = state["best_span"]
         if best >= 0 and pend >= best:
             return
-        if m < forced_depth:
-            v = prefix[m]
-            cand = [(fm[v], v)]
-        else:
-            cand.sort()
+        cand.sort()
         rem = n - m - 1
         fnext = forced[m + 1]
         for c, v in cand:
@@ -229,7 +223,6 @@ def rescan_bnb_exact(
     dist: Sequence[int],
     n: int,
     budget: int = -1,
-    prefix: Sequence[int] = (),
     incumbent: int = -1,
     tie_break: bool = True,
     orbits: bool = True,
@@ -239,8 +232,6 @@ def rescan_bnb_exact(
 
     dist       flat row-major distance matrix of a tree, length n*n
     budget     maximum number of vertex placements, or -1 for unlimited
-    prefix     forced initial placements (distinct vertex ids), pruned and
-               counted like any other placement
     incumbent  known upper bound to prune against, or -1 for none
     tie_break  apply rule 6: when no unplaced vertex other than the
                candidate has level L(first) and an id above first, the last
@@ -262,7 +253,6 @@ def rescan_bnb_exact(
     used = [False] * n
     order = [0] * n
     forced = [[0] * n for _ in range(n + 1)]
-    forced_depth = len(prefix)
     state = {
         "nodes": 0,
         "limit_hit": False,
@@ -298,7 +288,7 @@ def rescan_bnb_exact(
                 # rule 7: at the first two positions, only the least vertex
                 # of an orbit, at the second one only if first's orbit is
                 # first alone
-                if (orbits and not forced_depth and m < 2 and min(orbit[v]) != v
+                if (orbits and m < 2 and min(orbit[v]) != v
                         and (m == 0 or orbit[order[0]] == {order[0]})):
                     continue
                 if t < 0 or used[t]:
@@ -306,11 +296,7 @@ def rescan_bnb_exact(
         best = state["best_span"]
         if best >= 0 and pend >= best:
             return
-        if m < forced_depth:
-            v = prefix[m]
-            cand = [(0, fm[v], v)]
-        else:
-            cand.sort()
+        cand.sort()
         rem = n - m - 1
         fnext = forced[m + 1]
         for _, c, v in cand:
@@ -324,11 +310,11 @@ def rescan_bnb_exact(
                 # the last vertex's level: the least among the other
                 # unplaced vertices, and at least L(first) by rule 5
                 end = lo2 if lv == lo1 else lo1
-                if not forced_depth and level[order[0]] > end:
+                if level[order[0]] > end:
                     end = level[order[0]]
                 # rule 6: a last vertex at L(first) must come after first
                 first = order[0]
-                if (tie_break and not forced_depth and end == level[first]
+                if (tie_break and end == level[first]
                         and not any(not used[w] and w != v and w > first and level[w] == end for w in range(n))):
                     end += 1
                 if c + rem * step - lv - 2 * rest + end >= best:
@@ -462,7 +448,7 @@ def certify_alternation(rv: RootedView, order: Sequence[int]) -> AlternationCert
     the cap is checked and holds, else "none" with the first failure as the
     reason.
     """
-    require_applicable(rv.tree, "ordering certificates")
+    require_applicable(rv.tree)
     o = validate_ordering(rv.n, order)
     n = rv.n
     b = 1 if rv.bicentral else 0

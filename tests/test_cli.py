@@ -174,13 +174,6 @@ class TestColor:
         code, _, _ = run("verify", path, path + ".coloring")
         assert code == 0
 
-    def test_ordering_out(self, run, tmp_path):
-        path = gen_file(run, tmp_path, "a-tree", "d=4")
-        opath = str(tmp_path / "a4.order")
-        code, out, _ = run("color", "--json", path, "--ordering-out", opath)
-        assert code == 0
-        assert open(opath).read().split() == ["0", "5", "2", "6", "3", "7", "4", "1"]
-
     def test_plain_tree_uses_greedy(self, run, tmp_path):
         path = str(tmp_path / "spider.tree")
         open(path, "w").write("9\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n0 7\n0 8\n")
@@ -747,13 +740,18 @@ class TestCompare:
         data = json.loads(out)
         assert (data["hc"], data["lb"], data["proved_optimal"]) == (0, 0, True)
 
-    @pytest.mark.parametrize("argv", [["compare"], ["compare", "--force"], ["analyze", "--force"]])
+    @pytest.mark.parametrize("argv", [
+        ["compare", "FILE"], ["compare", "--force", "FILE"], ["analyze", "--force", "FILE"],
+        ["color", "--ordering-out", "x.order", "FILE"], ["dot", "--json", "FILE"],
+        ["gen", "--json", "--family", "star", "--params", "n=4"],
+    ])
     def test_removed_verb_and_option_are_usage_errors(self, argv, run, tmp_path):
         path = gen_file(run, tmp_path, "broom", "n=10,d=4")
         src = str(Path(hamcolor.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-m", "hamcolor.cli", *argv, path],
-                              capture_output=True, text=True, env=env)
+        argv = [path if arg == "FILE" else arg for arg in argv]
+        proc = subprocess.run([sys.executable, "-m", "hamcolor.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("usage: hamcolor")
         assert "error: " in proc.stderr and "Traceback" not in proc.stderr

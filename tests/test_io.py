@@ -6,7 +6,6 @@ import oracles
 from hamcolor.errors import FormatError, HamcolorError, NotATreeError
 from hamcolor.io import (
     format_coloring,
-    format_ordering,
     format_tree,
     load_coloring,
     load_tree,
@@ -14,7 +13,7 @@ from hamcolor.io import (
     parse_tree_text,
     to_dot,
 )
-from hamcolor.ordering import Coloring, validate_ordering
+from hamcolor.ordering import Coloring
 from hamcolor.tree import Tree
 
 
@@ -74,14 +73,6 @@ class TestTreeFormat:
         t, meta = load_tree(str(p))
         assert t.edges == star4().edges
         assert meta["family"] == "star"
-
-
-class TestOrderingFormat:
-    def test_roundtrip(self):
-        # orderings are only written; one line of ids reads back as a permutation
-        text = format_ordering([2, 0, 3, 1])
-        assert text == "2 0 3 1\n"
-        assert validate_ordering(4, map(int, text.split())) == [2, 0, 3, 1]
 
 
 class TestColoringFormat:

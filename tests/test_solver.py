@@ -328,13 +328,13 @@ class TestBudget:
 
 
 class TestKernel:
-    """The kernel's incumbent and prefix arguments and its weight levels,
-    called directly."""
+    """The kernel's incumbent argument, its prefix slot and its weight
+    levels, called directly."""
 
     @staticmethod
-    def run(tree, prefix=(), incumbent=-1):
+    def run(tree, incumbent=-1):
         dist = solver._flat_distances(analyze(tree))
-        return solver._kernel.bnb_exact(dist, tree.n, -1, prefix, incumbent)
+        return solver._kernel.bnb_exact(dist, tree.n, -1, (), incumbent)
 
     def test_incumbent(self, corpus, exact_of):
         for t in corpus[6]:
@@ -385,13 +385,10 @@ class TestKernel:
             rv = analyze(t)
             dist = solver._flat_distances(rv)
             lb = lower_bound_weight(rv)
-            cases = [((), budget, incumbent) for budget in (-1, 0, 1, 7, 50) for incumbent in (-1, lb, lb + 1, lb + 2)]
-            if t.n <= 6:
-                cases += [(prefix, -1, -1) for k in (1, 2) for prefix in itertools.permutations(range(t.n), k)]
-            for prefix, budget, incumbent in cases:
-                want = oracles.rescan_bnb_exact(dist, t.n, budget, prefix, incumbent)
-                got = solver._kernel.bnb_exact(dist, t.n, budget, prefix, incumbent)
-                assert got == want, (t.edges, prefix, budget, incumbent)
+            for budget, incumbent in itertools.product((-1, 0, 1, 7, 50), (-1, lb, lb + 1, lb + 2)):
+                want = oracles.rescan_bnb_exact(dist, t.n, budget, incumbent)
+                got = solver._kernel.bnb_exact(dist, t.n, budget, (), incumbent)
+                assert got == want, (t.edges, budget, incumbent)
                 limit_hits += got[3]
         assert limit_hits > 0
 
@@ -426,7 +423,7 @@ class TestKernel:
             flat = [d for row in oracles.nx_distance_matrix(t) for d in row]
             span, _, nodes, _ = oracles.rescan_bnb_exact(flat, t.n)
             for rule, flags in (("rule 6", (False, True)), ("rule 7", (True, False)), (None, (False, False))):
-                span_without, _, nodes_without, _ = oracles.rescan_bnb_exact(flat, t.n, -1, (), -1, *flags)
+                span_without, _, nodes_without, _ = oracles.rescan_bnb_exact(flat, t.n, -1, -1, *flags)
                 assert span == span_without, (t.edges, flags)
                 assert nodes <= nodes_without, (t.edges, flags)
                 if rule:
@@ -465,29 +462,17 @@ class TestKernel:
                 t = Tree(n, [(perm[u], perm[v]) for u, v in t.edges])
                 assert exact_hc(analyze(t)).hc == oracles.pre_bound_hc(t), t.edges
 
-    def test_prefixes(self, corpus, exact_of):
-        # in corpus[6][2], sibling leaves 2, 3 and 4, 5 are twins, so prefixes
-        # such as (3, 2) force a twin pair in descending order; three other
-        # trees have prefixes whose best completions all end at a level below
-        # L(first), or at L(first) with a smaller id, where the reversal rules
-        # 5 and 6 must stay off
-        t = corpus[6][2]
-        assert t.adj[2] == t.adj[3] == (1,) and t.adj[4] == t.adj[5] == (0,)
-        for t in corpus[6]:
-            rv = analyze(t)
-            spans = []
-            for a, b in itertools.permutations(range(t.n), 2):
-                span, order, _, _ = self.run(t, prefix=(a, b))
-                assert order[:2] == [a, b]
-                assert min_span_for_order(rv, order).span == span
-                # the best of the 24 orderings that start with the prefix
-                rest = [v for v in range(t.n) if v not in (a, b)]
-                assert span == min(
-                    min_span_for_order(rv, (a, b) + tail).span for tail in itertools.permutations(rest)
-                ), (t.edges, a, b)
-                spans.append(span)
-            assert len(spans) == 30
-            assert min(spans) == exact_of(t).hc
+    def test_prefix_slot_takes_only_the_empty_prefix(self, corpus):
+        # the positional call bnb_exact(dist, n, -1, (), -1) is the default
+        # search on every tree with n <= 8; a forced prefix is refused
+        for n in range(1, 9):
+            for t in corpus[n]:
+                dist = solver._flat_distances(analyze(t))
+                assert solver._kernel.bnb_exact(dist, n, -1, (), -1) == solver._kernel.bnb_exact(dist, n), t.edges
+        dist = solver._flat_distances(analyze(corpus[6][0]))
+        for prefix in ((0,), [1, 0]):
+            with pytest.raises(BadParamsError):
+                solver._kernel.bnb_exact(dist, 6, -1, prefix, -1)
 
 
 def test_backend_reported():

@@ -5,18 +5,23 @@
 terminal; ``families`` owns every family decision, so no other module
 names a family; the closed forms are integer arithmetic, so the package
 does not load ``fractions``; the modules import each other only at
-module level and without a cycle; and every module-level function has a
-caller inside the package, or is a named entry point.
+module level and without a cycle; every module-level function has a
+caller inside the package, or is a named entry point; and every option a
+verb accepts is read by that verb's handler.
 """
 
+import argparse
 import ast
 import graphlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import hamcolor
+from hamcolor.cli import build_parser
 
 
 def test_no_assert_and_print_only_in_cli():
@@ -94,7 +99,7 @@ def test_package_imports_are_module_level_and_acyclic():
 
 # public functions no package module calls, kept for the callers named here
 ENTRY_POINTS = {
-    "closed_form_hc",  # the public closed-form query; ROADMAP item 5 extends it to spiders
+    "closed_form_hc",  # the public closed-form query; ROADMAP item 4 extends it to spiders
     "family_ordering",  # perfbench/workloads.py:151 builds verify-mixed's orderings with it
     "coloring_from_ordering",  # perfbench/workloads.py:152 colors those orderings with it
     "search_backend",  # perfbench/client.py:310 records the kernel's name in every result
@@ -121,3 +126,22 @@ def test_every_function_has_a_caller():
     orphans = [f"{where}: {name}" for name, where in defined.items()
                if name not in used and name not in ENTRY_POINTS]
     assert orphans == []
+
+
+def test_every_option_is_read_by_its_verb():
+    # an option counts as read when the handler's source names args.<dest>;
+    # --json also when the handler passes args to _emit, which reads it
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for verb, sub in verbs.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            read = re.search(rf"\bargs\.{action.dest}\b", source) is not None
+            if action.dest == "json":
+                read = read or re.search(r"_emit\(\s*args\b", source) is not None
+            if not read:
+                unread.append(f"{verb} {action.option_strings or action.dest}")
+    assert len(verbs.choices) == 6
+    assert unread == []
