@@ -7,10 +7,12 @@ minimising the completed span over all orderings yields the exact answer.
 Because tree distances never exceed n-1, greedy colors never decrease along
 the ordering and the span of a partial placement is simply the last color.
 
-The weight center(s) and the levels L below them are read off the distance
-matrix (minimum row sums give the centers, a level is the distance to the
-nearest one); b is 1 when there are two centers.  Every path between two
-vertices may detour through the center(s), so d(u, v) <= L(u) + L(v) + b.
+The weight center(s), the levels L below them and each vertex's parent are
+read from the caller's ``RootedView``, the rooting of ``tree.py``; a caller
+with only the distance matrix gets that rooting of the pairs at distance 1,
+a fallback that goes with the prefix slot.  b is 1 when there are two
+centers.  Every path between two vertices may detour through the
+center(s), so d(u, v) <= L(u) + L(v) + b.
 
 Seven pruning rules, each sound for the reason given:
 
@@ -26,21 +28,11 @@ Seven pruning rules, each sound for the reason given:
    vertices other than v, at least L(first) under rule 5, and at least
    L(first) + 1 under rule 6.  A candidate it rules out is skipped and the
    scan goes on.
-3. Twin symmetry.  Two vertices are twins when their distance rows agree
-   except toward each other.  Swapping two twins is an isometry, so it maps
-   orderings to orderings of the same span, and twins are placed in
-   ascending id order.  In a tree with n >= 3 the twins are
-   exactly the leaves with a common neighbour, which ``twin_before`` finds
-   in O(n^2) instead of comparing rows in O(n^3).  Leaves u, v of p are
-   twins, since every path from either to another vertex w passes through
-   p, so d(u, w) = 1 + d(p, w) = d(v, w).  Conversely, let u, v be twins.
-   Some neighbour w of u is not v: otherwise u is a leaf of v, and v's
-   other neighbour x (n >= 3) has d(u, x) = 2 != 1 = d(v, x).  Then
-   d(v, w) = d(u, w) = 1, so u and v share the neighbour w and are not
-   adjacent (no triangle).  Any other neighbour x of u would have
-   d(v, x) = 1 and close the cycle u x v w, so u is a leaf of w, and so is
-   v by symmetry.  With n = 2 the rows agree vacuously: the two vertices
-   are twins.
+3. Twin symmetry.  Two leaves with a common neighbour p are twins, and so
+   are the two vertices of a tree with n = 2.  A leaf u of p has
+   d(u, w) = 1 + d(p, w) for every other vertex w, so swapping two twins is
+   an isometry: it maps orderings to orderings of the same span, and twins
+   are placed in ascending id order.
 4. Target stop.  At the root the suffix bound reads
    (n-1)*(n-1-b) + (1-b) - 2*sum(L), the weight-center lower bound (the 1-b
    because a lone center cannot be both ends of the ordering; 0 when n = 1).
@@ -108,54 +100,37 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bounds import bound_formula
+from .bounds import lower_bound_weight
 from .errors import BadParamsError
+from .tree import RootedView, Tree
 
 
-def weight_levels(dist: Sequence[int], n: int) -> tuple[list[int], bool]:
-    """Levels below the weight center(s), and whether there are two, from the
-    flat distance matrix of a tree."""
-    sums = [sum(dist[v * n:(v + 1) * n]) for v in range(n)]
-    lo = min(sums)
-    centers = [v for v in range(n) if sums[v] == lo]
-    level = [min(dist[w * n + v] for w in centers) for v in range(n)]
-    return level, len(centers) == 2
-
-
-def twin_before(dist: Sequence[int], n: int) -> list[int]:
+def twin_before(tree: Tree) -> list[int]:
     """For each vertex v, the largest twin of v below it, or -1: the previous
-    leaf with v's neighbour (module docstring, rule 3), from the flat
-    distance matrix of a tree."""
-    before = [-1] * n
-    if n == 2:
+    leaf with v's neighbour (module docstring, rule 3)."""
+    before = [-1] * tree.n
+    if tree.n == 2:
         before[1] = 0
         return before
     last_leaf: dict[int, int] = {}  # neighbour -> its largest leaf so far
-    for v in range(n):
-        row = dist[v * n:(v + 1) * n]
-        if row.count(1) == 1:
-            p = row.index(1)
+    for v, nbrs in enumerate(tree.adj):
+        if len(nbrs) == 1:
+            p = nbrs[0]
             before[v] = last_leaf.get(p, -1)
             last_leaf[p] = v
     return before
 
 
-def least_in_orbit(dist: Sequence[int], n: int, level: Sequence[int]) -> list[int]:
+def least_in_orbit(rv: RootedView) -> list[int]:
     """For each vertex, the least vertex of its orbit under the automorphisms
-    of the tree (module docstring, rule 7), from the flat distance matrix and
-    the levels below the weight center(s)."""
+    of the tree (module docstring, rule 7), from its rooting at the weight
+    center(s)."""
+    n, level, parent = rv.n, rv.level, rv.parent
     by_level = sorted(range(n), key=level.__getitem__)
-    parent = [-1] * n  # the neighbour one level up; -1 at a center
     kids: list[list[int]] = [[] for _ in range(n)]
-    for v in by_level:
-        up = level[v] - 1
-        if up >= 0:
-            base = v * n
-            w = dist.index(1, base, base + n) - base
-            while level[w] != up:
-                w = dist.index(1, base + w + 1, base + n) - base
-            parent[v] = w
-            kids[w].append(v)
+    for v, p in enumerate(parent):
+        if p is not None:
+            kids[p].append(v)
     # shape[v] numbers the subtree below v up to isomorphism (0: a leaf),
     # key[v] the shapes along the path from a center down to v
     shape = [0] * n
@@ -167,7 +142,7 @@ def least_in_orbit(dist: Sequence[int], n: int, level: Sequence[int]) -> list[in
     keys: dict[tuple[int, int], int] = {}
     for v in by_level:
         p = parent[v]
-        key[v] = keys.setdefault((key[p] if p >= 0 else -1, shape[v]), len(keys))
+        key[v] = keys.setdefault((-1 if p is None else key[p], shape[v]), len(keys))
     least: dict[int, int] = {}
     return [least.setdefault(k, v) for v, k in enumerate(key)]
 
@@ -178,6 +153,7 @@ def bnb_exact(
     budget: int = -1,
     prefix: Sequence[int] = (),
     incumbent: int = -1,
+    rv: RootedView | None = None,
 ):
     """Minimise the greedy-completion span over all vertex orderings.
 
@@ -186,6 +162,11 @@ def bnb_exact(
     prefix     must be empty (else BadParamsError); the slot keeps the
                positional calls ``bnb_exact(dist, n, -1, (), -1)`` working
     incumbent  known upper bound to prune against, or -1 for none
+    rv         the tree's ``RootedView``, read for the weight center(s),
+               levels, parents and leaves; None roots the pairs at distance
+               1 (NotATreeError when they are no tree), the same search node
+               for node, which keeps the matrix-only positional calls
+               working until the prefix slot goes
 
     Returns ``(best_span, best_order, nodes, limit_hit)``; ``best_order`` is
     None (and ``best_span`` -1) when no complete ordering beat the incumbent
@@ -193,13 +174,15 @@ def bnb_exact(
     """
     if prefix:
         raise BadParamsError(f"the search takes no forced prefix, got {tuple(prefix)}")
-    level, bicentral = weight_levels(dist, n)
-    step = n - 2 if bicentral else n - 1
-    target = bound_formula(n, bicentral, sum(level))
     rows = [dist[v * n:(v + 1) * n] for v in range(n)]  # rows[v][w] = d(v, w)
+    if rv is None:
+        rv = RootedView(Tree(n, [(v, w) for v in range(n) for w in range(v) if rows[v][w] == 1]))
+    level = rv.level
+    step = n - 2 if rv.bicentral else n - 1
+    target = lower_bound_weight(rv)
     # before[v]: the largest twin of v below it, which must be placed first;
     # n, which counts as placed, when v has none
-    before = [t if t >= 0 else n for t in twin_before(dist, n)]
+    before = [t if t >= 0 else n for t in twin_before(rv.tree)]
     used = [False] * n + [True]
     order = [0] * n
     # forced[m][w]: the least color w can take after m placements, valid
@@ -255,7 +238,7 @@ def bnb_exact(
             if sym:
                 if key == pk and c == pc:
                     if orbit is None:
-                        orbit = least_in_orbit(dist, n, level)
+                        orbit = least_in_orbit(rv)
                     # at position 1 only when every automorphism fixes first
                     if orbit[v] != v and (not m or orbit.count(first) == 1):
                         continue
@@ -301,7 +284,7 @@ def bnb_exact(
     # rule 1 at the root, where every forced color is 0
     if not stop:
         place(0, [(level[v], 0, v) for v in range(n) if used[before[v]]],
-              sorted(range(n), key=level.__getitem__), sum(level), 0)
+              sorted(range(n), key=level.__getitem__), rv.total_level, 0)
 
     if best_order is None:
         return -1, None, nodes, limit_hit

@@ -94,13 +94,17 @@ def _write(path: str, text: str) -> None:
             fh.truncate()
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    tree, spec = families.generate(args.family, families.parse_params(args.params))
-    text = format_tree(tree, families.spec_meta(spec))
-    if args.output:
-        _write(args.output, text)
+def _output(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path`` with :func:`_write`, or to stdout without one."""
+    if path:
+        _write(path, text)
     else:
         sys.stdout.write(text)
+
+
+def _cmd_gen(args: argparse.Namespace) -> int:
+    tree, spec = families.generate(args.family, families.parse_params(args.params))
+    _output(args.output, format_tree(tree, families.spec_meta(spec)))
     return 0
 
 
@@ -190,11 +194,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_dot(args: argparse.Namespace) -> int:
     tree, _ = load_tree(args.file)
     coloring = load_coloring(args.coloring, tree.n) if args.coloring else None
-    text = to_dot(tree, coloring)
-    if args.output:
-        _write(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _output(args.output, to_dot(tree, coloring))
     return 0
 
 

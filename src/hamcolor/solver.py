@@ -115,7 +115,7 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> Exac
     lb = lower_bound_weight(rv)
     dist = _flat_distances(rv)
     try:
-        span, order, nodes, hit = _kernel.bnb_exact(dist, n, -1 if budget is None else budget, (), -1)
+        span, order, nodes, hit = _kernel.bnb_exact(dist, n, -1 if budget is None else budget, (), -1, rv)
     except RecursionError:  # the kernel recurses once per placed vertex
         raise TooLargeError(f"n={n} is too deep for the recursive exact search") from None
     if order is None:

@@ -131,7 +131,9 @@ class TestAnalyze:
         assert "certifying" not in data
 
     def test_one_rooted_view_per_call(self, run, tmp_path, monkeypatch):
-        # the bounds are read from the view analyze built, not a second one
+        # every verb that roots the tree reads the one view it built: the
+        # bounds of analyze, and the exact kernel's rooting, which it would
+        # otherwise build again from the distance matrix
         path = gen_file(run, tmp_path, "broom", "n=10,d=4")
         views = []
         init = RootedView.__init__
@@ -145,6 +147,10 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["lb_center"] == 50
         assert len(views) == 1
+        for argv in (["exact", path], ["color", path], ["verify", path, path + ".coloring"]):
+            views.clear()
+            code, _, _ = run(*argv)
+            assert (code, len(views)) == (0, 1), argv
 
     def test_missing_file_exit_1(self, run):
         code, _, err = run("analyze", "no-such-file.tree")

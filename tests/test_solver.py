@@ -15,6 +15,7 @@ from hamcolor.errors import (
     IncompleteColoringError,
     InternalError,
     NegativeColorError,
+    NotATreeError,
     TooLargeError,
 )
 from hamcolor.families import generate
@@ -328,8 +329,8 @@ class TestBudget:
 
 
 class TestKernel:
-    """The kernel's incumbent argument, its prefix slot and its weight
-    levels, called directly."""
+    """The kernel's incumbent argument, its prefix slot, its matrix-only
+    fallback and its twin and orbit helpers, called directly."""
 
     @staticmethod
     def run(tree, incumbent=-1):
@@ -345,13 +346,6 @@ class TestKernel:
             # a loose incumbent does not change the answer
             assert self.run(t, incumbent=hc + 3)[0] == hc
 
-    def test_weight_levels_match_the_rooted_view(self, corpus):
-        for n in range(1, 9):
-            for t in corpus[n]:
-                rv = analyze(t)
-                level, bicentral = solver._kernel.weight_levels(solver._flat_distances(rv), n)
-                assert (tuple(level), bicentral) == (rv.level, rv.bicentral)
-
     def test_twins_match_the_row_comparison(self, corpus):
         # every non-isomorphic tree with n <= 10, relabelled
         rng = random.Random(11)
@@ -364,7 +358,7 @@ class TestKernel:
             rng.shuffle(perm)
             t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
             flat = [d for row in oracles.nx_distance_matrix(t) for d in row]
-            before = solver._kernel.twin_before(solver._flat_distances(analyze(t)), t.n)
+            before = solver._kernel.twin_before(t)
             assert before == oracles.twin_before(flat, t.n), t.edges
             twins += sum(u >= 0 for u in before)
         assert twins > 0
@@ -442,9 +436,7 @@ class TestKernel:
             perm = list(range(t.n))
             rng.shuffle(perm)
             t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
-            dist = solver._flat_distances(analyze(t))
-            level, _ = solver._kernel.weight_levels(dist, t.n)
-            least = solver._kernel.least_in_orbit(dist, t.n, level)
+            least = solver._kernel.least_in_orbit(analyze(t))
             flat = [d for row in oracles.nx_distance_matrix(t) for d in row]
             assert least == [min(orbit) for orbit in oracles.automorphism_orbits(flat, t.n)], t.edges
             # vertices in the orbit of a smaller one that is not their twin
@@ -463,16 +455,30 @@ class TestKernel:
                 assert exact_hc(analyze(t)).hc == oracles.pre_bound_hc(t), t.edges
 
     def test_prefix_slot_takes_only_the_empty_prefix(self, corpus):
-        # the positional call bnb_exact(dist, n, -1, (), -1) is the default
-        # search on every tree with n <= 8; a forced prefix is refused
-        for n in range(1, 9):
-            for t in corpus[n]:
-                dist = solver._flat_distances(analyze(t))
-                assert solver._kernel.bnb_exact(dist, n, -1, (), -1) == solver._kernel.bnb_exact(dist, n), t.edges
+        # the matrix-only positional call bnb_exact(dist, n, -1, (), -1),
+        # which roots the pairs at distance 1 itself, is the search with the
+        # caller's view node for node on every tree with n <= 10, relabelled;
+        # a forced prefix is refused
+        rng = random.Random(47)
+        trees = [t for n in range(1, 9) for t in corpus[n]]
+        trees += [Tree(n, [(int(u), int(v)) for u, v in g.edges()]) for n in (9, 10) for g in nx.nonisomorphic_trees(n)]
+        assert len(trees) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106
+        for t in trees:
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            rv = analyze(Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges]))
+            dist = solver._flat_distances(rv)
+            want = solver._kernel.bnb_exact(dist, t.n, rv=rv)
+            assert solver._kernel.bnb_exact(dist, t.n, -1, (), -1) == want, rv.tree.edges
         dist = solver._flat_distances(analyze(corpus[6][0]))
         for prefix in ((0,), [1, 0]):
             with pytest.raises(BadParamsError):
                 solver._kernel.bnb_exact(dist, 6, -1, prefix, -1)
+
+    def test_matrix_of_no_tree_is_refused(self):
+        # the pairs at distance 1 of the triangle close a cycle
+        with pytest.raises(NotATreeError):
+            solver._kernel.bnb_exact([0, 1, 1, 1, 0, 1, 1, 1, 0], 3, -1, (), -1)
 
 
 def test_backend_reported():
