@@ -16,7 +16,14 @@ relabelled; it is compared byte for byte and its exit codes are counted
 apart from ``color``'s.  ``verify`` and ``verify --json`` run on the
 coloring that REV's ``color`` wrote for each of those inputs and on a copy
 with the colors of three seeded vertices rotated; their stdout, stderr and
-exit code must be identical.  ``analyze --json`` runs on the same inputs as
+exit code must be identical.  The ``formats`` set takes every 40th tree
+that REV's ``color`` wrote a coloring for and rewrites the tree and that
+coloring in five ways hamcolor never writes: CRLF line ends, a comment in
+the middle of the body, doubled spaces, leading zeros, and the lines after
+the order line reversed; ``color --json`` runs on each rewritten tree and
+``verify --json`` on each rewritten coloring with it, compared as
+``color`` and ``verify`` are, so the readers' general path is compared
+across revisions too.  ``analyze --json`` runs on the same inputs as
 ``color``; its exit code, stderr and the value of every key that both sides
 print must be identical, and the keys that only one side prints are listed
 (a key added or removed on purpose shows there).  ``exact`` runs on the 18
@@ -77,16 +84,23 @@ HUB_SHAPES = (
 # seeds of Prufer trees with n = 12 and hc > lb, for exact past the benchmark's n <= 10
 EXACT12_SEEDS = (5, 113, 153, 243)
 # (label, inputs, argv before the file, suffix of the written coloring or None);
-# a verify input is a coloring in colorings/, named after its tree
+# a verify input is a coloring in a colorings/ directory, named after its
+# tree in the directory above
 RUNS = (
     ("color", "*.tree", ["color", "--json"], ".coloring"),
     ("hubs", "hubs/*.tree", ["color", "--json"], ".coloring"),
     ("verify", "colorings/*.coloring", ["verify"], None),
     ("verify --json", "colorings/*.coloring", ["verify", "--json"], None),
+    ("formats color", "formats/*.tree", ["color", "--json"], ".coloring"),
+    ("formats verify", "formats/colorings/*.coloring", ["verify", "--json"], None),
     ("analyze", "*.tree", ["analyze", "--json"], None),
     ("exact", "exact/*.tree", ["exact", "--json"], ".hc.coloring"),
     ("exact", "exact12/*.tree", ["exact", "--json", "--limit", "12"], ".hc.coloring"),
 )
+# rewrites of files hamcolor wrote into forms it never writes, and the step
+# through the written colorings that picks the trees of the formats set
+FORMATS = ("crlf", "comment", "spaces", "zeros", "reversed")
+FORMATS_STEP = 40
 # verbs whose JSON output is compared key by key
 KEYED = ("analyze",)
 # gen's --params per family, valid ones first, then rejected ones
@@ -126,6 +140,24 @@ def _relabel(name: str, n: int, edges) -> list[tuple[int, int]]:
     perm = list(range(n))
     random.Random(name).shuffle(perm)
     return [(perm[u], perm[v]) for u, v in edges]
+
+
+def _rewrite(kind: str, text: str, skip: int) -> str:
+    """``text``, a file hamcolor wrote, rewritten as ``kind`` names; the first
+    ``skip`` lines (metadata and the order) change only under CRLF."""
+    lines = text.split("\n")[:-1]
+    if kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    head, body = lines[:skip], lines[skip:]
+    if kind == "comment":
+        body.insert(len(body) // 2, "# a comment")
+    elif kind == "spaces":
+        body = [line.replace(" ", "  ") for line in body]
+    elif kind == "zeros":
+        body = [" ".join("0" + tok for tok in line.split(" ")) for line in body]
+    else:
+        body.reverse()
+    return "\n".join(head + body) + "\n"
 
 
 def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
@@ -168,6 +200,15 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
         pairs[a][1], pairs[b][1], pairs[c][1] = pairs[b][1], pairs[c][1], pairs[a][1]
         (workdir / "colorings" / f"{path.stem}.rotated.coloring").write_text(
             "".join(f"{v} {color}\n" for v, color in pairs))
+    (workdir / "formats" / "colorings").mkdir(parents=True)
+    written = [p for p in sorted((workdir / "colorings").glob("*.coloring")) if ".rotated." not in p.name]
+    for path in written[::FORMATS_STEP]:
+        tree_text = (workdir / f"{path.stem}.tree").read_text()
+        skip = sum(line.startswith("#") for line in tree_text.splitlines()) + 1
+        for kind in FORMATS:
+            (workdir / "formats" / f"{path.stem}.{kind}.tree").write_text(_rewrite(kind, tree_text, skip))
+            (workdir / "formats" / "colorings" / f"{path.stem}.{kind}.coloring").write_text(
+                _rewrite(kind, path.read_text(), 0))
     (workdir / "exact").mkdir()
     for inst in json.loads(PINNED.read_text())["instances"]:
         (workdir / "exact" / f"{inst['name']}.tree").write_text(_tree_text(inst["n"], inst["edges"]))
@@ -206,7 +247,7 @@ def run_side(src: Path, workdir: Path) -> dict:
             files = [str(path)]
             if argv[0] == "verify":
                 tree = path.name.removesuffix(".coloring").removesuffix(".rotated") + ".tree"
-                files.insert(0, str(workdir / tree))
+                files.insert(0, str(path.parent.parent / tree))
             results[name] = _call(main, argv + files)
             written = None
             if suffix is not None:
@@ -278,7 +319,7 @@ def main() -> int:
     for verb, (rev_only, tree_only) in one_sided.items():
         print(f"{verb}: keys printed only at {args.rev}: {', '.join(sorted(rev_only)) or 'none'}; "
               f"only in the working tree: {', '.join(sorted(tree_only)) or 'none'}")
-    for verb in ("color", "hubs", "verify", "analyze", "exact", "gen"):
+    for verb in ("color", "hubs", "verify", "formats color", "formats verify", "analyze", "exact", "gen"):
         before, after = (
             dict(sorted(Counter(res[0] for name, res in side.items() if name.startswith(verb + " ")).items()))
             for side in (old, new)
@@ -295,7 +336,8 @@ def main() -> int:
         print(f"explored total ROSE on {', '.join(rose)}")
     if differ or set(new) != set(old) or rose:
         return 1
-    print("identical: color and hubs stdout, stderr, exit code and coloring file; verify stdout, stderr and exit code; "
+    print("identical: color, hubs and formats color stdout, stderr, exit code and coloring file; "
+          "verify and formats verify stdout, stderr and exit code; "
           "analyze exit code, stderr and every key both sides print; exact exit code and hc, "
           "with no explored total above REV's; "
           "gen stdout, stderr and exit code")

@@ -5,18 +5,29 @@ n, followed by exactly n-1 lines ``u v``.  Generated files carry their family
 metadata in leading comments (``# key: value``), which the reader returns as
 a dict.  Coloring files are n lines ``v c``.
 
-The tree and coloring readers convert every line in one comprehension.  Only
-when that fails, or a coloring names a vertex outside 0..n-1 or twice, do
-they walk the lines again to name the first bad one; the walk is the
-line-by-line reader, so the error and its message are the ones it gives.
+A file in the format hamcolor writes is converted in one ``json.loads`` call,
+after one ``bytes.translate`` call checks its bytes and the shape of its
+lines: ASCII digits and ``-``, one space between the two tokens of a line,
+every line ended by LF, and for a tree an optional leading block of
+``# key: value`` lines.  Any miss on that path (a
+file outside the format, a shape or count mismatch, a coloring not in id
+order, or an error from ``Tree``) reads the text again with the general
+reader, which walks it one line at a time and returns the result or names
+the first bad line; so every error comes from that one reader, with its
+message.
 """
 
 from __future__ import annotations
 
-from .errors import FormatError, InternalError
+import json
+
+from .errors import FormatError, HamcolorError
 from .families import META_KEYS
 from .ordering import Coloring
 from .tree import Tree, build_tree
+
+# the bytes of a token in a file hamcolor writes
+_TOKEN_BYTES = b"-0123456789"
 
 
 def _int(tok: str, what: str) -> int:
@@ -26,17 +37,60 @@ def _int(tok: str, what: str) -> int:
         raise FormatError(f"{what}: expected an integer, got {tok!r}") from None
 
 
+def _ints(text: str, shape: bytes) -> list[int] | None:
+    """Every integer in ``text``, in order, converted by one ``json.loads``,
+    when the spaces and LFs between them are exactly ``shape`` and the text
+    ends with LF; else None.
+
+    With the token bytes deleted, only ``shape`` may be left, so no other
+    byte occurs and every line holds the tokens the caller expects; the
+    tokens are then JSON exactly when none is empty or '-', has a leading
+    zero or a '-' inside, and JSON reads each as ``int`` does."""
+    if not (text.endswith("\n") and text.isascii()) or text.encode().translate(None, _TOKEN_BYTES) != shape:
+        return None
+    try:
+        return json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:
+        return None
+
+
+def _meta(comments) -> dict[str, str]:
+    """The ``# key: value`` metadata among comment lines."""
+    meta: dict[str, str] = {}
+    for line in comments:
+        key, sep, val = line[1:].partition(":")
+        if sep and key.strip() in META_KEYS:
+            meta[key.strip()] = val.strip()
+    return meta
+
+
 def parse_tree_text(text: str) -> tuple[Tree, dict[str, str]]:
     """Parse a tree file; returns the tree and any ``# key: value`` metadata."""
+    # the file as format_tree writes it: comment lines, then the order and
+    # the edges; any miss reads the text again line by line
+    end = 0
+    while text.startswith("#", end) and (stop := text.find("\n", end)) >= 0:
+        end = stop + 1
+    head, body = text[:end].splitlines(), text[end:]
+    ints = None
+    # a comment that splitlines breaks again (at a lone CR, a VT, ...) holds a
+    # line the general reader does not see as a comment
+    if len(head) == text.count("\n", 0, end):
+        ints = _ints(body, b"\n" + b" \n" * (body.count("\n") - 1))
+    if ints:
+        try:
+            return build_tree(ints[0], list(zip(ints[1::2], ints[2::2]))), _meta(head)
+        except HamcolorError:
+            pass
+    return _read_tree_lines(text)
+
+
+def _read_tree_lines(text: str) -> tuple[Tree, dict[str, str]]:
+    """The tree reader for any text: one line at a time, naming the first
+    bad line."""
     lines = [s for s in map(str.strip, text.splitlines()) if s]
-    meta: dict[str, str] = {}
-    content = lines
-    if "#" in text:
-        content = [s for s in lines if s[0] != "#"]
-        for body in [s for s in lines if s[0] == "#"]:
-            key, sep, val = body[1:].partition(":")
-            if sep and key.strip() in META_KEYS:
-                meta[key.strip()] = val.strip()
+    content = [s for s in lines if s[0] != "#"]
+    meta = _meta([s for s in lines if s[0] == "#"])
     if not content:
         raise FormatError("empty tree file")
     if len(content[0].split()) != 1:
@@ -45,17 +99,12 @@ def parse_tree_text(text: str) -> tuple[Tree, dict[str, str]]:
     edge_lines = content[1:]
     if len(edge_lines) != max(0, n - 1):
         raise FormatError(f"expected {max(0, n - 1)} edge lines for order {n}, got {len(edge_lines)}")
-    try:
-        edges = [(int(u), int(v)) for u, v in map(str.split, edge_lines)]
-    except ValueError:
-        # name the first line that is not two integers
-        for line in edge_lines:
-            toks = line.split()
-            if len(toks) != 2:
-                raise FormatError(f"edge line must be 'u v', got {line!r}") from None
-            _int(toks[0], "edge")
-            _int(toks[1], "edge")
-        raise InternalError("an edge list the fast reader rejected has no bad line") from None
+    edges = []
+    for line in edge_lines:
+        toks = line.split()
+        if len(toks) != 2:
+            raise FormatError(f"edge line must be 'u v', got {line!r}")
+        edges.append((_int(toks[0], "edge"), _int(toks[1], "edge")))
     return build_tree(n, edges), meta
 
 
@@ -86,18 +135,21 @@ def load_tree(path: str) -> tuple[Tree, dict[str, str]]:
 
 def parse_coloring_text(text: str, n: int) -> Coloring:
     """n lines of ``vertex color`` (blank lines and ``#`` comments skipped)."""
+    # the file as format_coloring writes it: one line per vertex, in id order
+    ints = _ints(text, b" \n" * n)
+    if ints is not None and ints[::2] == list(range(n)):
+        return Coloring(tuple(ints[1::2]))
+    return _read_coloring_lines(text, n)
+
+
+def _read_coloring_lines(text: str, n: int) -> Coloring:
+    """The coloring reader for any text: one line at a time, naming the
+    first bad line: its token count or integers, its vertex id outside
+    0..n-1, or a vertex it colors a second time."""
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     if len(lines) != n:
         raise FormatError(f"coloring file must hold {n} lines, got {len(lines)}")
-    try:
-        by_vertex = {int(v): int(c) for v, c in map(str.split, lines)}
-    except ValueError:
-        by_vertex = {}
-    if by_vertex.keys() == set(range(n)):
-        return Coloring(tuple(map(by_vertex.__getitem__, range(n))))
-    # name the first bad line: its token count or integers, its vertex id
-    # outside 0..n-1, or a vertex it colors a second time
-    colors: list[int | None] = [None] * n
+    by_vertex: list[int | None] = [None] * n
     for line in lines:
         toks = line.split()
         if len(toks) != 2:
@@ -106,10 +158,10 @@ def parse_coloring_text(text: str, n: int) -> Coloring:
         c = _int(toks[1], "color")
         if not 0 <= v < n:
             raise FormatError(f"vertex {v} outside 0..{n - 1}")
-        if colors[v] is not None:
+        if by_vertex[v] is not None:
             raise FormatError(f"vertex {v} colored twice")
-        colors[v] = c
-    raise InternalError("a coloring file the fast reader rejected has no bad line")
+        by_vertex[v] = c
+    return Coloring(tuple(by_vertex))  # type: ignore[arg-type]
 
 
 def load_coloring(path: str, n: int) -> Coloring:

@@ -18,10 +18,16 @@ center(s), which gives the distance decomposition
 
 used throughout for bound arithmetic and ordering certificates.
 
-Construction checks each edge once, in input order, so the first faulty edge
-decides the error.  The edges are sorted once, and appending them in that
-order leaves every adjacency list sorted.  The connectivity search from
-vertex 0 is kept: the subtree sizes below each vertex, rooted at 0, are
+Construction makes one pass over the edges: it unpacks each, checks that
+both ends are plain ints in 0..n-1 and appends it to both adjacency lists,
+then sorts only the lists with more than one entry.  A self-loop or a
+duplicate edge leaves fewer than n-1 real edges, so the graph cannot be
+connected; when that pass, the edge count or the connectivity search
+fails, :func:`_checked_edges` walks the edges again in input order, so the
+first faulty edge decides the error.  Bools and other int subclasses take
+that walk too and are stored as plain ints.  ``Tree.edges`` is read from
+the sorted adjacency on first use.  The connectivity search from vertex 0
+is kept: the subtree sizes below each vertex, rooted at 0, are
 summed over it, and the diameter starts from it instead of searching again.
 :func:`weight_centers` walks down those sizes to the center(s) (Zelinka's
 characterisation, proved in its docstring) without computing any vertex's
@@ -43,43 +49,26 @@ class Tree:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or n < 1:
             raise BadVertexIdError(f"order must be a positive integer, got {n!r}")
-        # one pass checks each edge in input order, so the first faulty edge
-        # decides the error; an edge u < v is kept as the key u * n + v
-        keys: list[int] = []
-        seen: set[int] = set()
-        for e in edges:
-            try:
-                u, v = e
-            except (TypeError, ValueError):
-                raise BadVertexIdError(f"edge {e!r} is not a vertex pair") from None
-            if not isinstance(u, int) or not isinstance(v, int):
-                raise BadVertexIdError(f"edge {e!r} has non-integer endpoints")
-            if not (0 <= u < n and 0 <= v < n):
-                raise BadVertexIdError(f"edge {e!r} outside vertex range 0..{n - 1}")
-            if u == v:
-                raise NotATreeError(f"self-loop at vertex {u}")
-            key = u * n + v if u < v else v * n + u
-            if key in seen:
-                raise NotATreeError(f"duplicate edge {(u, v) if u < v else (v, u)}")
-            seen.add(key)
-            keys.append(key)
-        if len(keys) != n - 1:
-            raise NotATreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(keys)}")
-        keys.sort()
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)  # a miss below reads the edges a second time
+        adj = _sorted_adjacency(n, edges)
+        if adj is None:
+            adj = _sorted_adjacency(n, _checked_edges(n, edges))
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple([divmod(key, n) for key in keys])
-        # edges in sorted order append each vertex's smaller neighbours, then
-        # its larger ones, both ascending: every list comes out sorted
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self.adj: tuple[tuple[int, ...], ...] = adj  # type: ignore[assignment]
         # connectivity; with exactly n-1 edges this also rules out cycles.
         # The search is kept: subtree sizes and the diameter start from vertex 0 too
         self._bfs_from_0 = self.bfs([0])
         if len(self._bfs_from_0[2]) < n:
+            # a self-loop or a duplicate leaves fewer than n-1 real edges,
+            # so it disconnects the graph; the walk names the first one
+            _checked_edges(n, edges)
             raise NotATreeError("graph is not connected")
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once as (u, v) with u < v, in sorted order."""
+        return tuple([(u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v])
 
     def check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or not (0 <= v < self.n):
@@ -133,6 +122,51 @@ class Tree:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tree(n={self.n}, edges={list(self.edges)})"
+
+
+def _sorted_adjacency(n: int, edges: list | tuple) -> tuple[tuple[int, ...], ...] | None:
+    """Adjacency lists, each sorted, of n-1 pairs of plain ints in 0..n-1;
+    None for anything else, which :func:`_checked_edges` then names."""
+    if len(edges) != n - 1:
+        return None
+    adj: list[list[int]] = [[] for _ in range(n)]
+    try:
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                return None
+            adj[u].append(v)
+            adj[v].append(u)
+    except (TypeError, ValueError):  # an edge that is not a pair
+        return None
+    for nbrs in adj:
+        if len(nbrs) > 1:
+            nbrs.sort()
+    return tuple(map(tuple, adj))
+
+
+def _checked_edges(n: int, edges: list | tuple) -> list[tuple[int, int]]:
+    """Check each edge in input order and raise on the first fault; with
+    none, the edges as pairs of plain ints (bools and other int subclasses
+    converted), in no particular order."""
+    seen: set[tuple[int, int]] = set()
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise BadVertexIdError(f"edge {e!r} is not a vertex pair") from None
+        if not isinstance(u, int) or not isinstance(v, int):
+            raise BadVertexIdError(f"edge {e!r} has non-integer endpoints")
+        if not (0 <= u < n and 0 <= v < n):
+            raise BadVertexIdError(f"edge {e!r} outside vertex range 0..{n - 1}")
+        if u == v:
+            raise NotATreeError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise NotATreeError(f"duplicate edge {key}")
+        seen.add(key)
+    if len(seen) != n - 1:
+        raise NotATreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(seen)}")
+    return [(int(u), int(v)) for u, v in seen]
 
 
 def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:

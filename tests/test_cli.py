@@ -617,25 +617,11 @@ class TestInternalGuards:
     """Invariants that no input can break, forced one at a time: each exits 5
     with its message and no traceback."""
 
-    @staticmethod
-    def lenient_int(tok, what):
-        # io's slow reader names the first bad line; this one finds none
-        return int(tok) if tok.isdigit() else 0
-
-    @pytest.mark.parametrize("case", ["tree", "coloring", "apart", "unbalanced"])
+    @pytest.mark.parametrize("case", ["apart", "unbalanced"])
     def test_exit_5_without_traceback(self, case, run, tmp_path, monkeypatch):
         star = tmp_path / "star.tree"
         star.write_text("5\n0 1\n0 2\n0 3\n0 4\n")
-        if case in ("tree", "coloring"):
-            monkeypatch.setattr(hamcolor.io, "_int", self.lenient_int)
-        if case == "tree":
-            star.write_text("5\n0 1\n0 2\n0 3\n0 x\n")
-            argv, want = ("color", str(star)), "an edge list the fast reader rejected has no bad line"
-        elif case == "coloring":
-            bad = tmp_path / "bad.coloring"
-            bad.write_text("0 0\n1 x\n2 5\n3 7\n4 9\n")
-            argv, want = ("verify", str(star), str(bad)), "a coloring file the fast reader rejected has no bad line"
-        elif case == "apart":
+        if case == "apart":
             monkeypatch.setattr(hamcolor.tree, "weight_centers", lambda t: frozenset({1, 2}))
             argv, want = ("color", str(star)), "weight centers [1, 2] are not adjacent"
         else:

@@ -1,9 +1,13 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
+import hamcolor.io
+import hamcolor.tree
+from hamcolor.cli import main
 from hamcolor.errors import FormatError, HamcolorError, NotATreeError
+from hamcolor.families import META_KEYS
 from hamcolor.io import (
     format_coloring,
     format_tree,
@@ -66,6 +70,13 @@ class TestTreeFormat:
             parse_tree_text("3\n0 1\n1 two\n")
         with pytest.raises(NotATreeError):
             parse_tree_text("3\n0 1\n0 1\n")
+
+    def test_int_subclass_endpoints_stored_as_plain_ints(self):
+        # True == 1, so only the types can tell
+        t = Tree(3, [(True, 0), (1, 2)])
+        assert all(type(x) is int for nbrs in t.adj for x in nbrs)
+        assert all(type(x) is int for e in t.edges for x in e)
+        assert format_tree(t) == "3\n0 1\n1 2\n"
 
     def test_load_tree(self, tmp_path):
         p = tmp_path / "t.tree"
@@ -235,6 +246,75 @@ def faulty_coloring_text(draw):
     return n, "\n".join(lines) + "\n"
 
 
+def _canonical_faults(draw, text: str, skip: int, faults: list[str]) -> str:
+    """``text`` with 0-3 of ``faults`` that keep to the characters of the
+    files hamcolor writes, each on one line past the first ``skip``: a
+    token as '01', '-0' or '--1', a line '1 -', a space doubled or trailing,
+    a line with one or three tokens, CRLF, a ``#`` line or a blank line in
+    the body, a line copied, dropped or swapped with another; or the final
+    newline dropped."""
+    lines = text.split("\n")[:-1]
+    end = "\n"
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=3)):
+        i = draw(st.integers(skip, max(skip, len(lines) - 1)))
+        if fault == "nofinal":
+            end = ""
+        elif fault == "comment":
+            lines.insert(i, draw(st.sampled_from(["#", "# family: star", "# params: n=4"])))
+        elif fault == "blank":
+            lines.insert(i, "")
+        elif i >= len(lines):  # no line past the first ``skip`` is left
+            continue
+        elif fault == "copy":
+            lines.insert(i, lines[draw(st.integers(skip, len(lines) - 1))])
+        elif fault == "drop":
+            del lines[i]
+        elif fault == "swap":
+            j = draw(st.integers(skip, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif fault in ("zero", "minus", "minus2"):
+            toks = lines[i].split(" ")
+            j = draw(st.integers(0, len(toks) - 1))
+            toks[j] = {"zero": "0", "minus": "-", "minus2": "--"}[fault] + toks[j]
+            lines[i] = " ".join(toks)
+        else:
+            first = lines[i].split(" ")[0]
+            lines[i] = {
+                "dangling": first + " -",
+                "double": lines[i].replace(" ", "  ", 1) if " " in lines[i] else lines[i] + "  0",
+                "trailing": lines[i] + " ",
+                "one": first,
+                "three": lines[i] + " " + first,
+                "crlf": lines[i] + "\r",
+            }[fault]
+    return "\n".join(lines) + end
+
+
+CANONICAL_FAULTS = ["zero", "minus", "minus2", "dangling", "double", "trailing", "one", "three",
+                    "crlf", "comment", "blank", "copy", "drop", "nofinal"]
+META_VALUES = ["star", "broom_even", "n=10,d=4", "58", "a: b", "", "é", "x\x0by"]
+
+
+@st.composite
+def canonical_tree_text(draw):
+    """A tree file exactly as ``format_tree`` writes it, metadata block
+    included, with 0-3 faults from ``_canonical_faults`` in its body."""
+    n = draw(st.integers(1, 9))
+    tree = oracles.prufer_tree(n, draw(st.lists(st.integers(0, n - 1), min_size=max(0, n - 2), max_size=max(0, n - 2))))
+    meta = draw(st.dictionaries(st.sampled_from(META_KEYS), st.sampled_from(META_VALUES)))
+    text = format_tree(tree, meta)
+    return _canonical_faults(draw, text, len(meta), CANONICAL_FAULTS)
+
+
+@st.composite
+def canonical_coloring_text(draw):
+    """n lines exactly as ``format_coloring`` writes them, in id order, with
+    0-3 faults from ``_canonical_faults``, two lines swapped among them."""
+    n = draw(st.integers(1, 8))
+    text = format_coloring(Coloring(tuple(draw(st.lists(st.integers(-3, 40), min_size=n, max_size=n)))))
+    return n, _canonical_faults(draw, text, 0, CANONICAL_FAULTS + ["swap"])
+
+
 class TestReaderParity:
     """The readers and ``Tree`` give what the line-by-line readers and the
     edge-by-edge validation in ``oracles`` give: the same tree or coloring,
@@ -260,7 +340,66 @@ class TestReaderParity:
             edges.insert(data.draw(st.integers(0, len(edges))), e)
         assert _outcome(Tree, n, edges) == _outcome(oracles.ReferenceTree, n, edges)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(canonical_tree_text())
+    @example("2\n0 1\n55")  # no final LF: '55' must not lose a digit to it
+    @example("3\n0 1 1\n2\n")  # the right token count, but not two to a line
+    def test_canonical_tree_text(self, text):
+        assert _outcome(parse_tree_text, text) == _outcome(oracles.reference_parse_tree_text, text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(canonical_coloring_text())
+    @example((2, "0 3\n1 4\n77"))  # likewise
+    @example((2, "0 3 1\n4\n"))
+    def test_canonical_coloring_text(self, case):
+        n, text = case
+        assert _outcome(parse_coloring_text, text, n) == _outcome(oracles.reference_parse_coloring_text, text, n)
+
     def test_duplicate_before_out_of_range_names_the_duplicate(self):
         for read in (Tree, oracles.ReferenceTree):
             with pytest.raises(NotATreeError, match=r"duplicate edge \(0, 1\)"):
                 read(4, [(0, 1), (1, 0), (2, 9)])
+
+
+class TestBulkPath:
+    """The files hamcolor writes take the bulk path: with the line readers and
+    the edge-by-edge walk made to fail, they still load."""
+
+    @pytest.fixture
+    def no_general_readers(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("general reader called")
+
+        monkeypatch.setattr(hamcolor.io, "_read_tree_lines", fail)
+        monkeypatch.setattr(hamcolor.io, "_read_coloring_lines", fail)
+        monkeypatch.setattr(hamcolor.tree, "_checked_edges", fail)
+
+    @pytest.fixture
+    def written(self, tmp_path, capsys):
+        """A tree file from ``gen``, with its metadata, and the coloring
+        ``color`` wrote for it."""
+        tree, coloring = tmp_path / "b.tree", tmp_path / "b.coloring"
+        assert main(["gen", "--family", "broom", "--params", "n=40,d=7", "-o", str(tree)]) == 0
+        assert main(["color", str(tree), "--coloring-out", str(coloring)]) == 0
+        capsys.readouterr()
+        return tree, coloring
+
+    def test_gen_and_color_files(self, written, no_general_readers):
+        tree_path, coloring_path = written
+        text = tree_path.read_text()
+        assert text.startswith("# family: ")
+        want_tree, want_meta = oracles.reference_parse_tree_text(text)
+        tree, meta = load_tree(str(tree_path))
+        assert (tree.n, tree.edges, tree.adj, meta) == (want_tree.n, want_tree.edges, want_tree.adj, want_meta)
+        assert load_coloring(str(coloring_path), tree.n) == oracles.reference_parse_coloring_text(
+            coloring_path.read_text(), tree.n)
+
+    def test_other_files_reach_the_general_readers(self, written, no_general_readers):
+        # the same files with CRLF line ends
+        tree_path, coloring_path = written
+        for path in written:
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(AssertionError, match="general reader"):
+            load_tree(str(tree_path))
+        with pytest.raises(AssertionError, match="general reader"):
+            load_coloring(str(coloring_path), 40)
