@@ -7,12 +7,12 @@ minimising the completed span over all orderings yields the exact answer.
 Because tree distances never exceed n-1, greedy colors never decrease along
 the ordering and the span of a partial placement is simply the last color.
 
-The weight center(s), the levels L below them and each vertex's parent are
-read from the caller's ``RootedView``, the rooting of ``tree.py``; a caller
-with only the distance matrix gets that rooting of the pairs at distance 1,
-a fallback that goes with the prefix slot.  b is 1 when there are two
-centers.  Every path between two vertices may detour through the
-center(s), so d(u, v) <= L(u) + L(v) + b.
+The weight center(s), the levels L below them, each vertex's parent and the
+distance rows are read from the caller's ``RootedView``, the rooting of
+``tree.py``; a caller with only a flat distance matrix gets that rooting of
+its pairs at distance 1, a fallback that goes with the prefix slot.  b is 1
+when there are two centers.  Every path between two vertices may detour
+through the center(s), so d(u, v) <= L(u) + L(v) + b.
 
 Seven pruning rules, each sound for the reason given:
 
@@ -157,16 +157,17 @@ def bnb_exact(
 ):
     """Minimise the greedy-completion span over all vertex orderings.
 
-    dist       flat row-major distance matrix of a tree, length n*n
+    dist       flat row-major distance matrix of a tree, length n*n; read
+               only without ``rv``, and then only where it equals 1
     budget     maximum number of vertex placements, or -1 for unlimited
     prefix     must be empty (else BadParamsError); the slot keeps the
                positional calls ``bnb_exact(dist, n, -1, (), -1)`` working
     incumbent  known upper bound to prune against, or -1 for none
     rv         the tree's ``RootedView``, read for the weight center(s),
-               levels, parents and leaves; None roots the pairs at distance
-               1 (NotATreeError when they are no tree), the same search node
-               for node, which keeps the matrix-only positional calls
-               working until the prefix slot goes
+               levels, parents, leaves and distance rows; None roots the
+               pairs at distance 1 of ``dist`` (NotATreeError when they are
+               no tree), the same search node for node, which keeps the
+               matrix-only positional calls working until the prefix slot goes
 
     Returns ``(best_span, best_order, nodes, limit_hit)``; ``best_order`` is
     None (and ``best_span`` -1) when no complete ordering beat the incumbent
@@ -174,9 +175,9 @@ def bnb_exact(
     """
     if prefix:
         raise BadParamsError(f"the search takes no forced prefix, got {tuple(prefix)}")
-    rows = [dist[v * n:(v + 1) * n] for v in range(n)]  # rows[v][w] = d(v, w)
     if rv is None:
-        rv = RootedView(Tree(n, [(v, w) for v in range(n) for w in range(v) if rows[v][w] == 1]))
+        rv = RootedView(Tree(n, [(v, w) for v in range(n) for w in range(v) if dist[v * n + w] == 1]))
+    rows = rv.tree.distance_matrix()  # rows[v][w] = d(v, w)
     level = rv.level
     step = n - 2 if rv.bicentral else n - 1
     target = lower_bound_weight(rv)

@@ -25,10 +25,6 @@ class NotAPermutationError(HamcolorError):
     """Ordering is not a permutation of the vertex ids."""
 
 
-class NegativeIncrementError(HamcolorError):
-    """The arithmetic coloring would decrease along the ordering."""
-
-
 class SearchFailedError(HamcolorError):
     """No certified ordering was found (not a proof that none exists)."""
 

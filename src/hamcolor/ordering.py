@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from .bounds import lower_bound_weight, require_applicable
-from .errors import InternalError, NegativeIncrementError, NotAPermutationError, SearchFailedError
+from .errors import InternalError, NotAPermutationError, SearchFailedError
 from .tree import RootedView
 
 
@@ -160,10 +160,18 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
 
 
 def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
-    """Arithmetic coloring along ``order``; rejects any negative increment.
+    """Arithmetic coloring along ``order``.
 
     The resulting span is an identity of the ordering's endpoint levels:
     (n - 1) * (n - 1 - b) - 2 * total_level + level(x_0) + level(x_{n-1}).
+
+    No increment is negative, as L(u) + L(v) <= n - 1 - b for u != v.  A
+    branch B holds at most n/2 vertices, n/2 - 1 with two centers, among
+    them the L(v) on the path from each v in B up to its center.  So
+    L(u) + L(v) is at most the n - 1 - b vertices outside the centers when
+    u and v share no branch, and at most 2|B| - 1 <= n - 1 - 2b when both
+    lie in B, as L(u) = L(v) = |B| makes B a path with one vertex at level
+    |B|.  A negative increment is therefore an ``InternalError``.
     """
     o = validate_ordering(rv.n, order)
     base = rv.n - 1 - (1 if rv.bicentral else 0)
@@ -172,9 +180,7 @@ def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
     for i in range(rv.n - 1):
         inc = base - rv.level[o[i]] - rv.level[o[i + 1]]
         if inc < 0:
-            raise NegativeIncrementError(
-                f"step {i} ({o[i]} -> {o[i + 1]}) would add {inc}"
-            )
+            raise InternalError(f"step {i} ({o[i]} -> {o[i + 1]}) would add {inc}")
         c += inc
         colors[o[i + 1]] = c
     return Coloring(tuple(colors))

@@ -2,7 +2,7 @@
 
 ``verify_coloring`` sorts the vertices by color and checks the hamiltonian
 condition with the window walk of ``ordering``, where every walk along a
-vertex sequence lives.  Only ``exact_hc`` builds an n x n distance matrix.
+vertex sequence lives.  Only the exact kernel builds an n x n distance matrix.
 
 ``exact_hc`` minimises, over all vertex orderings, the span of the greedy
 color completion along the ordering (``ordering.min_span_for_order``); the
@@ -15,7 +15,6 @@ deterministic, so runs are reproducible.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from .bounds import lower_bound_weight
@@ -89,11 +88,6 @@ def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
     return sorted(out, key=lambda viol: (viol.u, viol.v))
 
 
-def _flat_distances(rv: RootedView) -> array:
-    dm = rv.tree.distance_matrix()
-    return array("i", [d for row in dm for d in row])
-
-
 def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> ExactResult:
     """Exact hamiltonian chromatic number by branch-and-bound over orderings.
 
@@ -113,9 +107,8 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> Exac
     if budget is not None and budget < 0:
         raise BadParamsError(f"budget must be >= 0, got {budget}")
     lb = lower_bound_weight(rv)
-    dist = _flat_distances(rv)
     try:
-        span, order, nodes, hit = _kernel.bnb_exact(dist, n, -1 if budget is None else budget, (), -1, rv)
+        span, order, nodes, hit = _kernel.bnb_exact((), n, -1 if budget is None else budget, (), -1, rv)
     except RecursionError:  # the kernel recurses once per placed vertex
         raise TooLargeError(f"n={n} is too deep for the recursive exact search") from None
     if order is None:

@@ -11,7 +11,6 @@ from hamcolor.bounds import is_applicable, lower_bound_weight
 from hamcolor import ordering
 from hamcolor.errors import (
     InternalError,
-    NegativeIncrementError,
     NotApplicableError,
     NotAPermutationError,
     SearchFailedError,
@@ -206,7 +205,7 @@ class TestColoringFromOrdering:
             bicentral = False
             level = (0, 3, 3, 1)
 
-        with pytest.raises(NegativeIncrementError):
+        with pytest.raises(InternalError):
             coloring_from_ordering(Doctored(), [0, 1, 2, 3])
 
     def test_rejects_bad_ordering(self):

@@ -333,9 +333,12 @@ class TestKernel:
     fallback and its twin and orbit helpers, called directly."""
 
     @staticmethod
-    def run(tree, incumbent=-1):
-        dist = solver._flat_distances(analyze(tree))
-        return solver._kernel.bnb_exact(dist, tree.n, -1, (), incumbent)
+    def flat(tree):
+        """networkx's distance matrix of ``tree``, flat and row-major."""
+        return [d for row in oracles.nx_distance_matrix(tree) for d in row]
+
+    def run(self, tree, incumbent=-1):
+        return solver._kernel.bnb_exact(self.flat(tree), tree.n, -1, (), incumbent)
 
     def test_incumbent(self, corpus, exact_of):
         for t in corpus[6]:
@@ -357,7 +360,7 @@ class TestKernel:
             perm = list(range(t.n))
             rng.shuffle(perm)
             t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
-            flat = [d for row in oracles.nx_distance_matrix(t) for d in row]
+            flat = self.flat(t)
             before = solver._kernel.twin_before(t)
             assert before == oracles.twin_before(flat, t.n), t.edges
             twins += sum(u >= 0 for u in before)
@@ -377,7 +380,7 @@ class TestKernel:
             rng.shuffle(perm)
             t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
             rv = analyze(t)
-            dist = solver._flat_distances(rv)
+            dist = self.flat(t)
             lb = lower_bound_weight(rv)
             for budget, incumbent in itertools.product((-1, 0, 1, 7, 50), (-1, lb, lb + 1, lb + 2)):
                 want = oracles.rescan_bnb_exact(dist, t.n, budget, incumbent)
@@ -397,7 +400,7 @@ class TestKernel:
                 perm = list(range(10))
                 rng.shuffle(perm)
                 t = Tree(10, [(perm[int(u)], perm[int(v)]) for u, v in g.edges()])
-                dist = solver._flat_distances(analyze(t))
+                dist = self.flat(t)
                 assert solver._kernel.bnb_exact(dist, 10) == oracles.rescan_bnb_exact(dist, 10), t.edges
 
     def test_symmetry_rules_keep_every_span(self, corpus):
@@ -414,7 +417,7 @@ class TestKernel:
             perm = list(range(t.n))
             rng.shuffle(perm)
             t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
-            flat = [d for row in oracles.nx_distance_matrix(t) for d in row]
+            flat = self.flat(t)
             span, _, nodes, _ = oracles.rescan_bnb_exact(flat, t.n)
             for rule, flags in (("rule 6", (False, True)), ("rule 7", (True, False)), (None, (False, False))):
                 span_without, _, nodes_without, _ = oracles.rescan_bnb_exact(flat, t.n, -1, -1, *flags)
@@ -437,7 +440,7 @@ class TestKernel:
             rng.shuffle(perm)
             t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
             least = solver._kernel.least_in_orbit(analyze(t))
-            flat = [d for row in oracles.nx_distance_matrix(t) for d in row]
+            flat = self.flat(t)
             assert least == [min(orbit) for orbit in oracles.automorphism_orbits(flat, t.n)], t.edges
             # vertices in the orbit of a smaller one that is not their twin
             moved += sum(least[v] != v and t.adj[v] != t.adj[least[v]] for v in range(t.n))
@@ -457,8 +460,9 @@ class TestKernel:
     def test_prefix_slot_takes_only_the_empty_prefix(self, corpus):
         # the matrix-only positional call bnb_exact(dist, n, -1, (), -1),
         # which roots the pairs at distance 1 itself, is the search with the
-        # caller's view node for node on every tree with n <= 10, relabelled;
-        # a forced prefix is refused
+        # caller's view node for node on every tree with n <= 10, relabelled,
+        # also when every other entry of the matrix is junk, and the call
+        # with the view reads no matrix; a forced prefix is refused
         rng = random.Random(47)
         trees = [t for n in range(1, 9) for t in corpus[n]]
         trees += [Tree(n, [(int(u), int(v)) for u, v in g.edges()]) for n in (9, 10) for g in nx.nonisomorphic_trees(n)]
@@ -467,10 +471,11 @@ class TestKernel:
             perm = list(range(t.n))
             rng.shuffle(perm)
             rv = analyze(Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges]))
-            dist = solver._flat_distances(rv)
-            want = solver._kernel.bnb_exact(dist, t.n, rv=rv)
-            assert solver._kernel.bnb_exact(dist, t.n, -1, (), -1) == want, rv.tree.edges
-        dist = solver._flat_distances(analyze(corpus[6][0]))
+            want = solver._kernel.bnb_exact((), t.n, rv=rv)
+            dist = self.flat(rv.tree)
+            for matrix in (dist, [d if d == 1 else 7 for d in dist]):
+                assert solver._kernel.bnb_exact(matrix, t.n, -1, (), -1) == want, rv.tree.edges
+        dist = self.flat(corpus[6][0])
         for prefix in ((0,), [1, 0]):
             with pytest.raises(BadParamsError):
                 solver._kernel.bnb_exact(dist, 6, -1, prefix, -1)

@@ -3,7 +3,8 @@
 ``python -O`` strips ``assert`` statements, so invariants raise
 ``InternalError`` instead; only the command-line layer writes to the
 terminal; ``families`` owns every family decision, so no other module
-names a family; the closed forms are integer arithmetic, so the package
+names a family; only the exact kernel reads the n x n distance matrix,
+so no other path allocates one; the closed forms are integer arithmetic, so the package
 does not load ``fractions``; the modules import each other only at
 module level and without a cycle; every module-level function has a
 caller inside the package, or is a named entry point; and every option a
@@ -52,6 +53,20 @@ def test_only_families_names_a_family():
             if isinstance(node, ast.Constant) and node.value in FAMILY_NAMES:
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert found == []
+
+
+def test_only_the_kernel_reads_the_distance_matrix():
+    # tree.py defines Tree.distance_matrix; test_cli's test_no_distance_matrix
+    # checks color and verify at run time
+    sources = sorted(Path(hamcolor.__file__).resolve().parent.glob("*.py"))
+    readers = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            # a method is read as an attribute, or by name through getattr
+            if (isinstance(node, ast.Attribute) and node.attr == "distance_matrix"
+                    or isinstance(node, ast.Constant) and node.value == "distance_matrix"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert [r.split(":")[0] for r in readers] == ["_bnb_py.py"], readers
 
 
 def test_cli_does_not_load_fractions():
