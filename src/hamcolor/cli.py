@@ -37,7 +37,6 @@ from .io import (
     load_tree,
     to_dot,
 )
-from .ordering import search_ordering
 from .solver import exact_hc, verify_coloring
 from .tree import analyze, graph_centers
 
@@ -136,8 +135,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_color(args: argparse.Namespace) -> int:
     tree, meta = load_tree(args.file)
     rv = analyze(tree)
-    spec = families.spec_from_meta(tree, meta)
-    cert = families.family_certificate(spec, rv) if spec is not None else search_ordering(rv)
+    cert = families.family_certificate(families.spec_from_meta(tree, meta), rv)
     coloring = cert.coloring
     out = args.coloring_out or args.file + ".coloring"
     _write(out, format_coloring(coloring))

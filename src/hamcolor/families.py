@@ -32,14 +32,15 @@ the families and ``parse_params`` reads their ``key=value`` parameters;
 ``spec_meta`` is the metadata of an instance's tree file, and
 ``spec_from_meta`` checks a tree against it and returns the spec.
 ``META_KEYS`` are the metadata keys, which ``hamcolor.io`` reads and writes.
-``family_certificate`` certifies the one ordering path of every family, the
-greedy of ``ordering.search_ordering``, with ``check_spacing`` (the paper's
-iff condition); ``family_ordering`` returns that ordering.  No family keeps a
-construction.  On a recognised broom the greedy is the paper's ordering: the
-hub is the one weight center, and the path branch (branch id 0) never holds
-fewer unplaced vertices than a leaf and wins ties, so the path comes
-deepest-first, each vertex followed by the smallest unplaced leaf, then the
-other leaves.  On the a-trees (tested for d <= 30) it attains the closed form.
+``family_certificate`` certifies the one ordering path of every family and
+of a plain tree, the greedy of ``ordering.search_ordering``, with
+``check_spacing`` (the paper's iff condition); ``family_ordering`` returns
+that ordering.  No family keeps a construction.  On a recognised broom the
+greedy is the paper's ordering: the hub is the one weight center, and the
+path branch (branch id 0) never holds fewer unplaced vertices than a leaf
+and wins ties, so the path comes deepest-first, each vertex followed by the
+smallest unplaced leaf, then the other leaves.  On the a-trees (tested for
+d <= 30) it attains the closed form.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class FamilySpec:
     """What a generator produced and what values it promises."""
 
     family: str  # star | broom | broom_even | broom_odd | a_tree | caterpillar
-    params: dict[str, int] = field(compare=False)
+    params: dict[str, int] = field(hash=False)
     expected_n: int = 0
     expected_hc: int | None = None
     expected_total_level: int | None = None
@@ -284,17 +285,17 @@ def closed_form_hc(spec: FamilySpec) -> int:
     raise BadParamsError(f"no closed form for family {spec.family!r} with {spec.params}")
 
 
-def family_certificate(spec: FamilySpec, rv: RootedView) -> _ord.Certificate:
+def family_certificate(spec: FamilySpec | None, rv: RootedView) -> _ord.Certificate:
     """Certificate of the greedy ordering, :func:`ordering.search_ordering`,
-    for an instance analysed as ``rv``; on a recognised broom it is the
-    paper's construction (see the module docstring).  A failure on an
-    instance with a closed form is a bug, raised as :class:`InternalError`;
-    on any other the :class:`SearchFailedError` stands.
+    on ``rv``: a family instance with its ``spec``, or a plain tree with None.
+    On a recognised broom it is the paper's construction (module docstring).
+    A failure on an instance with a closed form is a bug, raised as
+    :class:`InternalError`; else the :class:`SearchFailedError` stands.
     """
     try:
         return _ord.search_ordering(rv)
     except SearchFailedError as e:
-        if spec.expected_hc is None:
+        if spec is None or spec.expected_hc is None:
             raise
         raise InternalError(f"{e}, on {spec.family} {spec.params} with a closed form") from None
 

@@ -121,14 +121,15 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
         d(x_i, x_j) >= sum_{t=i}^{j-1} (level(x_t) + level(x_{t+1}))
                        - (j - i) * (n - 1 - b) + (n - 1).
 
-    A consecutive pair needs d >= level + level + b, so it must share no
-    branch (two centers: lie on opposite sides), read from ``branch`` and
-    ``side`` without a distance query.  One pass checks that and adds up the
-    increments, each then n - 1 - d >= 0, so the colors rise along the
-    ordering: the window walk checks the other pairs along it, with no
-    sort, in (i, j) order, and stops at the first failure.  Reported: the
-    first failing consecutive pair, else the first (i, j).  On success the
-    certificate holds the ordering and the coloring that was verified.
+    Its case j = i + 1, d >= level + level + b, is the paper's clause that
+    consecutive vertices share no branch (two centers: lie on opposite
+    sides).  One pass adds up the increments, none negative, so the colors
+    rise along the ordering; the window walk checks the pairs along it in
+    (i, j) order, with no sort, and reports the first that fails.  The pass
+    tests branches and sides only to set where the walk starts: a
+    consecutive pair sharing neither passes, its gap being n - 1 - d, so the
+    walk skips those pairs unless one shares.  On success the certificate
+    holds the ordering and the coloring that was verified.
     """
     require_applicable(rv.tree)
     o = validate_ordering(rv.n, order)
@@ -138,18 +139,16 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
     # one center: it and a level-1 vertex end the ordering; two: both centers
     if level[o[0]] + level[o[-1]] != 1 - b:
         return Certificate(False, None, f"endpoint levels {level[o[0]]}+{level[o[-1]]} != {1 - b}")
-    base, colors, cs, c = n - 1 - b, [0] * n, [0], 0
-    for i, (u, v) in enumerate(zip(o, o[1:])):
+    base, colors, cs, c, first = n - 1 - b, [0] * n, [0], 0, 2
+    for u, v in zip(o, o[1:]):
         if (branch[u] is not None and branch[u] == branch[v]) or (b and side[u] == side[v]):
-            d, need = rv._distance(u, v), level[u] + level[v] + b
-            return Certificate(False, (i, i + 1), f"positions {i},{i + 1}: distance {d} < required {need}")
+            first = 1  # this consecutive pair fails: the walk must see it
         if (inc := base - level[u] - level[v]) < 0:
-            raise InternalError("negative increment between vertices that share no branch")
+            raise InternalError("negative increment between consecutive vertices")
         c += inc
         colors[v] = c
         cs.append(c)
-    # a consecutive pair's gap is its increment n - 1 - d: the walk skips it
-    bad = next(_window(rv, o, cs, 2), None)
+    bad = next(_window(rv, o, cs, first), None)
     if bad is None:
         # the span is (n-1)(n-1-b) - 2*total_level plus the endpoint levels
         if c != (lb := lower_bound_weight(rv)):

@@ -16,15 +16,16 @@ from hamcolor.families import (
     family_certificate,
     generate,
 )
-from hamcolor.ordering import coloring_from_ordering, search_ordering
+from hamcolor.ordering import coloring_from_ordering
 from hamcolor.solver import verify_coloring
 from hamcolor.tree import analyze
 
 
 def certified_span(tree, spec=None) -> int:
-    """Span of the certified ordering for a tree (family route when given)."""
+    """Span of the certified ordering for a tree, a family instance when
+    ``spec`` is given."""
     rv = analyze(tree)
-    cert = family_certificate(spec, rv) if spec is not None else search_ordering(rv)
+    cert = family_certificate(spec, rv)
     assert cert.ok and cert.kind == "spacing"
     assert cert.coloring == coloring_from_ordering(rv, cert.ordering)
     assert not verify_coloring(rv, cert.coloring)

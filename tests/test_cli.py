@@ -434,16 +434,19 @@ class TestExact:
 
     def test_too_deep_exit_3_without_traceback(self, run, tmp_path):
         # the kernel recurses once per placed vertex; a fresh interpreter's
-        # recursion limit (1000) stops it below n=1200
-        path = gen_file(run, tmp_path, "star", "n=1200")
+        # recursion limit (1000) stops it below n=1200, and a limit of 60,
+        # set once the package is imported, below n=80
         src = str(Path(hamcolor.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
-        argv = [sys.executable, "-m", "hamcolor.cli", "exact", path, "--limit", "5000"]
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert "error: n=1200 is too deep for the recursive exact search" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        lowered = "import sys, hamcolor.cli; sys.setrecursionlimit(60); sys.exit(hamcolor.cli.main(sys.argv[1:]))"
+        for n, interpreter, limit in ((1200, ["-m", "hamcolor.cli"], "5000"), (80, ["-c", lowered], "100")):
+            path = gen_file(run, tmp_path, "star", f"n={n}")
+            argv = [sys.executable, *interpreter, "exact", path, "--limit", limit]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stdout == ""
+            assert f"error: n={n} is too deep for the recursive exact search" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_unknown_option_is_a_usage_error(self, run, tmp_path, capsys):
         path = gen_file(run, tmp_path, "star", "n=4")

@@ -111,38 +111,32 @@ class TestCheckSpacing:
                 assert found == attained
 
     def test_matches_all_pairs_oracle(self, ordering_cases):
-        # the verdict always equals the all-pairs oracle's; the reported pair
-        # and reason too, unless a consecutive pair fails: then it is the
-        # first such pair (i, i + 1), whose bound is level + level + b
+        # the certificate, reported pair and reason included, is always the
+        # all-pairs oracle's: a failing consecutive pair is the case j = i + 1,
+        # reported only when no earlier (i, j) fails
         seen = set()
         for rv, dist, orders in ordering_cases:
             b = 1 if rv.bicentral else 0
             for order in orders:
                 want = oracles.all_pairs_spacing(rv, order, dist)
-                got = check_spacing(rv, order)
-                assert got.ok == want.ok
-                steps = [
-                    (i, dist[u][v], rv.level[u] + rv.level[v] + b)
-                    for i, (u, v) in enumerate(zip(order, order[1:]))
-                ]
-                failing = [(i, d, need) for i, d, need in steps if d < need]
-                if want.ok or want.violation is None or not failing:
-                    assert got == want, (rv.tree, order)
-                    kind = "ok" if want.ok else "endpoints" if want.violation is None else "window"
-                else:
-                    i, d, need = failing[0]
-                    reason = f"positions {i},{i + 1}: distance {d} < required {need}"
-                    assert got == Certificate(False, (i, i + 1), reason), (rv.tree, order)
-                    kind = "consecutive"
+                assert check_spacing(rv, order) == want, (rv.tree, order)
+                if want.ok or want.violation is None:
+                    seen.add("ok" if want.ok else "endpoints")
+                    continue
+                i, j = want.violation
+                kind = "consecutive" if j == i + 1 else "window"
+                steps = zip(order[i:], order[i + 1 :])
+                if kind == "window" and any(dist[u][v] < rv.level[u] + rv.level[v] + b for u, v in steps):
+                    kind = "window ahead of a failing consecutive pair"
                 seen.add(kind)
-        assert seen == {"ok", "endpoints", "window", "consecutive"}
+        assert seen == {"ok", "endpoints", "window", "consecutive", "window ahead of a failing consecutive pair"}
 
     def test_negative_increment_guard(self):
-        # analyze() never gives two vertices of different branches levels
-        # summing past n - 1; a doctored view does
+        # analyze() never gives two vertices levels summing past n - 1 - b
+        # (see coloring_from_ordering); a doctored view does
         rv = analyze(generate("star", {"n": 5})[0])
         rv.level = (0, 1, 10, 1, 1)
-        with pytest.raises(InternalError, match="negative increment between vertices that share no branch"):
+        with pytest.raises(InternalError, match="negative increment between consecutive vertices"):
             check_spacing(rv, [0, 1, 2, 3, 4])
 
     def test_span_guard(self, monkeypatch):

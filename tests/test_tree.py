@@ -41,6 +41,9 @@ class TestConstruction:
     def test_rejects_self_loop_and_duplicate(self):
         with pytest.raises(NotATreeError):
             Tree(2, [(0, 0)])
+        # a generator is listed first, so the faults are read a second time
+        with pytest.raises(NotATreeError, match=r"^self-loop at vertex 1$"):
+            Tree(3, (e for e in [(0, 1), (1, 1)]))
         with pytest.raises(NotATreeError):
             Tree(3, [(0, 1), (1, 0)])
 
@@ -51,6 +54,8 @@ class TestConstruction:
             Tree(0, [])
         with pytest.raises(BadVertexIdError):
             Tree(3, [(0, 1), (1, "2")])
+        with pytest.raises(BadVertexIdError, match=r"^edge \(1, 2, 0\) is not a vertex pair$"):
+            Tree(3, [(0, 1), (1, 2, 0)])
 
     def test_edges_normalised_sorted(self):
         t = Tree(4, [(2, 1), (3, 0), (1, 0)])
