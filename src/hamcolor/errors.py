@@ -26,7 +26,8 @@ class NotAPermutationError(HamcolorError):
 
 
 class SearchFailedError(HamcolorError):
-    """No certified ordering was found (not a proof that none exists)."""
+    """The greedy ordering failed certification (not a proof that no ordering
+    passes); raised only by ``families.family_certificate``."""
 
 
 class IncompleteColoringError(HamcolorError):

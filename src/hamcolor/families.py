@@ -34,9 +34,9 @@ the families and ``parse_params`` reads their ``key=value`` parameters;
 ``META_KEYS`` are the metadata keys, which ``hamcolor.io`` reads and writes.
 ``family_certificate`` certifies the one ordering path of every family and
 of a plain tree, the greedy of ``ordering.search_ordering``, with
-``check_spacing`` (the paper's iff condition); ``family_ordering`` returns
-that ordering.  No family keeps a construction.  On a recognised broom the
-greedy is the paper's ordering: the hub is the one weight center, and the
+``check_spacing`` (the paper's iff condition), and alone raises when it
+fails; ``family_ordering`` returns that ordering.  No family keeps a
+construction.  On a recognised broom the greedy is the paper's ordering: the hub is the one weight center, and the
 path branch (branch id 0) never holds fewer unplaced vertices than a leaf
 and wins ties, so the path comes deepest-first, each vertex followed by the
 smallest unplaced leaf, then the other leaves.  On the a-trees (tested for
@@ -289,15 +289,16 @@ def family_certificate(spec: FamilySpec | None, rv: RootedView) -> _ord.Certific
     """Certificate of the greedy ordering, :func:`ordering.search_ordering`,
     on ``rv``: a family instance with its ``spec``, or a plain tree with None.
     On a recognised broom it is the paper's construction (module docstring).
-    A failure on an instance with a closed form is a bug, raised as
-    :class:`InternalError`; else the :class:`SearchFailedError` stands.
+    A failing certificate raises here only: :class:`InternalError`, a bug,
+    on an instance with a closed form, else :class:`SearchFailedError`.
     """
-    try:
-        return _ord.search_ordering(rv)
-    except SearchFailedError as e:
+    cert = _ord.search_ordering(rv)
+    if not cert.ok:
+        msg = f"greedy ordering failed certification: {cert.reason}"
         if spec is None or spec.expected_hc is None:
-            raise
-        raise InternalError(f"{e}, on {spec.family} {spec.params} with a closed form") from None
+            raise SearchFailedError(msg)
+        raise InternalError(f"{msg}, on {spec.family} {spec.params} with a closed form")
+    return cert
 
 
 def family_ordering(spec: FamilySpec, tree: Tree) -> list[int]:

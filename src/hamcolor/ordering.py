@@ -11,10 +11,12 @@ ordering and add, at each step,
 where b is 1 for two weight centers and 0 for one.  ``check_spacing``, the
 one certificate check, is the paper's necessary and sufficient condition:
 the induced coloring attains the bound if and only if it holds.  It builds
-that coloring in one pass and checks it with ``_window``, the one pair
-check, along the same ordering (``solver.verify_coloring`` runs the window
-over the vertices sorted by color).  ``search_ordering`` is a deterministic
-greedy that builds one ordering and returns its certificate; it pays a heap
+that coloring in ``_arithmetic``, the one increment pass, and checks it
+with ``_window``, the one pair check, along the same ordering
+(``solver.verify_coloring`` runs the window over the vertices sorted by
+color).  ``search_ordering`` is a deterministic greedy that builds one
+ordering and returns its certificate, passing or not, as ``check_spacing``
+does; only ``families.family_certificate`` raises on one.  It pays a heap
 step only for a vertex whose place is still open, and with one weight center
 it appends the tail of single-vertex branches (the leaves at a star's or a
 broom's hub) in one sort.  ``min_span_for_order`` is the greedy
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from .bounds import lower_bound_weight, require_applicable
-from .errors import InternalError, NotAPermutationError, SearchFailedError
+from .errors import InternalError, NotAPermutationError
 from .tree import RootedView
 
 
@@ -123,46 +125,35 @@ def check_spacing(rv: RootedView, order: Sequence[int]) -> Certificate:
 
     Its case j = i + 1, d >= level + level + b, is the paper's clause that
     consecutive vertices share no branch (two centers: lie on opposite
-    sides).  One pass adds up the increments, none negative, so the colors
-    rise along the ordering; the window walk checks the pairs along it in
-    (i, j) order, with no sort, and reports the first that fails.  The pass
-    tests branches and sides only to set where the walk starts: a
+    sides).  One pass, :func:`_arithmetic`, adds up the increments, so the
+    colors rise along the ordering; the window walk checks the pairs along
+    it in (i, j) order, with no sort, and reports the first that fails.  The
+    pass tests branches and sides only to set where the walk starts: a
     consecutive pair sharing neither passes, its gap being n - 1 - d, so the
     walk skips those pairs unless one shares.  On success the certificate
     holds the ordering and the coloring that was verified.
     """
     require_applicable(rv.tree)
     o = validate_ordering(rv.n, order)
-    n = rv.n
-    b = 1 if rv.bicentral else 0
-    level, branch, side = rv.level, rv.branch, rv.side
+    n, level, b = rv.n, rv.level, 1 if rv.bicentral else 0
     # one center: it and a level-1 vertex end the ordering; two: both centers
     if level[o[0]] + level[o[-1]] != 1 - b:
         return Certificate(False, None, f"endpoint levels {level[o[0]]}+{level[o[-1]]} != {1 - b}")
-    base, colors, cs, c, first = n - 1 - b, [0] * n, [0], 0, 2
-    for u, v in zip(o, o[1:]):
-        if (branch[u] is not None and branch[u] == branch[v]) or (b and side[u] == side[v]):
-            first = 1  # this consecutive pair fails: the walk must see it
-        if (inc := base - level[u] - level[v]) < 0:
-            raise InternalError("negative increment between consecutive vertices")
-        c += inc
-        colors[v] = c
-        cs.append(c)
+    colors, cs, first = _arithmetic(rv, o)
     bad = next(_window(rv, o, cs, first), None)
     if bad is None:
         # the span is (n-1)(n-1-b) - 2*total_level plus the endpoint levels
-        if c != (lb := lower_bound_weight(rv)):
-            raise InternalError(f"certified span {c} != weight-center bound {lb}")
+        if cs[-1] != (lb := lower_bound_weight(rv)):
+            raise InternalError(f"certified span {cs[-1]} != weight-center bound {lb}")
         return Certificate(True, ordering=tuple(o), coloring=Coloring(tuple(colors)))
     i, j, need, gap = bad
     return Certificate(False, (i, j), f"positions {i},{j}: distance {n - 1 - need} < required {n - 1 - gap}")
 
 
-def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
-    """Arithmetic coloring along ``order``.
-
-    The resulting span is an identity of the ordering's endpoint levels:
-    (n - 1) * (n - 1 - b) - 2 * total_level + level(x_0) + level(x_{n-1}).
+def _arithmetic(rv: RootedView, o: list[int]) -> tuple[list[int], list[int], int]:
+    """The increment pass along the validated ``o``: the arithmetic colors by
+    vertex and by position, and where :func:`check_spacing`'s walk starts.
+    The span is (n - 1)(n - 1 - b) - 2 * total_level + L(x_0) + L(x_{n-1}).
 
     No increment is negative, as L(u) + L(v) <= n - 1 - b for u != v.  A
     branch B holds at most n/2 vertices, n/2 - 1 with two centers, among
@@ -172,17 +163,23 @@ def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
     lie in B, as L(u) = L(v) = |B| makes B a path with one vertex at level
     |B|.  A negative increment is therefore an ``InternalError``.
     """
-    o = validate_ordering(rv.n, order)
-    base = rv.n - 1 - (1 if rv.bicentral else 0)
-    colors = [0] * rv.n
-    c = 0
-    for i in range(rv.n - 1):
-        inc = base - rv.level[o[i]] - rv.level[o[i + 1]]
-        if inc < 0:
-            raise InternalError(f"step {i} ({o[i]} -> {o[i + 1]}) would add {inc}")
+    b = 1 if rv.bicentral else 0
+    level, branch, side = rv.level, rv.branch, rv.side
+    base, colors, cs, c, first = rv.n - 1 - b, [0] * rv.n, [0], 0, 2
+    for u, v in zip(o, o[1:]):
+        if (branch[u] is not None and branch[u] == branch[v]) or (b and side[u] == side[v]):
+            first = 1  # this consecutive pair fails: the walk must see it
+        if (inc := base - level[u] - level[v]) < 0:
+            raise InternalError("negative increment between consecutive vertices")
         c += inc
-        colors[o[i + 1]] = c
-    return Coloring(tuple(colors))
+        colors[v] = c
+        cs.append(c)
+    return colors, cs, first
+
+
+def coloring_from_ordering(rv: RootedView, order: Sequence[int]) -> Coloring:
+    """Arithmetic coloring along ``order`` (see :func:`_arithmetic`)."""
+    return Coloring(tuple(_arithmetic(rv, validate_ordering(rv.n, order))[0]))
 
 
 def min_span_for_order(rv: RootedView, order: Sequence[int]) -> Coloring:
@@ -226,9 +223,10 @@ def search_ordering(rv: RootedView) -> Certificate:
     deepest unplaced vertex from an allowed branch (a different branch with one
     center, the opposite side with two), preferring branches with the most
     unplaced vertices and breaking ties by smallest branch id.  Returns the
-    ordering's :func:`check_spacing` certificate.  :class:`SearchFailedError`
-    means only that this one ordering fails the condition, which is not a
-    proof that no ordering passes it (nor that hc exceeds the bound).
+    ordering's :func:`check_spacing` certificate, passing or not, and raises
+    nothing of its own.  A failing certificate means only that this one
+    ordering fails the condition, which is not a proof that no ordering
+    passes it (nor that hc exceeds the bound).
 
     The branches wait in one heap per weight center (one heap in all with one
     center), keyed by the int -unplaced * nb + branch id (nb branches; ordered
@@ -281,7 +279,4 @@ def search_ordering(rv: RootedView) -> Certificate:
             break
         heap, other = other, heap
     order += centers[1:]
-    cert = check_spacing(rv, order)
-    if not cert.ok:
-        raise SearchFailedError(f"greedy ordering failed certification: {cert.reason}")
-    return cert
+    return check_spacing(rv, order)

@@ -15,6 +15,7 @@ deterministic, so runs are reproducible.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .bounds import lower_bound_weight
@@ -92,8 +93,8 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> Exac
     """Exact hamiltonian chromatic number by branch-and-bound over orderings.
 
     Refuses trees larger than ``limit`` vertices (at least 1; raise the
-    limit explicitly to go bigger), and trees whose search, one frame per
-    placed vertex, passes the interpreter's recursion limit.  When a node
+    limit explicitly to go bigger), and searches whose unpruned first dive,
+    min(n, budget) frames, passes the recursion limit.  When a node
     ``budget`` (at least 0) is given and runs out, the best completed coloring
     so far is returned with ``limit_hit`` set.  Its span ``ub`` is then only
     an upper bound on the hamiltonian chromatic number, and ``hc`` is None,
@@ -106,6 +107,8 @@ def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> Exac
         raise TooLargeError(f"n={n} exceeds the exact-search limit {limit}")
     if budget is not None and budget < 0:
         raise BadParamsError(f"budget must be >= 0, got {budget}")
+    if min(n, n if budget is None else budget) >= sys.getrecursionlimit():
+        raise TooLargeError(f"n={n} is too deep for the recursive exact search")
     lb = lower_bound_weight(rv)
     try:
         span, order, nodes, hit = _kernel.bnb_exact((), n, -1 if budget is None else budget, (), -1, rv)

@@ -389,13 +389,32 @@ def all_pairs_violations(tree: Tree, colors) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def _level_prefix(rv: RootedView, o) -> list[int]:
+    """prefix[m] = sum_{t<m} (level(x_t) + level(x_{t+1})) along ``o``."""
+    prefix = [0] * len(o)
+    for m in range(1, len(o)):
+        prefix[m] = prefix[m - 1] + rv.level[o[m - 1]] + rv.level[o[m]]
+    return prefix
+
+
+def prefix_sum_coloring(rv: RootedView, order) -> Coloring:
+    """The arithmetic coloring read off the prefix sums of levels, with no
+    distance matrix: position m gets m * (n - 1 - b) - prefix[m]."""
+    o = list(order)
+    step = rv.n - 1 - (1 if rv.bicentral else 0)
+    colors = [0] * rv.n
+    for m, (v, p) in enumerate(zip(o, _level_prefix(rv, o))):
+        colors[v] = m * step - p
+    return Coloring(tuple(colors))
+
+
 def all_pairs_spacing(rv: RootedView, order, dist=None) -> Certificate:
     """The spacing condition of ``check_spacing`` over every pair of positions,
     with prefix sums of levels and networkx distances (``dist``, when given).
 
     Reports the endpoint failure without positions, else the first violating
-    pair scanning i then j.  On success the coloring is read off the prefix
-    sums: position m gets m * (n - 1 - b) - prefix[m].
+    pair scanning i then j.  On success the coloring is
+    :func:`prefix_sum_coloring`'s.
     """
     n = rv.n
     o = list(order)
@@ -403,10 +422,7 @@ def all_pairs_spacing(rv: RootedView, order, dist=None) -> Certificate:
     if rv.level[o[0]] + rv.level[o[-1]] != 1 - b:
         return Certificate(False, None, f"endpoint levels {rv.level[o[0]]}+{rv.level[o[-1]]} != {1 - b}")
     dist = dist or nx_distance_matrix(rv.tree)
-    lev = [rv.level[v] for v in o]
-    prefix = [0] * n
-    for m in range(1, n):
-        prefix[m] = prefix[m - 1] + lev[m - 1] + lev[m]
+    prefix = _level_prefix(rv, o)
     step = n - 1 - b
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -414,10 +430,7 @@ def all_pairs_spacing(rv: RootedView, order, dist=None) -> Certificate:
             d = dist[o[i]][o[j]]
             if d < rhs:
                 return Certificate(False, (i, j), f"positions {i},{j}: distance {d} < required {rhs}")
-    colors = [0] * n
-    for m, v in enumerate(o):
-        colors[v] = m * step - prefix[m]
-    return Certificate(True, ordering=tuple(o), coloring=Coloring(tuple(colors)))
+    return Certificate(True, ordering=tuple(o), coloring=prefix_sum_coloring(rv, o))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from hamcolor.families import (
     family_certificate,
     generate,
 )
-from hamcolor.ordering import coloring_from_ordering
 from hamcolor.solver import verify_coloring
 from hamcolor.tree import analyze
 
@@ -27,7 +26,7 @@ def certified_span(tree, spec=None) -> int:
     rv = analyze(tree)
     cert = family_certificate(spec, rv)
     assert cert.ok and cert.kind == "spacing"
-    assert cert.coloring == coloring_from_ordering(rv, cert.ordering)
+    assert cert.coloring == oracles.prefix_sum_coloring(rv, cert.ordering)
     assert not verify_coloring(rv, cert.coloring)
     return cert.coloring.span
 

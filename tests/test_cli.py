@@ -433,13 +433,19 @@ class TestExact:
             assert f"error: limit must be >= 1, got {limit}" in err
 
     def test_too_deep_exit_3_without_traceback(self, run, tmp_path):
-        # the kernel recurses once per placed vertex; a fresh interpreter's
-        # recursion limit (1000) stops it below n=1200, and a limit of 60,
-        # set once the package is imported, below n=80
+        # the kernel recurses once per placed vertex; a search whose first
+        # dive passes the recursion limit (1000 in a fresh interpreter, 60
+        # set once the package is imported) is refused up front at n=1200
+        # and n=80, while n=58 starts under a limit of 60 and overflows in
+        # the kernel, among the frames already on the stack
         src = str(Path(hamcolor.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         lowered = "import sys, hamcolor.cli; sys.setrecursionlimit(60); sys.exit(hamcolor.cli.main(sys.argv[1:]))"
-        for n, interpreter, limit in ((1200, ["-m", "hamcolor.cli"], "5000"), (80, ["-c", lowered], "100")):
+        for n, interpreter, limit in (
+            (1200, ["-m", "hamcolor.cli"], "5000"),
+            (80, ["-c", lowered], "100"),
+            (58, ["-c", lowered], "100"),
+        ):
             path = gen_file(run, tmp_path, "star", f"n={n}")
             argv = [sys.executable, *interpreter, "exact", path, "--limit", limit]
             proc = subprocess.run(argv, capture_output=True, text=True, env=env)
@@ -673,7 +679,11 @@ class TestScale:
         def no_matrix(self):
             raise AssertionError("distance matrix built")
 
+        star1000 = gen_file(run, tmp_path, "star", "n=1000", "star1000.tree")
         monkeypatch.setattr(Tree, "distance_matrix", no_matrix)
+        # exact refuses a first dive past the recursion limit (1000 by default) before any matrix
+        code, out, err = run("exact", star1000, "--limit", "1000")
+        assert (code, out) == (3, "") and "n=1000 is too deep for the recursive exact search" in err
         for path in paths:
             code, out, err = run("color", "--json", path)
             assert code == 0, err

@@ -13,7 +13,6 @@ from hamcolor.errors import (
     InternalError,
     NotApplicableError,
     NotAPermutationError,
-    SearchFailedError,
 )
 from hamcolor.families import generate
 from hamcolor.ordering import (
@@ -133,7 +132,7 @@ class TestCheckSpacing:
 
     def test_negative_increment_guard(self):
         # analyze() never gives two vertices levels summing past n - 1 - b
-        # (see coloring_from_ordering); a doctored view does
+        # (see ordering._arithmetic); a doctored view does
         rv = analyze(generate("star", {"n": 5})[0])
         rv.level = (0, 1, 10, 1, 1)
         with pytest.raises(InternalError, match="negative increment between consecutive vertices"):
@@ -198,8 +197,9 @@ class TestColoringFromOrdering:
             n = 4
             bicentral = False
             level = (0, 3, 3, 1)
+            branch = side = (None, 0, 1, 2)
 
-        with pytest.raises(InternalError):
+        with pytest.raises(InternalError, match="negative increment between consecutive vertices"):
             coloring_from_ordering(Doctored(), [0, 1, 2, 3])
 
     def test_rejects_bad_ordering(self):
@@ -249,22 +249,20 @@ class TestCertificates:
                 if not is_applicable(t):
                     continue
                 rv = analyze(t)
-                try:
-                    cert = search_ordering(rv)
-                except SearchFailedError:
-                    continue
-                assert cert == oracles.all_pairs_spacing(rv, cert.ordering)
+                cert = search_ordering(rv)
+                if cert.ok:
+                    assert cert == oracles.all_pairs_spacing(rv, cert.ordering)
 
     def test_certificate_coloring_is_the_arithmetic_coloring(self, ordering_cases):
-        # the coloring check_spacing builds in its own pass is the one
-        # coloring_from_ordering computes
+        # the coloring check_spacing builds in its increment pass is the one
+        # the prefix sums of levels give
         certified = 0
         for rv, _, orders in ordering_cases:
             for order in orders:
                 cert = check_spacing(rv, order)
                 if cert.ok:
                     certified += 1
-                    assert cert.coloring == coloring_from_ordering(rv, order), (rv.tree, order)
+                    assert cert.coloring == oracles.prefix_sum_coloring(rv, order), (rv.tree, order)
         assert certified > 100, certified
 
     def test_accepts_every_ordering_the_alternation_check_accepted(self, ordering_cases):
@@ -287,7 +285,7 @@ class TestCertificates:
                 if old.kind != "none":
                     both += 1
                     assert new.ok, (rv.tree, order)
-                    assert new.coloring == coloring_from_ordering(rv, order)
+                    assert new.coloring == oracles.prefix_sum_coloring(rv, order)
                     assert new.coloring.span == old.claimed_span
                 elif new.ok:
                     only_new += 1
@@ -454,9 +452,9 @@ class TestSearchOrdering:
     def test_long_spider_fails_even_though_ordering_exists(self):
         # greedy places the two deep tips at positions 1 and 3, too close in
         # color for their distance; test_long_spider_certificate shows a
-        # certified ordering exists
-        with pytest.raises(SearchFailedError, match="positions 1,3: distance 1 < required 4"):
-            search_ordering(analyze(spider_331()))
+        # certified ordering exists; the failing certificate is returned
+        cert = search_ordering(analyze(spider_331()))
+        assert cert == Certificate(False, (1, 3), "positions 1,3: distance 1 < required 4")
 
     def test_no_allowed_branch_guard(self):
         # a doctored view with one branch holding three of four vertices: the
@@ -473,10 +471,9 @@ class TestSearchOrdering:
                 if not is_applicable(t):
                     continue
                 rv = analyze(t)
-                try:
-                    order = search_ordering(rv).ordering
-                except SearchFailedError:
+                if not (cert := search_ordering(rv)).ok:
                     continue
+                order = cert.ordering
                 succeeded += 1
                 col = coloring_from_ordering(rv, order)
                 assert not verify_coloring(rv, col)
@@ -486,18 +483,8 @@ class TestSearchOrdering:
 
     @staticmethod
     def _greedy_outcomes(rv):
-        """(search_ordering's outcome, the one derived from the linear-scan oracle)."""
-        order = oracles.linear_scan_greedy(rv)
-        cert = check_spacing(rv, order)
-        if cert.ok:
-            want = "ok", tuple(order)
-        else:
-            want = "fail", f"greedy ordering failed certification: {cert.reason}"
-        try:
-            got = "ok", search_ordering(rv).ordering
-        except SearchFailedError as e:
-            got = "fail", str(e)
-        return got, want
+        """(search_ordering's certificate, that of the linear-scan oracle's ordering)."""
+        return search_ordering(rv), check_spacing(rv, oracles.linear_scan_greedy(rv))
 
     def test_heap_matches_linear_scan(self, corpus):
         rng = random.Random(31)
@@ -526,11 +513,11 @@ class TestSearchOrdering:
                 continue
             got, want = self._greedy_outcomes(analyze(t))
             assert got == want, t
-            seen.add(want[0])
+            seen.add(want.ok)
         # both successes and certification failures were compared; the greedy
         # never runs dry on a tree: a branch at a single weight center holds
         # fewer than n/2 vertices, and the sides at two centers are equal
-        assert seen == {"ok", "fail"}
+        assert seen == {True, False}
 
     def test_heap_matches_linear_scan_at_scale(self):
         # the int heap keys order many branches as the (-unplaced, branch id)
@@ -558,5 +545,5 @@ class TestSearchOrdering:
                     continue
                 got, want = self._greedy_outcomes(analyze(t))
                 assert got == want, (base, perm)
-                seen.add(want[0])
-        assert "ok" in seen
+                seen.add(want.ok)
+        assert True in seen

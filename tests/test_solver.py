@@ -158,19 +158,15 @@ class TestGreedyCompletion:
                 assert list(min_span_for_order(rv, order).colors) == want, (rv.tree, order)
 
     def test_never_beats_arithmetic_on_certified_orderings(self, corpus):
-        from hamcolor.errors import SearchFailedError
-        from hamcolor.ordering import coloring_from_ordering, search_ordering
+        from hamcolor.ordering import search_ordering
 
         for t in corpus[7] + corpus[8]:
             if not is_applicable(t):
                 continue
             rv = analyze(t)
-            try:
-                order = search_ordering(rv).ordering
-            except SearchFailedError:
-                continue
-            # the greedy completion can only match the certified optimum
-            assert min_span_for_order(rv, order).span == coloring_from_ordering(rv, order).span
+            if (cert := search_ordering(rv)).ok:
+                # the greedy completion can only match the certified optimum
+                assert min_span_for_order(rv, cert.ordering).span == cert.coloring.span
 
 
 class TestExact:
