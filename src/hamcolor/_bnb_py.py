@@ -186,9 +186,9 @@ def bnb_exact(
     before = [t if t >= 0 else n for t in twin_before(rv.tree)]
     used = [False] * n + [True]
     order = [0] * n
-    # forced[m][w]: the least color w can take after m placements, valid
-    # only while w is unplaced
-    forced = [[0] * n for _ in range(n)]
+    # forced[m][w]: the least color w can take after m placements, valid only
+    # while w is unplaced; a budget's nodes sit at positions below it
+    forced = [[0] * n for _ in range(n if budget < 0 else min(n, budget + 1))]
     nodes = 0
     limit_hit = False
     stop = 0 <= incumbent <= target

@@ -11,6 +11,10 @@ among them a greedy failure on a family instance with a closed form.
 
 ``main(argv)`` may be called any number of times in one process: the
 argument parser is built on the first call and reused by every later one.
+A canonical argv of analyze, color, exact or verify (exact option strings,
+values that convert and, like the positionals, do not start with ``-``, each
+positional once) skips argparse; every other argv, gen's and dot's too, goes
+to ``parse_args``, so help, usage and error messages stay argparse's.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
 from . import families
@@ -41,25 +46,29 @@ from .solver import exact_hc, verify_coloring
 from .tree import analyze, graph_centers
 
 
+_FLAT = {int: repr, str: encode_basestring_ascii,
+         bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
 def _json(data: dict) -> str:
     """``json.dumps(data, indent=2)`` for a dict with string keys, byte for byte.
 
-    ``json`` indents through its pure-Python encoder, which is slow on the
-    long vertex lists of ``color``.  So a non-empty list of plain ints (no
-    bools) is joined directly; any other value is encoded by ``json`` and
-    indented one level, which is exact because encoded strings hold no raw
-    newline.  A dict without list values goes to ``json`` whole.
+    ``json`` indents through its pure-Python encoder, which is slow on every
+    ``--json`` dict.  So keys, values of exactly int, str, bool or None (strings
+    by ``json``'s ASCII encoder) and non-empty lists of plain ints (no bools)
+    are written directly; any other value is encoded by ``json`` and indented
+    one level, which is exact because encoded strings hold no raw newline.
     """
-    if not any(type(val) is list for val in data.values()):
-        return json.dumps(data, indent=2)
     items = []
     for key, val in data.items():
-        if type(val) is list and set(map(type, val)) == {int}:
+        if type(val) in _FLAT:
+            body = _FLAT[type(val)](val)
+        elif type(val) is list and set(map(type, val)) == {int}:
             body = "[\n    " + ",\n    ".join(map(str, val)) + "\n  ]"
         else:
             body = json.dumps(val, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {body}")
-    return "{\n" + ",\n".join(items) + "\n}"
+        items.append(f"  {encode_basestring_ascii(key)}: {body}")
+    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
 
 
 def _emit(args: argparse.Namespace, data: dict) -> None:
@@ -198,15 +207,48 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, a parse problem; argparse's 2 means a failed
-    verification here.  Subparsers inherit this class."""
+    verification here.  Subparsers inherit this class.  ``added`` lists the
+    parents' actions, then those ``add_argument`` returned."""
+
+    verbs: dict  # set on the root: positional dests, actions by option string, defaults
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.added = [a for parent in kwargs.get("parents", ()) for a in parent.added]
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        if hasattr(self, "added"):  # not the help option __init__ adds
+            self.added.append(action)
+        return action
 
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _fast_args(argv) -> argparse.Namespace | None:
+    """``parse_args(argv)``'s namespace for a canonical argv (module docstring), else None."""
+    try:
+        positionals, options, defaults = build_parser().verbs[argv[0]]
+        values, pos, it = dict(defaults), [], iter(argv[1:])
+        for tok in it:
+            if not tok.startswith("-"):
+                pos.append(tok)
+            elif (a := options[tok]).nargs == 0:
+                values[a.dest] = a.const
+            elif (val := next(it, "-")).startswith("-"):  # or is missing
+                return None
+            else:
+                values[a.dest] = val if a.type is None else a.type(val)
+        values.update(zip(positionals, pos, strict=True))
+    except (LookupError, AttributeError, TypeError, ValueError, argparse.ArgumentTypeError):
+        return None  # no such verb or option, a token not a str, a bad value, or wrong positionals
+    return argparse.Namespace(**values)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The one parser of the process, built on the first call and returned
     by every later one; callers must not mutate it.  Reuse is safe because
     parsing keeps no state in it: ``parse_args`` returns a fresh namespace,
@@ -215,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hamcolor",
         description="Hamiltonian chromatic numbers of trees: bounds, certified colorings, exact search.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -251,11 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coloring", nargs="?", default=None)
     p.add_argument("-o", "--output", help="write DOT here (default stdout)")
     p.set_defaults(func=_cmd_dot)
+    # a table for each verb whose actions are store_true or stores of one value
+    # with no choices, required only if positional
+    parser.verbs = {}
+    for verb, p in sub.choices.items():
+        if all(type(a) is argparse._StoreTrueAction or type(a) is argparse._StoreAction and a.nargs is None
+               and a.choices is None and not (a.required and a.option_strings) for a in p.added):
+            parser.verbs[verb] = (
+                [a.dest for a in p.added if not a.option_strings],
+                {s: a for a in p.added for s in a.option_strings},
+                {sub.dest: verb, "func": p.get_default("func"), **{a.dest: a.default for a in p.added}})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _fast_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InternalError as e:

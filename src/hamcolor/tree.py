@@ -28,7 +28,7 @@ first faulty edge decides the error.  Bools and other int subclasses take
 that walk too and are stored as plain ints.  ``Tree.edges`` is read from
 the sorted adjacency on first use.  The connectivity search from vertex 0
 is kept: the subtree sizes below each vertex, rooted at 0, are
-summed over it, and the diameter starts from it instead of searching again.
+summed over it, and the diameter and the distance rows start from it.
 :func:`weight_centers` walks down those sizes to the center(s) (Zelinka's
 characterisation, proved in its docstring) without computing any vertex's
 weight.  ``RootedView._distance`` is the distance query without its id
@@ -64,6 +64,10 @@ class Tree:
             # so it disconnects the graph; the walk names the first one
             _checked_edges(n, edges)
             raise NotATreeError("graph is not connected")
+        _, parent, order = self._bfs_from_0
+        self._sizes_from_0 = size = [1] * n  # each subtree's order, rooted at 0
+        for u in reversed(order[1:]):  # children before their parents
+            size[parent[u]] += size[u]  # type: ignore[index]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -99,8 +103,25 @@ class Tree:
         return dist, parent, order
 
     def distance_matrix(self) -> list[list[int]]:
-        """All-pairs distances, n BFS runs: O(n^2) time and memory."""
-        return [self.bfs([v])[0] for v in range(self.n)]
+        """All-pairs distances, by rerooting the search from vertex 0.
+
+        Rooted at 0, a path from v leaves v's subtree through its parent p,
+        so d(v, w) is d(p, w) + 1 off the subtree and d(p, w) - 1 on it.  Each
+        row but 0 (a copy) is its parent's plus 1, less 2 on a slice of one
+        preorder: O(n^2) time, a comprehension a row, O(n) memory beside it.
+        """
+        n, (dist, parent, order), size = self.n, self._bfs_from_0, self._sizes_from_0
+        # nxt[u]: the next free preorder slot in u's subtree; at the end, the slot past it
+        nxt, pre = [1] * n, [0] * n
+        for v in order[1:]:
+            p = parent[v]
+            pre[nxt[p]], nxt[v], nxt[p] = v, nxt[p] + 1, nxt[p] + size[v]  # type: ignore[index]
+        rows: list[list[int]] = [dist[:]] * n  # every row but 0 is replaced below
+        for v in order[1:]:
+            row = rows[v] = [d + 1 for d in rows[parent[v]]]  # type: ignore[index]
+            for w in pre[nxt[v] - size[v]:nxt[v]]:
+                row[w] -= 2
+        return rows
 
     @cached_property
     def max_degree(self) -> int:
@@ -194,11 +215,7 @@ def weight_centers(tree: Tree) -> frozenset[int]:
     s = n/2: a child of c, since the part above c holds fewer.  Such a child
     is a center, as its other branches lie inside its own n/2 vertices.
     """
-    n, adj, (_, parent, order) = tree.n, tree.adj, tree._bfs_from_0
-    # size[v]: vertices in v's subtree (v included) rooted at 0, in reverse BFS order
-    size = [1] * n
-    for u in reversed(order[1:]):
-        size[parent[u]] += size[u]  # type: ignore[index]
+    n, adj, (_, parent, _), size = tree.n, tree.adj, tree._bfs_from_0, tree._sizes_from_0
     c = 0
     while True:
         kids = sorted(adj[c], key=size.__getitem__)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import argv_parity
 import hamcolor
 import oracles
 from hamcolor import cli, families, ordering, solver
@@ -541,6 +542,38 @@ class TestParserReuse:
         assert json.loads(proc.stdout) == [0, 8]
 
 
+class TestFastArgv:
+    """Canonical argvs of the data verbs are read without argparse, to the
+    namespace argparse would return."""
+
+    def test_same_namespace_as_argparse(self):
+        tried, fast, argvs = argv_parity.check()
+        assert {argv[0] for argv in argvs} == {"analyze", "color", "exact", "verify"}
+        assert set(cli.build_parser().verbs) == {"analyze", "color", "exact", "verify"}
+        assert tried > 200_000 and fast > 500
+        # a repeated flag, a positional that reads as a value, positionals
+        # on both sides of an option, an empty positional and a spaced value
+        for argv in (["exact", "--json", "x", "--json"], ["exact", "5", "--budget", "5"],
+                     ["verify", "x", "--json", "x y"], ["color", "", "--coloring-out", "x y"]):
+            assert argv in argvs
+
+    def test_canonical_forms_skip_argparse(self, run, tmp_path, monkeypatch):
+        path = gen_file(run, tmp_path, "broom", "n=10,d=4")
+
+        def no_parse(self, *args, **kwargs):
+            raise AssertionError("argparse parsed a canonical argv")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", no_parse)
+        # perfbench's calls, then README's examples
+        for argv in (["exact", "--json", path], ["color", "--json", path],
+                     ["verify", "--json", path, path + ".coloring"],
+                     ["analyze", path], ["color", path], ["exact", path], ["verify", path, path + ".coloring"],
+                     ["exact", path, "--limit", "12", "--budget", "100", "--coloring-out", path + ".w"]):
+            assert run(*argv)[0] == 0, argv
+        with pytest.raises(AssertionError, match="argparse parsed"):
+            main(["exact", "--lim", "12", path])
+
+
 class TestVerify:
     def test_invalid_coloring_exit_2(self, run, tmp_path):
         path = gen_file(run, tmp_path, "star", "n=4")
@@ -599,6 +632,13 @@ class TestJsonOutput:
         {"a": (1, 2), "b": [2, 3], "c": -0},
         {"n": 4, "valid": True},
         {},
+        # scalars json's encoder never sees, beside a float and a tuple it does
+        {"t": True, "f": False, "one": 1, "zero": 0},
+        {"neg": -7, "big": 10**29 + 7, "negbig": -(10**30), "none": None},
+        {"q": 'say "hi"', "bs": "a\\b", "ctl": "\x00\t\n\x1f\x7f", "uni": "é ☃ \u2028 \U0001f600", "empty": ""},
+        {"ключ": 1, "\u2028": "x"},
+        {"a": 1, "f": 1.5},
+        {"a": 1, "t": (1, 2)},
     ]
 
     def test_bytes_match_json_dumps(self):

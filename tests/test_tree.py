@@ -75,9 +75,31 @@ class TestConstruction:
 
 class TestDistances:
     def test_bfs_matches_networkx(self, corpus):
-        for n in (5, 7, 8):
-            for t in corpus[n]:
-                assert t.distance_matrix() == oracles.nx_distance_matrix(t)
+        rng = random.Random(43)
+
+        def relabelled(tree: Tree) -> Tree:
+            perm = list(range(tree.n))
+            rng.shuffle(perm)
+            return Tree(tree.n, [(perm[u], perm[v]) for u, v in tree.edges])
+
+        shapes = [Tree(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 2, 3, 9, 30)]
+        shapes += [generate("star", {"n": n})[0] for n in (4, 9, 40)]
+        shapes += [generate("caterpillar", {"m": m, "d": d})[0] for m, d in ((3, 3), (6, 3), (11, 4))]
+        trees = [t for n in (5, 7, 8) for t in corpus[n]] + shapes + [relabelled(t) for t in shapes]
+        trees.append(oracles.random_tree(200, rng))
+        for t in trees:
+            assert t.distance_matrix() == oracles.nx_distance_matrix(t), t.edges
+
+    def test_rows_are_fresh_lists(self):
+        # rerooting starts from the kept search's distances: a caller that
+        # writes to a row must not reach the tree's own copy
+        t = Tree(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)])
+        rows = t.distance_matrix()
+        want = [row[:] for row in rows]
+        for row in rows:
+            row[:] = [99] * len(row)
+        assert t.distance_matrix() == want
+        assert t.diameter == 4
 
     def test_diameter_examples(self):
         assert broom_10_4().diameter == 4
