@@ -39,10 +39,11 @@ family: valid instances, recognised and off-family brooms, both a-tree
 parities and both caterpillar m parities, parameters given out of order, and
 rejected ones (too small, unknown, missing, given twice, not an integer);
 its stdout, stderr and exit code must be identical.  The exit-code counts of
-each verb are printed, and so is the line count of each
-``src/hamcolor/*.py`` file and their total, at REV and in the working tree,
-with the net change.  Exits 1 and names the first differing inputs on a
-mismatch, or the sets whose explored total rose.
+each verb are printed, and so are the line count and the code-line count
+(lines that are not blank, not only a comment and not part of a docstring)
+of each ``src/hamcolor/*.py`` file and their totals, at REV and in the
+working tree, with the net changes.  Exits 1 and names the first differing
+inputs on a mismatch, or the sets whose explored total rose.
 
     python3 scripts/color_parity.py HEAD
     python3 scripts/color_parity.py HEAD~1 --prufer 300
@@ -51,6 +52,7 @@ mismatch, or the sets whose explored total rose.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -59,6 +61,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -221,9 +224,29 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
         (workdir / "exact12" / f"prufer_s{seed}_n12.tree").write_text(_tree_text(12, edges))
 
 
-def line_counts(src: Path) -> dict[str, int]:
-    """Lines of each module of the package at ``src``, as ``wc -l`` counts them."""
-    return {p.name: p.read_bytes().count(b"\n") for p in sorted((src / "hamcolor").glob("*.py"))}
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that hold a token other than a comment, less the
+    lines of docstrings: the first statement of a module, class or function
+    when it is a string."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in skip:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                lines.difference_update(range(first.lineno, first.end_lineno + 1))
+    return len(lines)
+
+
+def line_counts(src: Path) -> dict[str, tuple[int, int]]:
+    """(lines as ``wc -l`` counts them, code lines) of each module of the
+    package at ``src``."""
+    return {p.name: (p.read_bytes().count(b"\n"), code_lines(p.read_text(encoding="utf-8")))
+            for p in sorted((src / "hamcolor").glob("*.py"))}
 
 
 def _call(main, argv: list[str]) -> list:
@@ -325,10 +348,13 @@ def main() -> int:
             for side in (old, new)
         )
         print(f"{verb}: {sum(before.values())} inputs, exit codes at {args.rev}: {before}, working tree: {after}")
-    print(f"src/hamcolor lines at {args.rev} -> working tree:")
+    print(f"src/hamcolor lines and code lines at {args.rev} -> working tree:")
     for module in sorted(lines[0].keys() | lines[1].keys()) + ["total"]:
-        before, after = (sum(side.values()) if module == "total" else side.get(module, 0) for side in lines)
-        print(f"  {module:<12} {before:>5} -> {after:>5} ({after - before:+d})")
+        (raw0, code0), (raw1, code1) = (
+            tuple(map(sum, zip(*side.values()))) if module == "total" else side.get(module, (0, 0))
+            for side in lines)
+        print(f"  {module:<12} lines {raw0:>5} -> {raw1:>5} ({raw1 - raw0:+d}), "
+              f"code {code0:>5} -> {code1:>5} ({code1 - code0:+d})")
     rose = [f"{inputs}/ {before} -> {after}" for inputs, (before, after) in totals.items() if after > before]
     if differ or set(new) != set(old):
         print(f"MISMATCH on {len(differ)} inputs: {', '.join(differ[:10])}")

@@ -81,14 +81,15 @@ bound that varies with v, so the orderings it favours, and with them good
 incumbents, come first.
 
 Each placement makes one pass over the vertices left unplaced after it.  For
-each one the pass computes its forced color and writes it to the row of the
-next depth; a row holds valid values only for the vertices unplaced at its
-depth, and nothing else reads it.  A forced color that reaches the incumbent
-ends the pass, and the child is never called: rule 1 fires in the parent,
-before the call.  The pass also builds the child's candidate list: rule 3
-leaves out each twin whose smaller twin is unplaced, and rule 2 leaves out
-each key that reaches the incumbent already with the least unplaced level as
-L(last), which no vertex's own end can undercut.  The child checks rule 2
+each one the pass computes its forced color and writes it to a list that the
+node allocates once and hands to each of its children in turn; a child reads
+only its own unplaced vertices, which its pass has just written.  A forced
+color that reaches the incumbent ends the pass, and the child is never
+called: rule 1 fires in the parent, before the call.  The pass also builds
+the child's candidate list: rule 3 leaves out each twin whose smaller twin is
+unplaced, and rule 2 leaves out each key that reaches the incumbent already
+with the least unplaced level as L(last), which no vertex's own end can
+undercut.  The child checks rule 2
 again with its candidate's exact L(last) and the incumbent of the moment,
 which only falls, so each rule drops exactly the candidates it dropped when
 every node rescanned all n vertices, and the search, its order and its node
@@ -186,9 +187,6 @@ def bnb_exact(
     before = [t if t >= 0 else n for t in twin_before(rv.tree)]
     used = [False] * n + [True]
     order = [0] * n
-    # forced[m][w]: the least color w can take after m placements, valid only
-    # while w is unplaced; a budget's nodes sit at positions below it
-    forced = [[0] * n for _ in range(n if budget < 0 else min(n, budget + 1))]
     nodes = 0
     limit_hit = False
     stop = 0 <= incumbent <= target
@@ -198,13 +196,14 @@ def bnb_exact(
     best_order = None
     orbit = None  # least_in_orbit, computed when rule 7 first has a choice
 
-    def place(m: int, cand: list, unplaced: list, unplaced_level: int, ties: int) -> None:
+    def place(m: int, cand: list, unplaced: list, unplaced_level: int, ties: int, fm: list) -> None:
         """Try each candidate (key, c, v), key = c + L(v), at position m.
         ``unplaced`` holds the unplaced vertices by ascending level, which
         sum to ``unplaced_level``, and ``ties`` of them have level L(first)
-        and an id above first; the caller has applied rule 1."""
+        and an id above first; ``fm[w]`` is the least color an unplaced w
+        can take; the caller has applied rule 1."""
         nonlocal nodes, limit_hit, stop, best_span, best_order, orbit
-        fm = forced[m]
+        fnext = [0] * n  # the children's fm, rewritten before each child
         cand.sort()
         rem = n - m - 1
         lo1 = level[unplaced[0]]
@@ -257,7 +256,6 @@ def bnb_exact(
             # one pass over the child's unplaced vertices: forced colors,
             # rule 1, and the candidates rules 2 and 3 leave to the child
             used[v] = True
-            fnext = forced[m + 1]
             row = rows[v]
             top = c + n - 1
             left = unplaced.copy()
@@ -279,13 +277,13 @@ def bnb_exact(
                 if key < cut and used[before[w]]:
                     sub.append((key, need, w))
             else:
-                place(m + 1, sub, left, rest, ties - (lv == lf and v > first))
+                place(m + 1, sub, left, rest, ties - (lv == lf and v > first), fnext)
             used[v] = False
 
     # rule 1 at the root, where every forced color is 0
     if not stop:
         place(0, [(level[v], 0, v) for v in range(n) if used[before[v]]],
-              sorted(range(n), key=level.__getitem__), rv.total_level, 0)
+              sorted(range(n), key=level.__getitem__), rv.total_level, 0, [0] * n)
 
     if best_order is None:
         return -1, None, nodes, limit_hit

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -207,20 +208,9 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, a parse problem; argparse's 2 means a failed
-    verification here.  Subparsers inherit this class.  ``added`` lists the
-    parents' actions, then those ``add_argument`` returned."""
+    verification here.  Subparsers inherit this class."""
 
     verbs: dict  # set on the root: positional dests, actions by option string, defaults
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.added = [a for parent in kwargs.get("parents", ()) for a in parent.added]
-
-    def add_argument(self, *args, **kwargs) -> argparse.Action:
-        action = super().add_argument(*args, **kwargs)
-        if hasattr(self, "added"):  # not the help option __init__ adds
-            self.added.append(action)
-        return action
 
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
@@ -293,16 +283,21 @@ def build_parser() -> _Parser:
     p.add_argument("coloring", nargs="?", default=None)
     p.add_argument("-o", "--output", help="write DOT here (default stdout)")
     p.set_defaults(func=_cmd_dot)
-    # a table for each verb whose actions are store_true or stores of one value
-    # with no choices, required only if positional
+    # a table for each verb whose actions, help aside, are store_true or stores
+    # of one value with no choices, required only if positional
     parser.verbs = {}
     for verb, p in sub.choices.items():
+        actions = [a for a in p._actions if type(a) is not argparse._HelpAction]
         if all(type(a) is argparse._StoreTrueAction or type(a) is argparse._StoreAction and a.nargs is None
-               and a.choices is None and not (a.required and a.option_strings) for a in p.added):
+               and a.choices is None and not (a.required and a.option_strings) for a in actions):
             parser.verbs[verb] = (
-                [a.dest for a in p.added if not a.option_strings],
-                {s: a for a in p.added for s in a.option_strings},
-                {sub.dest: verb, "func": p.get_default("func"), **{a.dest: a.default for a in p.added}})
+                [a.dest for a in actions if not a.option_strings],
+                {s: a for a in actions for s in a.option_strings},
+                {sub.dest: verb, "func": p.get_default("func"), **{a.dest: a.default for a in actions}})
+    # the objects built above bring the next collection near, and after the
+    # import it is usually a generation-1 one of 1-2 ms: run it here, once
+    # per process, in the call that builds the parser, not in a later call
+    gc.collect(1)
     return parser
 
 

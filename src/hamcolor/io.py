@@ -9,19 +9,20 @@ A file in the format hamcolor writes is converted in one ``json.loads`` call,
 after one ``bytes.translate`` call checks its bytes and the shape of its
 lines: ASCII digits and ``-``, one space between the two tokens of a line,
 every line ended by LF, and for a tree an optional leading block of
-``# key: value`` lines.  Any miss on that path (a
-file outside the format, a shape or count mismatch, a coloring not in id
-order, or an error from ``Tree``) reads the text again with the general
-reader, which walks it one line at a time and returns the result or names
-the first bad line; so every error comes from that one reader, with its
-message.
+``# key: value`` lines.  Any miss on that path (a file outside the format, a
+shape or count mismatch, or a coloring not in id order) reads the text again
+with the general reader, which walks it one line at a time and returns the
+result or names the first bad line.  A tree file that passes reaches
+``Tree`` with the order and edges the general reader would read, so an error
+from ``Tree`` is raised there, as that reader would raise it; every other
+error comes from that reader, with its message.
 """
 
 from __future__ import annotations
 
 import json
 
-from .errors import FormatError, HamcolorError
+from .errors import FormatError
 from .families import META_KEYS
 from .ordering import Coloring
 from .tree import Tree, build_tree
@@ -77,11 +78,10 @@ def parse_tree_text(text: str) -> tuple[Tree, dict[str, str]]:
     # line the general reader does not see as a comment
     if len(head) == text.count("\n", 0, end):
         ints = _ints(body, b"\n" + b" \n" * (body.count("\n") - 1))
-    if ints:
-        try:
-            return build_tree(ints[0], list(zip(ints[1::2], ints[2::2]))), _meta(head)
-        except HamcolorError:
-            pass
+    # with the edge count the general reader expects, it would read the same
+    # order and edges, so an error from Tree is the one it would raise
+    if ints and len(ints) == 1 + 2 * max(0, ints[0] - 1):
+        return build_tree(ints[0], list(zip(ints[1::2], ints[2::2]))), _meta(head)
     return _read_tree_lines(text)
 
 

@@ -541,6 +541,23 @@ class TestParserReuse:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
         assert json.loads(proc.stdout) == [0, 8]
 
+    def test_first_call_leaves_no_collection_due(self, run, tmp_path):
+        # a fresh interpreter: the call that builds the parser runs the
+        # generation-1 collection the build brings near, so none is left
+        # pending for the next call
+        path = gen_file(run, tmp_path, "star", "n=9")
+        probe = (
+            "import contextlib, gc, io, json, sys, hamcolor.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = hamcolor.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, gc.get_count()[1]]))\n"
+        )
+        src = str(Path(hamcolor.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", probe, "exact", "--json", path],
+                              capture_output=True, text=True, env=env, check=True)
+        assert json.loads(proc.stdout) == [0, 0]
+
 
 class TestFastArgv:
     """Canonical argvs of the data verbs are read without argparse, to the

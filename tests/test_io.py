@@ -394,6 +394,33 @@ class TestBulkPath:
         assert load_coloring(str(coloring_path), tree.n) == oracles.reference_parse_coloring_text(
             coloring_path.read_text(), tree.n)
 
+    def test_tree_errors_raise_on_the_bulk_path(self, monkeypatch):
+        # canonical files with as many edges as their order asks for: Tree's
+        # error is the general reader's, raised without reading the text again
+        general = hamcolor.io._read_tree_lines
+        bad = {
+            "3\n0 1\n0 1\n": "duplicate edge",
+            "# family: star\n3\n0 1\n1 1\n": "self-loop",
+            "3\n0 1\n1 3\n": "outside vertex range",
+            "5\n0 1\n1 2\n2 0\n3 4\n": "not connected",
+            "0\n": "positive integer",
+            "-2\n": "positive integer",
+        }
+        want = {text: _outcome(general, text) for text in bad}
+
+        def fail(text):
+            raise AssertionError("general reader called")
+
+        monkeypatch.setattr(hamcolor.io, "_read_tree_lines", fail)
+        for text, words in bad.items():
+            assert _outcome(parse_tree_text, text) == want[text]
+            assert words in want[text][1]
+        # an edge count that does not match the order still reaches it
+        for text in ("4\n0 1\n0 2\n", "2\n0 1\n1 2\n", "1\n0 1\n"):
+            assert _outcome(general, text)[1].startswith("expected ")
+            with pytest.raises(AssertionError, match="general reader"):
+                parse_tree_text(text)
+
     def test_other_files_reach_the_general_readers(self, written, no_general_readers):
         # the same files with CRLF line ends
         tree_path, coloring_path = written

@@ -378,7 +378,9 @@ class TestKernel:
             rv = analyze(t)
             dist = self.flat(t)
             lb = lower_bound_weight(rv)
-            for budget, incumbent in itertools.product((-1, 0, 1, 7, 50), (-1, lb, lb + 1, lb + 2)):
+            # budgets that stop at the last node of a full search and one before it
+            full = solver._kernel.bnb_exact(dist, t.n)[2]
+            for budget, incumbent in itertools.product((-1, 0, 1, 7, 50, full, full - 1), (-1, lb, lb + 1, lb + 2)):
                 want = oracles.rescan_bnb_exact(dist, t.n, budget, incumbent)
                 got = solver._kernel.bnb_exact(dist, t.n, budget, (), incumbent)
                 assert got == want, (t.edges, budget, incumbent)
