@@ -57,15 +57,16 @@ def _json(data: dict) -> str:
     ``json`` indents through its pure-Python encoder, which is slow on every
     ``--json`` dict.  So keys, values of exactly int, str, bool or None (strings
     by ``json``'s ASCII encoder) and non-empty lists of plain ints (no bools)
-    are written directly; any other value is encoded by ``json`` and indented
-    one level, which is exact because encoded strings hold no raw newline.
+    are written directly, a list in one ``%`` format; any other value is
+    encoded by ``json`` and indented one level, which is exact because
+    encoded strings hold no raw newline.
     """
     items = []
     for key, val in data.items():
         if type(val) in _FLAT:
             body = _FLAT[type(val)](val)
         elif type(val) is list and set(map(type, val)) == {int}:
-            body = "[\n    " + ",\n    ".join(map(str, val)) + "\n  ]"
+            body = "[\n    " + ("%d,\n    " * (len(val) - 1) + "%d") % tuple(val) + "\n  ]"
         else:
             body = json.dumps(val, indent=2).replace("\n", "\n  ")
         items.append(f"  {encode_basestring_ascii(key)}: {body}")
@@ -145,7 +146,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_color(args: argparse.Namespace) -> int:
     tree, meta = load_tree(args.file)
     rv = analyze(tree)
-    cert = families.family_certificate(families.spec_from_meta(tree, meta), rv)
+    cert = families.family_certificate(families.spec_from_meta(rv, meta), rv)
     coloring = cert.coloring
     out = args.coloring_out or args.file + ".coloring"
     _write(out, format_coloring(coloring))

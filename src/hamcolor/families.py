@@ -30,7 +30,8 @@ than the ``_FAMILIES`` key must be the one the builder returns, and the one
 ``FamilySpec`` takes the parameters in the family's order.  ``NAMES`` lists
 the families and ``parse_params`` reads their ``key=value`` parameters;
 ``spec_meta`` is the metadata of an instance's tree file, and
-``spec_from_meta`` checks a tree against it and returns the spec.
+``spec_from_meta`` checks a tree, through its ``RootedView``, against it
+and returns the spec.
 ``META_KEYS`` are the metadata keys, which ``hamcolor.io`` reads and writes.
 ``family_certificate`` certifies the one ordering path of every family and
 of a plain tree, the greedy of ``ordering.search_ordering``, with
@@ -255,24 +256,31 @@ def spec_meta(spec: FamilySpec) -> dict[str, object]:
     return meta
 
 
-def spec_from_meta(tree: Tree, meta: dict[str, str]) -> FamilySpec | None:
-    """Regenerate the family instance recorded in tree-file metadata, if any;
-    the order the parameters give is compared first, so a false claim costs
-    nothing to reject.  The generator's edges are compared with the file's
-    validated, sorted ones, so no second tree is built, and each ``expected_*``
-    value present must read as :func:`spec_meta` writes it.  A half claim,
-    any metadata without both ``family`` and ``params``, cannot be checked:
-    rejected."""
+def spec_from_meta(rv: RootedView, meta: dict[str, str]) -> FamilySpec | None:
+    """Regenerate the family instance recorded in the metadata of the tree
+    file ``rv`` roots, if any; the order the parameters give is compared
+    first, so a false claim costs nothing to reject.  The generator's n - 1
+    edges are the file's when each joins a vertex to its parent, with one
+    center the parent of the other, and no two share that child vertex (so
+    they are distinct); no second tree is built and nothing is sorted.  Each
+    ``expected_*`` value present must read as :func:`spec_meta` writes it.
+    A half claim, any metadata without both ``family`` and ``params``,
+    cannot be checked: rejected."""
     if "family" not in meta or "params" not in meta:
         if any(key in meta for key in META_KEYS):
             raise FormatError("family metadata needs both 'family' and 'params'")
         return None
     name, key, args = _lookup(meta["family"], parse_params(meta["params"]))
-    if _FAMILIES[key][1](*args) == tree.n:
+    if _FAMILIES[key][1](*args) == rv.n:
         edges, spec = _instance(name, key, args)
         written = {k: str(v) for k, v in spec_meta(spec).items() if v is not None}
         claims = [(k, v) for k, v in meta.items() if k.startswith("expected_")]
-        if sorted(edges) == list(tree.edges) and all(written.get(k) == v for k, v in claims):
+        p = rv.parent
+        if rv.bicentral:  # the center edge, as a parent edge
+            a, b = sorted(rv.weight_centers)
+            p = p[:b] + (a,) + p[b + 1:]
+        kids = {v if p[v] == u else u for u, v in edges if p[v] == u or p[u] == v}
+        if len(kids) == rv.n - 1 and all(written.get(k) == v for k, v in claims):
             return spec
     raise FormatError("tree does not match its family metadata")
 

@@ -27,12 +27,14 @@ fails, :func:`_checked_edges` walks the edges again in input order, so the
 first faulty edge decides the error.  Bools and other int subclasses take
 that walk too and are stored as plain ints.  ``Tree.edges`` is read from
 the sorted adjacency on first use.  The connectivity search from vertex 0
-is kept: the subtree sizes below each vertex, rooted at 0, are
-summed over it, and the diameter and the distance rows start from it.
-:func:`weight_centers` walks down those sizes to the center(s) (Zelinka's
-characterisation, proved in its docstring) without computing any vertex's
-weight.  ``RootedView._distance`` is the distance query without its id
-checks, for callers whose ids are already valid.
+is kept: the subtree sizes below each vertex, rooted at 0, are summed over
+it, the diameter and the distance rows start from it, and
+:class:`RootedView` reroots it at the weight center(s), turning round only
+the parents on the path from a center up to 0, so an analysis runs one
+search in all.  :func:`weight_centers` walks down those sizes to the
+center(s) (Zelinka's characterisation, proved in its docstring) without
+computing any vertex's weight.  ``RootedView._distance`` is the distance
+query without its id checks, for callers whose ids are already valid.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class Tree:
         self.n = n
         self.adj: tuple[tuple[int, ...], ...] = adj  # type: ignore[assignment]
         # connectivity; with exactly n-1 edges this also rules out cycles.
-        # The search is kept: subtree sizes and the diameter start from vertex 0 too
+        # The search is kept: subtree sizes, the diameter and the rooted view start from it too
         self._bfs_from_0 = self.bfs([0])
         if len(self._bfs_from_0[2]) < n:
             # a self-loop or a duplicate leaves fewer than n-1 real edges,
@@ -258,21 +260,38 @@ class RootedView:
         self.weight_centers = weight_centers(tree)
         self.bicentral = len(self.weight_centers) == 2
         centers = sorted(self.weight_centers)
-        if self.bicentral and centers[1] not in tree.adj[centers[0]]:
+        adj = tree.adj
+        if self.bicentral and centers[1] not in adj[centers[0]]:
             raise InternalError(f"weight centers {centers} are not adjacent")
-        level, parent, order = tree.bfs(centers)
+        # reroot the search from vertex 0 at the center c nearer 0; a second
+        # center is c's child there.  Only the parents on the path from c up
+        # to 0 turn round, and the centers lose theirs
+        dist0, parent0, order0 = tree._bfs_from_0
+        c = min(centers, key=dist0.__getitem__)
+        parent, path = parent0[:], [c]
+        while (p := parent0[path[-1]]) is not None:
+            parent[p] = path[-1]
+            path.append(p)
+        # parents first: the path from c's parent up to 0, then the kept
+        # order without the centers, where the path comes again and each of
+        # its vertices gets the values it already holds
+        order = path[1:] + order0
+        level, side, branch = [0] * n, [c] * n, [None] * n
+        for w in centers:
+            parent[w] = None
+            side[w] = w
+            order.remove(w)
         # the branches hang off the centers' other neighbours, indexed in id
-        # order; the search visits parents first, so each vertex inherits
-        # its parent's side and branch
-        roots = sorted(set(tree.adj[centers[0]]).union(tree.adj[centers[-1]]) - self.weight_centers)
-        side = [0] * n
-        branch: list[int | None] = [None] * n
-        for c in centers:
-            side[c] = c
+        # order; with one center they are its sorted adjacency as it stands
+        if self.bicentral:
+            roots = sorted(set(adj[centers[0]]).union(adj[centers[1]]) - self.weight_centers)
+        else:
+            roots = adj[c]
         for i, r in enumerate(roots):
             branch[r] = i
-        for v in order[len(centers):]:
+        for v in order:
             p = parent[v]
+            level[v] = level[p] + 1  # type: ignore[index]
             side[v] = side[p]  # type: ignore[index]
             if branch[v] is None:
                 branch[v] = branch[p]  # type: ignore[index]

@@ -25,7 +25,10 @@ kernel's codes below the weight center(s); ``tie_break=False`` and
 of distance rows.  ``certify_alternation`` is the
 package's former certificate check, a weaker sufficient condition read from
 the package's levels and bounds, kept as the reference that ``check_spacing``
-accepts every ordering it accepted.  ``ReferenceTree``,
+accepts every ordering it accepted.  ``bfs_rooted_view`` is the package's
+rooting as it was before it rerooted the search from vertex 0, a second
+search from the weight center(s), kept as the reference for every field of
+``RootedView``.  ``ReferenceTree``,
 ``reference_parse_tree_text`` and ``reference_parse_coloring_text`` are the
 package's line-by-line readers and edge-by-edge tree validation as they were
 before the readers converted whole files at once, kept verbatim as the
@@ -44,7 +47,7 @@ import networkx as nx
 from hamcolor.bounds import bound_formula, lower_bound_weight, require_applicable
 from hamcolor.errors import BadVertexIdError, FormatError, InternalError, NotATreeError
 from hamcolor.ordering import Certificate, Coloring, validate_ordering
-from hamcolor.tree import RootedView, Tree
+from hamcolor.tree import RootedView, Tree, weight_centers
 
 
 def nx_graph(tree: Tree) -> nx.Graph:
@@ -68,6 +71,31 @@ def nx_transmission(tree: Tree, v: int) -> int:
     """Sum of distances from v to every vertex."""
     g = nx_graph(tree)
     return sum(nx.single_source_shortest_path_length(g, v).values())
+
+
+def bfs_rooted_view(tree: Tree) -> dict[str, object]:
+    """Every field of ``RootedView(tree)``, from a breadth-first search run
+    from the weight center(s), as the package rooted a tree before it
+    rerooted the search from vertex 0 that ``Tree`` keeps."""
+    n = tree.n
+    wc = weight_centers(tree)
+    centers = sorted(wc)
+    level, parent, order = tree.bfs(centers)
+    roots = sorted(set(tree.adj[centers[0]]).union(tree.adj[centers[-1]]) - wc)
+    side = [0] * n
+    branch: list[int | None] = [None] * n
+    for c in centers:
+        side[c] = c
+    for i, r in enumerate(roots):
+        branch[r] = i
+    for v in order[len(centers):]:
+        p = parent[v]
+        side[v] = side[p]
+        if branch[v] is None:
+            branch[v] = branch[p]
+    return {"weight_centers": wc, "bicentral": len(wc) == 2, "level": tuple(level), "parent": tuple(parent),
+            "side": tuple(side), "branch": tuple(branch), "branch_roots": tuple(roots),
+            "total_level": sum(level)}
 
 
 def enumeration_hc(tree: Tree) -> int:

@@ -51,7 +51,7 @@ class TestGen:
 
     def test_writes_file(self, run, tmp_path):
         path = gen_file(run, tmp_path, "broom", "n=10,d=4")
-        tree, meta = parse_tree_text(open(path).read())
+        tree, meta = parse_tree_text(Path(path).read_text())
         assert tree.n == 10
         assert meta["family"] == "broom_even"
         assert meta["expected_hc"] == "58"
@@ -64,7 +64,7 @@ class TestGen:
         for params in ("n=3", "n=12"):
             _, expected, _ = run("gen", "--family", "star", "--params", params)
             gen_file(run, tmp_path, "star", params)
-            assert open(path).read() == expected
+            assert Path(path).read_text() == expected
             assert os.stat(path).st_ino == inode
 
     def test_writes_to_a_device(self, run):
@@ -122,7 +122,7 @@ class TestAnalyze:
     def test_path_prints_bounds(self, run, tmp_path):
         # the formula bounds hc on every tree; applicable says whether it certifies
         path = str(tmp_path / "p4.tree")
-        open(path, "w").write("4\n0 1\n1 2\n2 3\n")
+        Path(path).write_text("4\n0 1\n1 2\n2 3\n")
         code, out, _ = run("analyze", path)
         assert code == 0
         assert "lb_weight: 2\n" in out and "applicable: false\n" in out
@@ -160,7 +160,7 @@ class TestAnalyze:
 
     def test_malformed_file_exit_1(self, run, tmp_path):
         path = str(tmp_path / "bad.tree")
-        open(path, "w").write("4\n0 1\n0 2\n")
+        Path(path).write_text("4\n0 1\n0 2\n")
         code, _, err = run("analyze", path)
         assert code == 1
         assert "edge lines" in err
@@ -175,7 +175,7 @@ class TestColor:
         assert data["certificate"] == "spacing"
         assert data["span"] == 58
         assert data["colors"][0] == 0
-        coloring = parse_coloring_text(open(path + ".coloring").read(), 10)
+        coloring = parse_coloring_text(Path(path + ".coloring").read_text(), 10)
         assert coloring.span == 58
         # and the verify verb agrees
         code, _, _ = run("verify", path, path + ".coloring")
@@ -183,7 +183,7 @@ class TestColor:
 
     def test_plain_tree_uses_greedy(self, run, tmp_path):
         path = str(tmp_path / "spider.tree")
-        open(path, "w").write("9\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n0 7\n0 8\n")
+        Path(path).write_text("9\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n0 7\n0 8\n")
         code, _, err = run("color", path)
         assert code == 4
         assert "error:" in err
@@ -191,7 +191,7 @@ class TestColor:
     def test_plain_file_greedy_succeeds(self, run, tmp_path):
         # a broom shape, but without metadata, so the greedy has to find it
         path = str(tmp_path / "b.tree")
-        open(path, "w").write("9\n0 1\n1 2\n2 3\n0 4\n0 5\n0 6\n0 7\n0 8\n")
+        Path(path).write_text("9\n0 1\n1 2\n2 3\n0 4\n0 5\n0 6\n0 7\n0 8\n")
         code, out, _ = run("color", "--json", path)
         assert code == 0
         data = json.loads(out)
@@ -199,7 +199,7 @@ class TestColor:
 
     def test_inapplicable_exit_1(self, run, tmp_path):
         path = str(tmp_path / "p5.tree")
-        open(path, "w").write("5\n0 1\n1 2\n2 3\n3 4\n")
+        Path(path).write_text("5\n0 1\n1 2\n2 3\n3 4\n")
         code, _, _ = run("color", path)
         assert code == 1
 
@@ -226,7 +226,7 @@ class TestColor:
         monkeypatch.setattr(solver, "verify_coloring", verify)
         monkeypatch.setattr(cli, "verify_coloring", verify)
         plain = str(tmp_path / "b.tree")
-        open(plain, "w").write("9\n0 1\n1 2\n2 3\n0 4\n0 5\n0 6\n0 7\n0 8\n")
+        Path(plain).write_text("9\n0 1\n1 2\n2 3\n0 4\n0 5\n0 6\n0 7\n0 8\n")
         paths = [
             gen_file(run, tmp_path, "broom", "n=10,d=4", "construction.tree"),
             gen_file(run, tmp_path, "star", "n=6", "greedy.tree"),
@@ -273,7 +273,7 @@ class TestColor:
         # the greedy ordering meets the exact condition; the former n/2
         # distance cap rejected it (exit 4)
         path = str(tmp_path / "t5.tree")
-        open(path, "w").write("5\n0 1\n1 2\n0 3\n0 4\n")
+        Path(path).write_text("5\n0 1\n1 2\n0 3\n0 4\n")
         code, out, _ = run("color", "--json", path)
         assert code == 0
         data = json.loads(out)
@@ -304,7 +304,7 @@ class TestColor:
             monkeypatch.setitem(families._FAMILIES, family, (names, order, recording(family, make)))
         for family, params in (("star", "n=3000"), ("caterpillar", "m=300,d=5"), ("a-tree", "d=40")):
             path = str(tmp_path / "claim.tree")
-            open(path, "w").write(f"# family: {family}\n# params: {params}\n4\n0 1\n0 2\n0 3\n")
+            Path(path).write_text(f"# family: {family}\n# params: {params}\n4\n0 1\n0 2\n0 3\n")
             built.clear()
             code, out, err = run("color", path)
             assert code == 1 and out == ""
@@ -313,7 +313,7 @@ class TestColor:
 
     def test_tampered_metadata_exit_1(self, run, tmp_path):
         path = str(tmp_path / "lie.tree")
-        open(path, "w").write("# family: star\n# params: n=4\n4\n0 1\n1 2\n1 3\n")
+        Path(path).write_text("# family: star\n# params: n=4\n4\n0 1\n1 2\n1 3\n")
         code, _, err = run("color", path)
         assert code == 1
         assert "does not match" in err
@@ -322,7 +322,7 @@ class TestColor:
         # a broom that is not broom_odd may not claim to be one
         path = str(tmp_path / "claim.tree")
         t = generate("broom", {"n": 9, "d": 4})[0]
-        open(path, "w").write(format_tree(t, {"family": "broom_odd", "params": "n=9,d=4"}))
+        Path(path).write_text(format_tree(t, {"family": "broom_odd", "params": "n=9,d=4"}))
         code, out, err = run("color", "--json", path)
         assert code == 1 and out == ""
         assert err == "error: parameters {'n': 9, 'd': 4} build 'broom', not 'broom_odd'\n"
@@ -330,7 +330,7 @@ class TestColor:
     def test_unknown_or_repeated_metadata_param_exit_1(self, run, tmp_path):
         path = str(tmp_path / "star.tree")
         for params in ("n=5,q=3", "n=5,n=5"):
-            open(path, "w").write(f"# family: star\n# params: {params}\n5\n0 1\n0 2\n0 3\n0 4\n")
+            Path(path).write_text(f"# family: star\n# params: {params}\n5\n0 1\n0 2\n0 3\n0 4\n")
             code, _, err = run("color", path)
             assert code == 1
             assert "error:" in err
@@ -342,7 +342,7 @@ class TestColor:
         # family without params, params without family, or an expected_*
         # value without either, cannot be checked
         path = str(tmp_path / "star.tree")
-        open(path, "w").write(head + "5\n0 1\n0 2\n0 3\n0 4\n")
+        Path(path).write_text(head + "5\n0 1\n0 2\n0 3\n0 4\n")
         code, out, err = run("color", path)
         assert code == 1 and out == ""
         assert err == "error: family metadata needs both 'family' and 'params'\n"
@@ -351,7 +351,7 @@ class TestColor:
     def test_false_expected_claim_exit_1(self, run, tmp_path, head):
         # a 5-vertex star does not have the order, hc or level sum it claims
         path = str(tmp_path / "star.tree")
-        open(path, "w").write("# family: star\n# params: n=5\n" + head + "5\n0 1\n0 2\n0 3\n0 4\n")
+        Path(path).write_text("# family: star\n# params: n=5\n" + head + "5\n0 1\n0 2\n0 3\n0 4\n")
         code, out, err = run("color", path)
         assert code == 1 and out == ""
         assert err == "error: tree does not match its family metadata\n"
@@ -360,7 +360,7 @@ class TestColor:
         path = str(tmp_path / "star.tree")
         # a comment that is no metadata key; an expected_* key alone is a
         # half claim (test_half_family_claim_exit_1)
-        open(path, "w").write("# a plain star\n# hc: 9\n5\n0 1\n0 2\n0 3\n0 4\n")
+        Path(path).write_text("# a plain star\n# hc: 9\n5\n0 1\n0 2\n0 3\n0 4\n")
         code, out, _ = run("color", path)
         assert code == 0 and "span: 9" in out
 
@@ -387,7 +387,7 @@ class TestExact:
     def test_budget_exit_3_with_upper_bound(self, run, tmp_path):
         # the path on 10 vertices (hc 34) needs 427 nodes
         path = str(tmp_path / "p10.tree")
-        open(path, "w").write("10\n" + "".join(f"{i} {i + 1}\n" for i in range(9)))
+        Path(path).write_text("10\n" + "".join(f"{i} {i + 1}\n" for i in range(9)))
         code, out, _ = run("exact", "--json", path, "--budget", "50")
         assert code == 3
         data = json.loads(out)
@@ -408,7 +408,7 @@ class TestExact:
         # budget 0 explores nothing, but the star's fallback witness meets lb:
         # the span is proved, so the run is not a budget failure
         path = str(tmp_path / "s4.tree")
-        open(path, "w").write("4\n0 1\n0 2\n0 3\n")
+        Path(path).write_text("4\n0 1\n0 2\n0 3\n")
         code, out, _ = run("exact", "--json", path, "--budget", "0")
         data = json.loads(out)
         assert (data["hc"], data["lb"], data["proved_optimal"], data["limit_hit"]) == (4, 4, True, True)
@@ -426,7 +426,7 @@ class TestExact:
 
     def test_bad_limit_exit_1(self, run, tmp_path):
         path = str(tmp_path / "one.tree")
-        open(path, "w").write("1\n")
+        Path(path).write_text("1\n")
         for limit in ("-3", "0"):
             code, out, err = run("exact", path, "--limit", limit)
             assert code == 1
@@ -595,7 +595,7 @@ class TestVerify:
     def test_invalid_coloring_exit_2(self, run, tmp_path):
         path = gen_file(run, tmp_path, "star", "n=4")
         cpath = str(tmp_path / "bad.coloring")
-        open(cpath, "w").write("0 0\n1 2\n2 3\n3 3\n")
+        Path(cpath).write_text("0 0\n1 2\n2 3\n3 3\n")
         code, out, _ = run("verify", path, cpath)
         assert code == 2
         assert "violation: u=2 v=3 required=1 actual=0" in out
@@ -603,7 +603,7 @@ class TestVerify:
     def test_json_reports_validity(self, run, tmp_path):
         path = gen_file(run, tmp_path, "star", "n=4")
         cpath = str(tmp_path / "ok.coloring")
-        open(cpath, "w").write("0 0\n1 2\n2 3\n3 4\n")
+        Path(cpath).write_text("0 0\n1 2\n2 3\n3 4\n")
         code, out, _ = run("verify", "--json", path, cpath)
         assert code == 0
         assert json.loads(out) == {"valid": True, "span": 4}
@@ -611,19 +611,19 @@ class TestVerify:
     def test_wrong_length_exit_1(self, run, tmp_path):
         path = gen_file(run, tmp_path, "star", "n=4")
         cpath = str(tmp_path / "short.coloring")
-        open(cpath, "w").write("0 0\n1 2\n")
+        Path(cpath).write_text("0 0\n1 2\n")
         code, _, _ = run("verify", path, cpath)
         assert code == 1
 
 
 class TestWorkCounts:
     """Searches per call, counted by patching ``Tree.bfs``: building the tree
-    runs one from vertex 0, which the vertex weights reuse, and the rooted
-    view runs one from the weight center(s)."""
+    runs one from vertex 0, which the weight centers, the rooted view and the
+    distance rows reuse."""
 
-    def test_two_bfs_per_color_and_per_verify_call(self, run, tmp_path, monkeypatch):
+    def test_one_bfs_per_color_verify_and_exact_call(self, run, tmp_path, monkeypatch):
         path = str(tmp_path / "b.tree")
-        open(path, "w").write("9\n0 1\n1 2\n2 3\n0 4\n0 5\n0 6\n0 7\n0 8\n")
+        Path(path).write_text("9\n0 1\n1 2\n2 3\n0 4\n0 5\n0 6\n0 7\n0 8\n")
         searches = []
         bfs = Tree.bfs
 
@@ -632,13 +632,10 @@ class TestWorkCounts:
             return bfs(self, sources)
 
         monkeypatch.setattr(Tree, "bfs", counting)
-        code, _, _ = run("color", path)
-        assert code == 0
-        assert searches == [[0], [0]]
-        searches.clear()
-        code, _, _ = run("verify", path, path + ".coloring")
-        assert code == 0
-        assert searches == [[0], [0]]
+        for argv in (["color", path], ["verify", path, path + ".coloring"], ["exact", path]):
+            searches.clear()
+            code, _, _ = run(*argv)
+            assert (code, searches) == (0, [[0]]), argv
 
 
 class TestJsonOutput:
@@ -656,6 +653,8 @@ class TestJsonOutput:
         {"ключ": 1, "\u2028": "x"},
         {"a": 1, "f": 1.5},
         {"a": 1, "t": (1, 2)},
+        # a list as long as color-large's, and ints past 2**63 in one
+        {"long": list(range(-500, 1000)), "wide": [10**30, -1]},
     ]
 
     def test_bytes_match_json_dumps(self):
@@ -667,7 +666,7 @@ class TestJsonOutput:
         path = str(tmp_path / "t.tree")
         for n in range(1, 9):
             for tree in corpus[n]:
-                open(path, "w").write(format_tree(tree))
+                Path(path).write_text(format_tree(tree))
                 calls = [("analyze", "--json", path), ("color", "--json", path), ("exact", "--json", path),
                          ("verify", "--json", path, path + ".hc.coloring")]
                 for argv in calls:
@@ -726,7 +725,7 @@ class TestScale:
         perm = list(range(star.n))
         random.Random(7).shuffle(perm)
         plain = str(tmp_path / "star.tree")
-        open(plain, "w").write(format_tree(Tree(star.n, [(perm[u], perm[v]) for u, v in star.edges])))
+        Path(plain).write_text(format_tree(Tree(star.n, [(perm[u], perm[v]) for u, v in star.edges])))
         paths = [
             plain,
             gen_file(run, tmp_path, "a-tree", "d=140", "a140.tree"),
@@ -745,7 +744,7 @@ class TestScale:
             code, out, err = run("color", "--json", path)
             assert code == 0, err
             span = json.loads(out)["span"]
-            tree, _ = parse_tree_text(open(path).read())
+            tree, _ = parse_tree_text(Path(path).read_text())
             assert span == lower_bound_weight(analyze(tree))
             code, out, err = run("verify", "--json", path, path + ".coloring")
             assert code == 0, err
@@ -793,7 +792,7 @@ class TestCompare:
 
     def test_one_vertex_bounds_are_zero(self, run, tmp_path):
         path = str(tmp_path / "one.tree")
-        open(path, "w").write("1\n")
+        Path(path).write_text("1\n")
         code, out, _ = run("analyze", path)
         assert code == 0
         assert "lb_weight: 0\n" in out and "lb_center: 0\n" in out
@@ -833,7 +832,7 @@ class TestDot:
         out_path = str(tmp_path / "t.dot")
         code, _, _ = run("dot", path, path + ".coloring", "-o", out_path)
         assert code == 0
-        text = open(out_path).read()
+        text = Path(out_path).read_text()
         assert "\\nc=" in text
 
 

@@ -1,3 +1,5 @@
+import random
+
 import oracles
 import pytest
 
@@ -16,7 +18,7 @@ from hamcolor.families import (
 )
 from hamcolor.io import format_tree, parse_tree_text
 from hamcolor.solver import verify_coloring
-from hamcolor.tree import analyze, weight_centers
+from hamcolor.tree import Tree, analyze, weight_centers
 
 
 def certified_span(tree, spec) -> int:
@@ -183,7 +185,7 @@ class TestGenerate:
             assert tuple(meta) == META_KEYS
             read_tree, read = parse_tree_text(format_tree(t, meta))
             assert read == {k: str(v) for k, v in meta.items() if v is not None}, (family, params)
-            back = spec_from_meta(read_tree, read)
+            back = spec_from_meta(analyze(read_tree), read)
             assert back == spec, (family, params)
         t = generate("star", {"n": 4})[0]
         bad = [("star", {"n": 2}), ("star", {}), ("broom", {"n": 4, "d": 4}), ("broom_odd", {"d": 3}),
@@ -197,7 +199,7 @@ class TestGenerate:
                 generate(family, params)
             meta = {"family": family, "params": ",".join(f"{k}={v}" for k, v in params.items())}
             with pytest.raises(BadParamsError) as meta_err:
-                spec_from_meta(tree, meta)
+                spec_from_meta(analyze(tree), meta)
             assert str(meta_err.value) == str(gen_err.value)
 
     def test_sub_family_claim_must_match(self):
@@ -205,7 +207,7 @@ class TestGenerate:
             generate("broom-even", {"n": 6, "d": 3})
         # plain broom stays valid for every broom, recognised ones included
         t, spec = generate("broom", {"n": 10, "d": 4})
-        back = spec_from_meta(t, {"family": "broom", "params": "n=10,d=4"})
+        back = spec_from_meta(analyze(t), {"family": "broom", "params": "n=10,d=4"})
         assert back == spec and back.family == "broom_even"
 
     def test_expected_claims_must_match(self):
@@ -214,15 +216,75 @@ class TestGenerate:
         for family, params in (("star", {"n": 5}), ("broom", {"n": 10, "d": 4}), ("broom", {"n": 9, "d": 4})):
             t, spec = generate(family, params)
             true = {k: str(v) for k, v in spec_meta(spec).items() if v is not None}
-            assert spec_from_meta(t, true) == spec
+            assert spec_from_meta(analyze(t), true) == spec
             for key in ("expected_n", "expected_hc", "expected_total_level"):
                 wrong = str(getattr(spec, key) or 0) + "1"
                 for lie in (wrong, "None", " "):
                     with pytest.raises(FormatError, match="tree does not match its family metadata"):
-                        spec_from_meta(t, {**true, key: lie})
+                        spec_from_meta(analyze(t), {**true, key: lie})
                 # a claim with no family and params cannot be checked
                 with pytest.raises(FormatError, match="needs both 'family' and 'params'"):
-                    spec_from_meta(t, {key: true.get(key, "1")})
+                    spec_from_meta(analyze(t), {key: true.get(key, "1")})
+
+    # one- and two-center instances: a-tree d=2 and d=4 and the even
+    # caterpillar have two, joined by an edge that is no parent edge; on
+    # broom n=11, d=10 the path edges below the center run child to parent
+    INSTANCES = [("star", {"n": 6}), ("broom", {"n": 10, "d": 4}), ("broom", {"n": 11, "d": 10}),
+                 ("a-tree", {"d": 2}), ("a-tree", {"d": 4}), ("a-tree", {"d": 5}),
+                 ("caterpillar", {"m": 5, "d": 3}), ("caterpillar", {"m": 6, "d": 4})]
+
+    @staticmethod
+    def assert_read(t: Tree, meta: dict[str, str], spec) -> None:
+        """``spec_from_meta`` reads ``meta`` on ``t`` as ``spec`` exactly when
+        ``t`` has the instance's edges, and else rejects it."""
+        if set(t.edges) == set(generate(spec.family, spec.params)[0].edges):
+            assert spec_from_meta(analyze(t), meta) == spec
+        else:
+            with pytest.raises(FormatError, match="tree does not match its family metadata"):
+                spec_from_meta(analyze(t), meta)
+
+    def test_moved_leaf_must_not_match(self):
+        # every leaf of each instance moved onto every other vertex in turn,
+        # the instance's metadata kept
+        for family, params in self.INSTANCES:
+            t, spec = generate(family, params)
+            meta = {k: str(v) for k, v in spec_meta(spec).items() if v is not None}
+            self.assert_read(t, meta, spec)
+            for leaf in (v for v in range(t.n) if len(t.adj[v]) == 1):
+                kept = [e for e in t.edges if leaf not in e]
+                for x in range(t.n):
+                    if x != leaf and x not in t.adj[leaf]:
+                        moved = Tree(t.n, kept + [(leaf, x)])
+                        assert set(moved.edges) != set(t.edges)
+                        self.assert_read(moved, meta, spec)
+
+    def test_relabelled_instance_must_not_match(self):
+        # seeded relabellings keep the metadata: only an automorphism keeps
+        # the instance's edges, and each instance but the single edge meets
+        # some other relabelling
+        rng = random.Random(54)
+        for family, params in self.INSTANCES:
+            t, spec = generate(family, params)
+            meta = {k: str(v) for k, v in spec_meta(spec).items() if v is not None}
+            moved = 0
+            for _ in range(5):
+                perm = list(range(t.n))
+                rng.shuffle(perm)
+                s = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+                moved += set(s.edges) != set(t.edges)
+                self.assert_read(s, meta, spec)
+            assert moved or t.n == 2, (family, params)
+
+    def test_generated_edges_must_be_distinct(self, monkeypatch):
+        # a builder that repeats an edge, as given or reversed, spans fewer
+        # edges than the file's tree, though each joins a vertex to its parent
+        t, spec = generate("star", {"n": 4})
+        names, order, _ = families._FAMILIES["star"]
+        for edges in ([(0, 1), (0, 2), (0, 2)], [(0, 1), (0, 2), (2, 0)]):
+            build = lambda n, edges=edges: ("star", edges, spec.expected_hc, spec.expected_total_level)
+            monkeypatch.setitem(families._FAMILIES, "star", (names, order, build))
+            with pytest.raises(FormatError, match="tree does not match its family metadata"):
+                spec_from_meta(analyze(t), {"family": "star", "params": "n=4"})
 
     def test_closed_form_lookup(self):
         assert closed_form_hc(generate("star", {"n": 6})[1]) == 16

@@ -1,3 +1,5 @@
+import enum
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -92,6 +94,25 @@ class TestColoringFormat:
         text = format_coloring(col)
         assert text == "0 0\n1 2\n2 3\n3 4\n"
         assert parse_coloring_text(text, 4) == col
+
+    @staticmethod
+    def joined(colors) -> str:
+        """The coloring file written one f-string a line."""
+        return "\n".join(f"{v} {c}" for v, c in enumerate(colors)) + "\n"
+
+    def test_one_format_call_writes_each_int_as_str(self):
+        # negative values, 0, values past 2**63, the empty coloring
+        cases = [(0,), (-1, 0, 1), (2**63, 2**64 + 5, -(2**63) - 1, 10**30), tuple(range(-500, 1000, 3)), ()]
+        for colors in cases:
+            assert format_coloring(Coloring(colors)) == self.joined(colors), colors
+        assert format_coloring(Coloring(())) == "\n"
+
+    def test_int_subclasses_and_floats_fall_back(self):
+        class Shade(enum.IntEnum):
+            DARK = 3
+
+        for colors in ((0, True, 2), (False,), (0, 1.5), (2.0, 3), (Shade.DARK, 4), (0, Shade.DARK)):
+            assert format_coloring(Coloring(colors)) == self.joined(colors), colors
 
     def test_lines_in_any_order(self):
         col = parse_coloring_text("2 3\n0 0\n1 2\n", 3)

@@ -224,6 +224,52 @@ class TestRootedView:
                 for v in range(t.n):
                     assert rv.detour_distance(u, v) == dist[u][v]
 
+    @staticmethod
+    def assert_rooted_as_by_bfs(t: Tree) -> None:
+        want = oracles.bfs_rooted_view(t)
+        rv = analyze(t)
+        assert {key: getattr(rv, key) for key in want} == want, t.edges
+
+    def test_rooting_matches_bfs_from_centers(self, corpus):
+        # every tree with n <= 10, as listed and under three seeded relabellings
+        rng = random.Random(45)
+        trees = [t for n in range(1, 9) for t in corpus[n]]
+        trees += [Tree(n, [(int(u), int(v)) for u, v in g.edges()]) for n in (9, 10) for g in nx.nonisomorphic_trees(n)]
+        assert len(trees) == 48 + 47 + 106
+        for t in trees:
+            self.assert_rooted_as_by_bfs(t)
+            for _ in range(3):
+                perm = list(range(t.n))
+                rng.shuffle(perm)
+                self.assert_rooted_as_by_bfs(Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges]))
+
+    def test_rooting_of_large_shapes(self):
+        # the five shapes of perfbench's color-large, as generated and relabelled
+        rng = random.Random(46)
+        for family, params in (("star", {"n": 1500}), ("caterpillar", {"m": 201, "d": 5}), ("a-tree", {"d": 30}),
+                               ("broom", {"n": 465, "d": 30}), ("broom", {"n": 600, "d": 25})):
+            t = generate(family, params)[0]
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            self.assert_rooted_as_by_bfs(t)
+            self.assert_rooted_as_by_bfs(Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges]))
+
+    def test_bicentral_rooting_with_vertex_0_anywhere(self):
+        # vertex 0 swapped with each vertex in turn: at either center, deep on
+        # either side, and on the path from a center down to it
+        trees = [double_star(), Tree(10, [(i, i + 1) for i in range(9)]), generate("a-tree", {"d": 2})[0],
+                 generate("broom", {"n": 40, "d": 30})[0], generate("caterpillar", {"m": 40, "d": 4})[0]]
+        sides = set()  # the index, among the sorted centers, of vertex 0's side
+        for t in trees:
+            for x in range(t.n):
+                swap = {0: x, x: 0}
+                s = Tree(t.n, [(swap.get(u, u), swap.get(v, v)) for u, v in t.edges])
+                rv = analyze(s)
+                assert rv.bicentral
+                self.assert_rooted_as_by_bfs(s)
+                sides.add(sorted(rv.weight_centers).index(rv.side[0]))
+        assert sides == {0, 1}
+
     def test_vertex_checks(self):
         rv = analyze(broom_10_4())
         with pytest.raises(BadVertexIdError):
