@@ -26,15 +26,17 @@ the order line reversed; ``color --json`` runs on each rewritten tree and
 across revisions too.  ``analyze --json`` runs on the same inputs as
 ``color``; its exit code, stderr and the value of every key that both sides
 print must be identical, and the keys that only one side prints are listed
-(a key added or removed on purpose shows there).  ``exact`` runs on the 18
-instances of ``perfbench/pinned.json`` (read, never written) and, with
-``--limit 12``, on the paths with n = 11 and 12 and four seeded Prufer trees
-with n = 12 and hc > lb; its exit code and ``hc`` must be identical, while
-the explored-node count and the witness may differ between search
-strategies, so the node counts are printed side by side with their total for
-each set, and the explored total of a set may not rise above REV's: that is
-a gate, since a pruning change that costs nodes on these instances is a
-regression whatever its answers.  ``gen`` runs on a grid of ``--params`` per
+(a key added or removed on purpose shows there).  ``exact`` runs at its
+default settings on the 18 instances of ``perfbench/pinned.json`` (read,
+never written), on the paths with n = 11 and 12 and four seeded Prufer trees
+with n = 12 and hc > lb, and on the Prufer trees of the ``color`` set; its
+exit code and ``hc`` must be identical, while the explored-node count and
+the witness may differ between search strategies, so the node counts of the
+runs that print one on both sides (a search that ran out of budget prints
+its budget) are printed side by side with their total for each set, and the
+explored total of a set may not rise above REV's: that is a gate, since a
+pruning change that costs nodes on these instances is a regression whatever
+its answers.  ``gen`` runs on a grid of ``--params`` per
 family: valid instances, recognised and off-family brooms, both a-tree
 parities and both caterpillar m parities, parameters given out of order, and
 rejected ones (too small, unknown, missing, given twice, not an integer);
@@ -98,7 +100,8 @@ RUNS = (
     ("formats verify", "formats/colorings/*.coloring", ["verify", "--json"], None),
     ("analyze", "*.tree", ["analyze", "--json"], None),
     ("exact", "exact/*.tree", ["exact", "--json"], ".hc.coloring"),
-    ("exact", "exact12/*.tree", ["exact", "--json", "--limit", "12"], ".hc.coloring"),
+    ("exact", "exact12/*.tree", ["exact", "--json"], ".hc.coloring"),
+    ("exact", "exact_prufer/*.tree", ["exact", "--json"], ".hc.coloring"),
 )
 # rewrites of files hamcolor wrote into forms it never writes, and the step
 # through the written colorings that picks the trees of the formats set
@@ -187,11 +190,13 @@ def make_inputs(src: Path, workdir: Path, prufer: int) -> None:
         n = len(edges) + 1
         (workdir / "hubs" / f"{name}.tree").write_text(_tree_text(n, edges))
         (workdir / "hubs" / f"{name}.plain.tree").write_text(_tree_text(n, _relabel(name, n, edges)))
+    (workdir / "exact_prufer").mkdir()
     for i in range(prufer):
         n = 4 + i % 37
         rng = random.Random(i)
         edges = _prufer_edges([rng.randrange(n) for _ in range(n - 2)])
-        (workdir / f"prufer{i:03d}_n{n}.tree").write_text(_tree_text(n, edges))
+        for folder in (workdir, workdir / "exact_prufer"):
+            (folder / f"prufer{i:03d}_n{n}.tree").write_text(_tree_text(n, edges))
     (workdir / "colorings").mkdir()
     for path in sorted(workdir.glob("*.tree")):
         written = workdir / "colorings" / f"{path.stem}.coloring"
@@ -247,6 +252,12 @@ def line_counts(src: Path) -> dict[str, tuple[int, int]]:
     package at ``src``."""
     return {p.name: (p.read_bytes().count(b"\n"), code_lines(p.read_text(encoding="utf-8")))
             for p in sorted((src / "hamcolor").glob("*.py"))}
+
+
+def _report(res: list) -> dict:
+    """What an exact call printed with ``--json``: {} for a refusal, which
+    prints nothing."""
+    return json.loads(res[1]) if res[0] in (0, 3) and res[1] else {}
 
 
 def _call(main, argv: list[str]) -> list:
@@ -319,7 +330,7 @@ def main() -> int:
         before, after = old[name], new[name]
         verb = name.split()[0]
         if verb == "exact" and before[0] in (0, 3):
-            return before[0] == after[0] and json.loads(before[1]).get("hc") == json.loads(after[1]).get("hc")
+            return before[0] == after[0] and _report(before).get("hc") == _report(after).get("hc")
         if verb in KEYED and before[0] == after[0] == 0:
             a, b = json.loads(before[1]), json.loads(after[1])
             one_sided[verb][0].update(a.keys() - b.keys())
@@ -330,8 +341,9 @@ def main() -> int:
     # per set of exact inputs: explored nodes, each side
     totals: dict[str, list[int]] = {}
     for name in sorted(old):
-        if name.startswith("exact ") and name in new and old[name][0] == new[name][0] == 0:
-            nodes = [json.loads(side[name][1])["explored"] for side in (old, new)]
+        reports = [_report(side[name]) for side in (old, new)] if name.startswith("exact ") and name in new else []
+        if reports and all("explored" in report for report in reports):
+            nodes = [report["explored"] for report in reports]
             print(f"{name}: explored {nodes[0]} -> {nodes[1]}")
             total = totals.setdefault(name.split("/")[0], [0, 0])
             total[0] += nodes[0]

@@ -243,7 +243,7 @@ def bnb_exact(
                     if orbit[v] != v and (not m or orbit.count(first) == 1):
                         continue
                 pk, pc = key, c
-            if budget >= 0 and nodes >= budget:
+            if nodes == budget:  # never when budget is -1
                 limit_hit = stop = True
                 return
             nodes += 1

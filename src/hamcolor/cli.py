@@ -3,10 +3,12 @@
 Verbs: gen, analyze, color, exact, verify, dot; the four that print data
 (analyze, color, exact, verify) take ``--json``.  Exit codes: 0 success,
 1 parse/validation problem (usage errors too), 2 verification failure,
-3 size limit, or a budget that ran out before the span was proved, 4 the
-greedy ordering fails the spacing condition on a tree without a closed form
-(not a proof that hc exceeds the lower bound), 5 internal error (a bug),
-among them a greedy failure on a family instance with a closed form.
+3 an exact search too deep for the recursive kernel, or a node budget
+(default max(50n, 20000) on n vertices) that ran out before the span was
+proved, 4 the greedy ordering fails the spacing condition on a tree without
+a closed form (not a proof that hc exceeds the lower bound), 5 internal
+error (a bug), among them a greedy failure on a family instance with a
+closed form.
 ``color`` writes the coloring that ``check_spacing`` verified.
 
 ``main(argv)`` may be called any number of times in one process: the
@@ -166,7 +168,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     tree, _ = load_tree(args.file)
     rv = analyze(tree)
-    res = exact_hc(rv, limit=args.limit, budget=args.budget)
+    res = exact_hc(rv, max(50 * tree.n, 20000) if args.budget is None else args.budget)
     out = args.coloring_out or args.file + ".hc.coloring"
     _write(out, format_coloring(res.witness))
     _emit(
@@ -267,10 +269,10 @@ def build_parser() -> _Parser:
     p.add_argument("--coloring-out", help="coloring file path (default FILE.coloring)")
     p.set_defaults(func=_cmd_color)
 
-    p = sub.add_parser("exact", parents=[common], help="exact search (small trees)")
+    p = sub.add_parser("exact", parents=[common], help="exact search within a node budget")
     p.add_argument("file")
-    p.add_argument("--limit", type=int, default=10, help="refuse trees larger than this (default 10)")
-    p.add_argument("--budget", type=int, default=None, help="node budget; best-so-far on exhaustion")
+    p.add_argument("--budget", type=int, default=None,
+                   help="node budget (default max(50n, 20000) on n vertices); best-so-far on exhaustion")
     p.add_argument("--coloring-out", help="witness file path (default FILE.hc.coloring)")
     p.set_defaults(func=_cmd_exact)
 

@@ -39,7 +39,8 @@ class NegativeColorError(HamcolorError):
 
 
 class TooLargeError(HamcolorError):
-    """Instance exceeds the exact solver's size limit or recursion depth."""
+    """Exact search too deep for the recursive kernel: its first dive would
+    pass the interpreter's recursion limit."""
 
 
 class FormatError(HamcolorError):

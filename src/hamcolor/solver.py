@@ -89,22 +89,17 @@ def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
     return sorted(out, key=lambda viol: (viol.u, viol.v))
 
 
-def exact_hc(rv: RootedView, limit: int = 10, budget: int | None = None) -> ExactResult:
+def exact_hc(rv: RootedView, budget: int | None = None) -> ExactResult:
     """Exact hamiltonian chromatic number by branch-and-bound over orderings.
 
-    Refuses trees larger than ``limit`` vertices (at least 1; raise the
-    limit explicitly to go bigger), and searches whose unpruned first dive,
-    min(n, budget) frames, passes the recursion limit.  When a node
-    ``budget`` (at least 0) is given and runs out, the best completed coloring
-    so far is returned with ``limit_hit`` set.  Its span ``ub`` is then only
-    an upper bound on the hamiltonian chromatic number, and ``hc`` is None,
-    unless the span meets ``lb``, which proves it optimal.
+    Searches to exhaustion unless a node ``budget`` (at least 0) is given;
+    the only refusal is a search whose unpruned first dive, min(n, budget)
+    frames, passes the recursion limit.  When the budget runs out, the best
+    completed coloring so far is returned with ``limit_hit`` set.  Its span
+    ``ub`` is then only an upper bound on the hamiltonian chromatic number,
+    and ``hc`` is None, unless the span meets ``lb``, which proves it optimal.
     """
     n = rv.n
-    if limit < 1:
-        raise BadParamsError(f"limit must be >= 1, got {limit}")
-    if n > limit:
-        raise TooLargeError(f"n={n} exceeds the exact-search limit {limit}")
     if budget is not None and budget < 0:
         raise BadParamsError(f"budget must be >= 0, got {budget}")
     if min(n, n if budget is None else budget) >= sys.getrecursionlimit():

@@ -19,7 +19,7 @@ from hamcolor import cli
 # beside each verb's own option strings: an abbreviation, ``--opt=value``
 # forms, values good and bad for a store option, and tokens argparse treats
 # specially
-EXTRA = ["--lim", "--limit=5", "--json=1", "5", "-5", "x", "", "x y", "--", "-h", "--family"]
+EXTRA = ["--bud", "--budget=5", "--json=1", "5", "-5", "x", "", "x y", "--", "-h", "--family"]
 
 
 def verb_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:

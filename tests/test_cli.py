@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import argv_parity
@@ -379,10 +380,41 @@ class TestExact:
         code, _, _ = run("verify", path, path + ".hc.coloring")
         assert code == 0
 
-    def test_too_large_exit_3(self, run, tmp_path):
-        path = gen_file(run, tmp_path, "caterpillar", "m=4,d=5")  # 10 vertices
-        code, _, _ = run("exact", "--json", path, "--limit", "8")
-        assert code == 3
+    def test_default_budget_exit_3(self, run, tmp_path):
+        # with no --budget a tree on n vertices gets max(50n, 20000) nodes:
+        # the path and the bicentral spider with legs 20, 10 and 9 on 40
+        # vertices run out of them unproved, print ub and lb, and write a
+        # witness that verifies
+        shapes = {
+            "path40": ([(i - 1, i) for i in range(1, 40)], (725, 722)),
+            "spider40": ([(0 if i in (1, 21, 31) else i - 1, i) for i in range(1, 40)], (903, 902)),
+        }
+        for name, (edges, (ub, lb)) in shapes.items():
+            path = str(tmp_path / f"{name}.tree")
+            Path(path).write_text(format_tree(Tree(40, edges)))
+            code, out, _ = run("exact", "--json", path)
+            assert code == 3, name
+            data = json.loads(out)
+            assert "hc" not in data
+            assert (data["ub"], data["lb"], data["witness_span"]) == (ub, lb, ub), name
+            assert (data["proved_optimal"], data["limit_hit"], data["explored"]) == (False, True, 20_000)
+            assert run("verify", path, path + ".hc.coloring")[0] == 0
+
+    def test_default_budget_proves_every_tree_to_13(self, run, tmp_path):
+        # every non-isomorphic tree with n = 11, 12 and 13 (the largest
+        # search takes 15,684 nodes) is proved within the default budget,
+        # with the hc of a search run to exhaustion
+        path = str(tmp_path / "t.tree")
+        count = 0
+        for n in (11, 12, 13):
+            for g in nx.nonisomorphic_trees(n):
+                tree = Tree(n, [(int(u), int(v)) for u, v in g.edges()])
+                Path(path).write_text(format_tree(tree))
+                code, out, _ = run("exact", "--json", path)
+                assert code == 0, tree.edges
+                assert json.loads(out)["hc"] == solver.exact_hc(analyze(tree)).hc, tree.edges
+                count += 1
+        assert count == 235 + 551 + 1301
 
     def test_budget_exit_3_with_upper_bound(self, run, tmp_path):
         # the path on 10 vertices (hc 34) needs 427 nodes
@@ -424,14 +456,15 @@ class TestExact:
         assert out == ""
         assert "error:" in err and "Traceback" not in err
 
-    def test_bad_limit_exit_1(self, run, tmp_path):
-        path = str(tmp_path / "one.tree")
-        Path(path).write_text("1\n")
-        for limit in ("-3", "0"):
-            code, out, err = run("exact", path, "--limit", limit)
-            assert code == 1
-            assert out == ""
-            assert f"error: limit must be >= 1, got {limit}" in err
+    def test_limit_is_an_unknown_option(self, run, tmp_path, capsys):
+        # no vertex limit: the 40-vertex star is proved in its first dive
+        path = gen_file(run, tmp_path, "star", "n=40")
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", path, "--limit", "10"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --limit 10" in capsys.readouterr().err
+        code, out, _ = run("exact", "--json", path)
+        assert (code, json.loads(out)["hc"], json.loads(out)["explored"]) == (0, 1444, 40)
 
     def test_too_deep_exit_3_without_traceback(self, run, tmp_path):
         # the kernel recurses once per placed vertex; a search whose first
@@ -442,13 +475,9 @@ class TestExact:
         src = str(Path(hamcolor.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         lowered = "import sys, hamcolor.cli; sys.setrecursionlimit(60); sys.exit(hamcolor.cli.main(sys.argv[1:]))"
-        for n, interpreter, limit in (
-            (1200, ["-m", "hamcolor.cli"], "5000"),
-            (80, ["-c", lowered], "100"),
-            (58, ["-c", lowered], "100"),
-        ):
+        for n, interpreter in ((1200, ["-m", "hamcolor.cli"]), (80, ["-c", lowered]), (58, ["-c", lowered])):
             path = gen_file(run, tmp_path, "star", f"n={n}")
-            argv = [sys.executable, *interpreter, "exact", path, "--limit", limit]
+            argv = [sys.executable, *interpreter, "exact", path]
             proc = subprocess.run(argv, capture_output=True, text=True, env=env)
             assert proc.returncode == 3, proc.stderr
             assert proc.stdout == ""
@@ -497,10 +526,12 @@ class TestParserReuse:
 
     def test_calls_share_no_state(self, run, tmp_path):
         path = gen_file(run, tmp_path, "star", "n=9")
-        assert run("exact", "--limit", "5", path)[0] == 3
+        code, out, _ = run("exact", "--json", "--budget", "0", path)
+        assert code == 0 and json.loads(out)["limit_hit"] is True
         assert run("exact", path)[0] == 0
         code, out, _ = run("exact", "--json", path)
-        assert code == 0 and json.loads(out)["hc"] == 49
+        data = json.loads(out)
+        assert (code, data["hc"], data["limit_hit"], data["explored"]) == (0, 49, False, 9)
         code, out, _ = run("exact", path)
         assert code == 0
         assert "hc: 49" in out.splitlines()
@@ -585,10 +616,10 @@ class TestFastArgv:
         for argv in (["exact", "--json", path], ["color", "--json", path],
                      ["verify", "--json", path, path + ".coloring"],
                      ["analyze", path], ["color", path], ["exact", path], ["verify", path, path + ".coloring"],
-                     ["exact", path, "--limit", "12", "--budget", "100", "--coloring-out", path + ".w"]):
+                     ["exact", path, "--budget", "100", "--coloring-out", path + ".w"]):
             assert run(*argv)[0] == 0, argv
         with pytest.raises(AssertionError, match="argparse parsed"):
-            main(["exact", "--lim", "12", path])
+            main(["exact", "--bud", "12", path])
 
 
 class TestVerify:
@@ -738,7 +769,7 @@ class TestScale:
         star1000 = gen_file(run, tmp_path, "star", "n=1000", "star1000.tree")
         monkeypatch.setattr(Tree, "distance_matrix", no_matrix)
         # exact refuses a first dive past the recursion limit (1000 by default) before any matrix
-        code, out, err = run("exact", star1000, "--limit", "1000")
+        code, out, err = run("exact", star1000)
         assert (code, out) == (3, "") and "n=1000 is too deep for the recursive exact search" in err
         for path in paths:
             code, out, err = run("color", "--json", path)

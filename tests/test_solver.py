@@ -16,7 +16,6 @@ from hamcolor.errors import (
     InternalError,
     NegativeColorError,
     NotATreeError,
-    TooLargeError,
 )
 from hamcolor.families import generate
 from hamcolor.ordering import Coloring
@@ -269,11 +268,11 @@ class TestExact:
             relabeled = Tree(base.n, [(perm[u], perm[v]) for u, v in base.edges])
             assert exact_hc(analyze(relabeled)).hc == want
 
-    def test_size_limit(self):
-        rv = analyze(path(11))
-        with pytest.raises(TooLargeError):
-            exact_hc(rv)
-        with pytest.raises(TooLargeError):
+    def test_no_size_limit(self):
+        # the library searches to exhaustion whatever n, and takes no limit
+        res = exact_hc(analyze(path(11)))
+        assert (res.hc, res.explored, res.limit_hit) == (42, 1496, False)
+        with pytest.raises(TypeError):
             exact_hc(analyze(path(2)), limit=1)
 
     def test_matches_reference_search(self, corpus, exact_of):
@@ -315,6 +314,22 @@ class TestBudget:
         a = exact_hc(rv, budget=500)
         b = exact_hc(rv, budget=500)
         assert (a.ub, a.explored, a.limit_hit) == (b.ub, b.explored, b.limit_hit)
+
+    def test_every_budget_on_the_pinned_instances(self):
+        # the kernel stops when its node count equals the budget; the
+        # rescanning kernel keeps the check ``budget >= 0 and nodes >=
+        # budget``, and both give the same 4-tuple at every budget from 0 to
+        # one past a full search, and with none (-1)
+        pinned = json.loads(PINNED.read_text())["instances"]
+        for inst in pinned:
+            rv = analyze(Tree(inst["n"], [tuple(e) for e in inst["edges"]]))
+            dist = [d for row in rv.tree.distance_matrix() for d in row]
+            full = solver._kernel.bnb_exact((), rv.n, rv=rv)[2]
+            for budget in range(-1, full + 2):
+                got = solver._kernel.bnb_exact((), rv.n, budget, (), -1, rv)
+                assert got == oracles.rescan_bnb_exact(dist, rv.n, budget), (inst["name"], budget)
+                assert got[2:] == ((budget, True) if 0 <= budget < full else (full, False))
+        assert len(pinned) == 18
 
     def test_ample_budget_not_hit(self, corpus):
         t = corpus[6][0]

@@ -114,7 +114,7 @@ def test_package_imports_are_module_level_and_acyclic():
 
 # public functions no package module calls, kept for the callers named here
 ENTRY_POINTS = {
-    "closed_form_hc",  # the public closed-form query; ROADMAP item 6 extends it to spiders
+    "closed_form_hc",  # the public closed-form query; ROADMAP item 10 extends it to spiders
     "family_ordering",  # perfbench/workloads.py:151 builds verify-mixed's orderings with it
     "coloring_from_ordering",  # perfbench/workloads.py:152 colors those orderings with it
     "search_backend",  # perfbench/client.py:310 records the kernel's name in every result
