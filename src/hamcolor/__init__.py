@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .families import (
     FamilySpec,
-    closed_form_hc,
     family_certificate,
     family_ordering,
     generate,

@@ -10,7 +10,7 @@ the ordering and the span of a partial placement is simply the last color.
 The weight center(s), the levels L below them, each vertex's parent and the
 distance rows are read from the caller's ``RootedView``, the rooting of
 ``tree.py``; a caller with only a flat distance matrix gets that rooting of
-its pairs at distance 1, a fallback that goes with the prefix slot.  b is 1
+its pairs at distance 1, a fallback kept for the five-argument call.  b is 1
 when there are two centers.  Every path between two vertices may detour
 through the center(s), so d(u, v) <= L(u) + L(v) + b.
 
@@ -82,14 +82,15 @@ incumbents, come first.
 
 Each placement makes one pass over the vertices left unplaced after it.  For
 each one the pass computes its forced color and writes it to a list that the
-node allocates once and hands to each of its children in turn; a child reads
-only its own unplaced vertices, which its pass has just written.  A forced
-color that reaches the incumbent ends the pass, and the child is never
-called: rule 1 fires in the parent, before the call.  The pass also builds
-the child's candidate list: rule 3 leaves out each twin whose smaller twin is
-unplaced, and rule 2 leaves out each key that reaches the incumbent already
-with the least unplaced level as L(last), which no vertex's own end can
-undercut.  The child checks rule 2
+node allocates once and hands to each of its children in turn, so the search
+holds one such list per depth of its current path and nothing sized by the
+budget; a child reads only its own unplaced vertices, which its pass has
+just written.  A forced color that reaches the incumbent ends the pass, and
+the child is never called: rule 1 fires in the parent, before the call.
+The pass also builds the child's candidate list: rule 3 leaves out each twin
+whose smaller twin is unplaced, and rule 2 leaves out each key that reaches
+the incumbent already with the least unplaced level as L(last), which no
+vertex's own end can undercut.  The child checks rule 2
 again with its candidate's exact L(last) and the incumbent of the moment,
 which only falls, so each rule drops exactly the candidates it dropped when
 every node rescanned all n vertices, and the search, its order and its node
@@ -161,21 +162,21 @@ def bnb_exact(
     dist       flat row-major distance matrix of a tree, length n*n; read
                only without ``rv``, and then only where it equals 1
     budget     maximum number of vertex placements, or -1 for unlimited
-    prefix     must be empty (else BadParamsError); the slot keeps the
-               positional calls ``bnb_exact(dist, n, -1, (), -1)`` working
-    incumbent  known upper bound to prune against, or -1 for none
+    prefix     must be ``()``, and
+    incumbent  must be -1 (else BadParamsError): both slots exist only for
+               the five-argument call ``bnb_exact(dist, n, -1, (), -1)``
     rv         the tree's ``RootedView``, read for the weight center(s),
                levels, parents, leaves and distance rows; None roots the
                pairs at distance 1 of ``dist`` (NotATreeError when they are
-               no tree), the same search node for node, which keeps the
-               matrix-only positional calls working until the prefix slot goes
+               no tree), the same search node for node, which keeps that
+               matrix-only call working
 
     Returns ``(best_span, best_order, nodes, limit_hit)``; ``best_order`` is
-    None (and ``best_span`` -1) when no complete ordering beat the incumbent
-    or the budget ran out first.
+    None (and ``best_span`` -1) only when the budget ran out before the
+    first complete ordering.
     """
-    if prefix:
-        raise BadParamsError(f"the search takes no forced prefix, got {tuple(prefix)}")
+    if prefix or incumbent != -1:
+        raise BadParamsError(f"the search takes no prefix and no incumbent, got {tuple(prefix)}, {incumbent}")
     if rv is None:
         rv = RootedView(Tree(n, [(v, w) for v in range(n) for w in range(v) if dist[v * n + w] == 1]))
     rows = rv.tree.distance_matrix()  # rows[v][w] = d(v, w)
@@ -189,10 +190,10 @@ def bnb_exact(
     order = [0] * n
     nodes = 0
     limit_hit = False
-    stop = 0 <= incumbent <= target
+    stop = False
     # colors rise by at most n-2 per placement, so every span and key is
-    # below n*n: with no incumbent, n*n prunes nothing
-    best_span = incumbent if incumbent >= 0 else n * n
+    # below n*n: until the first complete ordering, n*n prunes nothing
+    best_span = n * n
     best_order = None
     orbit = None  # least_in_orbit, computed when rule 7 first has a choice
 
@@ -281,9 +282,8 @@ def bnb_exact(
             used[v] = False
 
     # rule 1 at the root, where every forced color is 0
-    if not stop:
-        place(0, [(level[v], 0, v) for v in range(n) if used[before[v]]],
-              sorted(range(n), key=level.__getitem__), rv.total_level, 0, [0] * n)
+    place(0, [(level[v], 0, v) for v in range(n) if used[before[v]]],
+          sorted(range(n), key=level.__getitem__), rv.total_level, 0, [0] * n)
 
     if best_order is None:
         return -1, None, nodes, limit_hit

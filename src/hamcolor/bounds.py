@@ -13,7 +13,8 @@ is a valid lower bound on every tree, paths and n <= 3 included: the 1 - b
 term needs two distinct ends of an ordering, so a one-vertex tree gets 0.
 :func:`is_applicable` (n >= 4 and maximum degree >= 3) says whether the bound
 certifies anything; the callers that issue certificates make that check
-themselves, and the CLI prints it next to the bounds.
+themselves, through :func:`require_applicable`, which raises, and the CLI
+prints it next to the bounds.
 """
 
 from __future__ import annotations

@@ -11,12 +11,17 @@ error (a bug), among them a greedy failure on a family instance with a
 closed form.
 ``color`` writes the coloring that ``check_spacing`` verified.
 
-``main(argv)`` may be called any number of times in one process: the
-argument parser is built on the first call and reused by every later one.
-A canonical argv of analyze, color, exact or verify (exact option strings,
+``main(argv)`` returns the exit code and may be called any number of times
+in one process: the argument parser is built on the first call and reused by
+every later one, and that call also runs the generation-1 garbage collection
+that the build brings near, so that it does not fall in a later call.  A
+canonical argv of analyze, color, exact or verify (exact option strings,
 values that convert and, like the positionals, do not start with ``-``, each
-positional once) skips argparse; every other argv, gen's and dot's too, goes
-to ``parse_args``, so help, usage and error messages stay argparse's.
+positional once) skips argparse, read through a table taken from the
+parser's own actions; every other argv, gen's and dot's too, goes to
+``parse_args``, so help, usage and error messages stay argparse's.
+``--json`` output is written as ``json.dumps(data, indent=2)`` would write
+it, byte for byte, without the pure-Python encoder that ``indent`` selects.
 """
 
 from __future__ import annotations

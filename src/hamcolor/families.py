@@ -23,12 +23,14 @@ known, the expected order, total level and hamiltonian chromatic number:
 ``_FAMILIES`` entry: parameter names, an order function and a builder, which
 only builds: it returns the family name (``broom_even`` or ``broom_odd`` on a
 recognised broom), the edges, the expected hc and the total level (None
-without a closed form; the closed forms are integer arithmetic).  ``_instance``
+without a closed form; the closed forms are integer arithmetic, and
+``_as_int`` checks that each division leaves no remainder).  ``_instance``
 assembles every instance: the order function validates the parameters before
 the builder runs, the edge count is checked against the order, a name other
 than the ``_FAMILIES`` key must be the one the builder returns, and the one
 ``FamilySpec`` takes the parameters in the family's order.  ``NAMES`` lists
-the families and ``parse_params`` reads their ``key=value`` parameters;
+the families (the choices of ``gen --family``) and ``parse_params`` reads
+their ``key=value`` parameters;
 ``spec_meta`` is the metadata of an instance's tree file, and
 ``spec_from_meta`` checks a tree, through its ``RootedView``, against it
 and returns the spec.
@@ -283,14 +285,6 @@ def spec_from_meta(rv: RootedView, meta: dict[str, str]) -> FamilySpec | None:
         if len(kids) == rv.n - 1 and all(written.get(k) == v for k, v in claims):
             return spec
     raise FormatError("tree does not match its family metadata")
-
-
-def closed_form_hc(spec: FamilySpec) -> int:
-    """Closed-form hamiltonian chromatic number for a recognised family
-    instance: the generators set ``expected_hc`` only for those."""
-    if spec.expected_hc is not None:
-        return spec.expected_hc
-    raise BadParamsError(f"no closed form for family {spec.family!r} with {spec.params}")
 
 
 def family_certificate(spec: FamilySpec | None, rv: RootedView) -> _ord.Certificate:

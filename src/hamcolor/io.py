@@ -9,7 +9,9 @@ A file in the format hamcolor writes is converted in one ``json.loads`` call,
 after one ``bytes.translate`` call checks its bytes and the shape of its
 lines: ASCII digits and ``-``, one space between the two tokens of a line,
 every line ended by LF, and for a tree an optional leading block of
-``# key: value`` lines.  Any miss on that path (a file outside the format, a
+``# key: value`` lines (with the digits and ``-`` deleted, exactly the
+spaces and LFs of that format must be left).  A byte that is not UTF-8 is a
+``FormatError``.  Any miss on that path (a file outside the format, a
 shape or count mismatch, or a coloring not in id order) reads the text again
 with the general reader, which walks it one line at a time and returns the
 result or names the first bad line.  A tree file that passes reaches

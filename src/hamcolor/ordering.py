@@ -14,13 +14,14 @@ the induced coloring attains the bound if and only if it holds.  It builds
 that coloring in ``_arithmetic``, the one increment pass, and checks it
 with ``_window``, the one pair check, along the same ordering
 (``solver.verify_coloring`` runs the window over the vertices sorted by
-color).  ``search_ordering`` is a deterministic greedy that builds one
-ordering and returns its certificate, passing or not, as ``check_spacing``
-does; only ``families.family_certificate`` raises on one.  It pays a heap
-step only for a vertex whose place is still open, and with one weight center
-it appends the tail of single-vertex branches (the leaves at a star's or a
-broom's hub) in one sort.  ``min_span_for_order`` is the greedy
-completion: the least valid colors along any ordering, which completes
+color).  ``coloring_from_ordering`` is the coloring of that same pass for
+any ordering, checked or not.  ``search_ordering`` is a deterministic greedy
+that builds one ordering and returns its certificate, passing or not, as
+``check_spacing`` does; only ``families.family_certificate`` raises on one.
+It pays a heap step only for a vertex whose place is still open, and with
+one weight center it appends the tail of single-vertex branches (the leaves
+at a star's or a broom's hub) in one sort.  ``min_span_for_order`` is the
+greedy completion: the least valid colors along any ordering, which completes
 ``solver.exact_hc``'s witness.
 
 The certificates require n >= 4 and maximum degree >= 3.

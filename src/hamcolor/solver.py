@@ -9,7 +9,10 @@ color completion along the ordering (``ordering.min_span_for_order``); the
 completion is pointwise minimal for a fixed ordering, so the overall minimum
 is the hamiltonian chromatic number.
 The search runs on the pure-Python kernel in ``_bnb_py``, which
-:func:`search_backend` names for benchmark records.  Node budgets are
+:func:`search_backend` names for benchmark records, and which reads the
+rooting of the ``RootedView`` ``exact_hc`` was given: the tree is rooted
+once per call and its distance matrix built once, as rows, by rerooting the
+search from vertex 0 rather than by n searches.  Node budgets are
 deterministic, so runs are reproducible.
 """
 
@@ -110,9 +113,10 @@ def exact_hc(rv: RootedView, budget: int | None = None) -> ExactResult:
     except RecursionError:  # the kernel recurses once per placed vertex
         raise TooLargeError(f"n={n} is too deep for the recursive exact search") from None
     if order is None:
-        # budget exhausted before any leaf: fall back to a greedy completion
+        # budget exhausted before any leaf, so ``hit`` is set: fall back to a
+        # greedy completion
         witness = min_span_for_order(rv, list(range(n)))
-        span, hit = witness.span, True
+        span = witness.span
     else:
         witness = min_span_for_order(rv, order)
         if witness.span != span:

@@ -17,6 +17,9 @@ center(s), which gives the distance decomposition
                                          sides of the center edge, else 0,
 
 used throughout for bound arithmetic and ordering certificates.
+``RootedView.detour_distance`` is the one per-pair distance query: O(1) for
+two vertices that share no branch, while two vertices of one branch walk up
+to their deepest common ancestor.
 
 Construction makes one pass over the edges: it unpacks each, checks that
 both ends are plain ints in 0..n-1 and appends it to both adjacency lists,
@@ -31,9 +34,10 @@ is kept: the subtree sizes below each vertex, rooted at 0, are summed over
 it, the diameter and the distance rows start from it, and
 :class:`RootedView` reroots it at the weight center(s), turning round only
 the parents on the path from a center up to 0, so an analysis runs one
-search in all.  :func:`weight_centers` walks down those sizes to the
-center(s) (Zelinka's characterisation, proved in its docstring) without
-computing any vertex's weight.  ``RootedView._distance`` is the distance
+search in all, and so does each ``color``, ``verify`` and ``exact`` call.
+:func:`weight_centers` walks down those sizes to the center(s) (Zelinka's
+characterisation, proved in its docstring) without computing any vertex's
+weight.  ``RootedView._distance`` is the distance
 query without its id checks, for callers whose ids are already valid.
 """
 

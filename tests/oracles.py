@@ -251,7 +251,6 @@ def rescan_bnb_exact(
     dist: Sequence[int],
     n: int,
     budget: int = -1,
-    incumbent: int = -1,
     tie_break: bool = True,
     orbits: bool = True,
 ):
@@ -260,7 +259,6 @@ def rescan_bnb_exact(
 
     dist       flat row-major distance matrix of a tree, length n*n
     budget     maximum number of vertex placements, or -1 for unlimited
-    incumbent  known upper bound to prune against, or -1 for none
     tie_break  apply rule 6: when no unplaced vertex other than the
                candidate has level L(first) and an id above first, the last
                vertex's level is above L(first); False turns it off
@@ -269,8 +267,8 @@ def rescan_bnb_exact(
                automorphism fixes the first; False turns it off
 
     Returns ``(best_span, best_order, nodes, limit_hit)``; ``best_order`` is
-    None (and ``best_span`` -1) when no complete ordering beat the incumbent
-    or the budget ran out first.
+    None (and ``best_span`` -1) when the budget ran out before the first
+    complete ordering.
     """
     level, bicentral = weight_levels(dist, n)
     step = n - 2 if bicentral else n - 1
@@ -284,8 +282,8 @@ def rescan_bnb_exact(
     state = {
         "nodes": 0,
         "limit_hit": False,
-        "stop": 0 <= incumbent <= target,
-        "best_span": incumbent,
+        "stop": False,
+        "best_span": -1,
         "best_order": None,
     }
 
@@ -360,8 +358,7 @@ def rescan_bnb_exact(
             place(m + 1, c, rest)
             used[v] = False
 
-    if not state["stop"]:
-        place(0, 0, sum(level))
+    place(0, 0, sum(level))
 
     if state["best_order"] is None:
         return -1, None, state["nodes"], state["limit_hit"]

@@ -12,7 +12,6 @@ import oracles
 from hamcolor.bounds import compare_bounds, lower_bound_weight
 from hamcolor.errors import SearchFailedError
 from hamcolor.families import (
-    closed_form_hc,
     family_certificate,
     generate,
 )
@@ -35,7 +34,7 @@ def test_c01_even_a_tree_closed_forms(exact_of):
     start = time.perf_counter()
     for d, want in ((4, 30), (6, 220)):
         tree, spec = generate("a_tree", {"d": d})
-        assert closed_form_hc(spec) == want
+        assert spec.expected_hc == want
         assert lower_bound_weight(analyze(tree)) == want
         assert certified_span(tree, spec) == want
     assert time.perf_counter() - start < 1.0
@@ -48,7 +47,7 @@ def test_c02_broom_closed_forms(exact_of):
     cases = ((6, 3, 14), (10, 4, 58), (15, 5, 157))
     for n, d, want in cases:
         tree, spec = generate("broom", {"n": n, "d": d})
-        assert closed_form_hc(spec) == want
+        assert spec.expected_hc == want
         assert lower_bound_weight(analyze(tree)) == want
         assert certified_span(tree, spec) == want
     assert exact_of(generate("broom", {"n": 6, "d": 3})[0]).hc == 14
@@ -67,7 +66,7 @@ def test_c04_odd_a_tree_base_coefficient(exact_of):
     want = 9
     assert exact_of(tree).hc == want
     assert lower_bound_weight(analyze(tree)) == want
-    assert closed_form_hc(spec) == want
+    assert spec.expected_hc == want
     # a plausible mis-transcription of the odd closed form -- leading
     # coefficient 1/3 instead of 4/3 -- lands on 3 and is provably wrong
     k = 1
@@ -145,7 +144,7 @@ def test_c10_caterpillar_spot_values(exact_of):
     start = time.perf_counter()
     for m, d, want in ((3, 3, 4), (4, 3, 12)):
         tree, spec = generate("caterpillar", {"m": m, "d": d})
-        assert closed_form_hc(spec) == want
+        assert spec.expected_hc == want
         assert lower_bound_weight(analyze(tree)) == want
         assert certified_span(tree, spec) == want
         assert exact_of(tree).hc == want

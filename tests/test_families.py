@@ -9,7 +9,6 @@ from hamcolor.errors import BadParamsError, FormatError, InternalError, NotAppli
 from hamcolor.families import (
     META_KEYS,
     FamilySpec,
-    closed_form_hc,
     family_certificate,
     family_ordering,
     generate,
@@ -287,11 +286,9 @@ class TestGenerate:
                 spec_from_meta(analyze(t), {"family": "star", "params": "n=4"})
 
     def test_closed_form_lookup(self):
-        assert closed_form_hc(generate("star", {"n": 6})[1]) == 16
-        with pytest.raises(BadParamsError):
-            closed_form_hc(generate("broom", {"n": 9, "d": 4})[1])
-        with pytest.raises(BadParamsError):
-            closed_form_hc(FamilySpec("star", {"n": 4}))  # recognised family, no value
+        assert generate("star", {"n": 6})[1].expected_hc == 16
+        assert generate("broom", {"n": 9, "d": 4})[1].expected_hc is None
+        assert FamilySpec("star", {"n": 4}).expected_hc is None  # recognised family, no value
 
 
 class TestAssembly:

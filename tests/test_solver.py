@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 from pathlib import Path
@@ -340,25 +339,13 @@ class TestBudget:
 
 
 class TestKernel:
-    """The kernel's incumbent argument, its prefix slot, its matrix-only
+    """The kernel's fixed prefix and incumbent slots, its matrix-only
     fallback and its twin and orbit helpers, called directly."""
 
     @staticmethod
     def flat(tree):
         """networkx's distance matrix of ``tree``, flat and row-major."""
         return [d for row in oracles.nx_distance_matrix(tree) for d in row]
-
-    def run(self, tree, incumbent=-1):
-        return solver._kernel.bnb_exact(self.flat(tree), tree.n, -1, (), incumbent)
-
-    def test_incumbent(self, corpus, exact_of):
-        for t in corpus[6]:
-            hc = exact_of(t).hc
-            # nothing strictly beats the optimum
-            span, order, _, hit = self.run(t, incumbent=hc)
-            assert (span, order, hit) == (-1, None, False)
-            # a loose incumbent does not change the answer
-            assert self.run(t, incumbent=hc + 3)[0] == hc
 
     def test_twins_match_the_row_comparison(self, corpus):
         # every non-isomorphic tree with n <= 10, relabelled
@@ -390,15 +377,13 @@ class TestKernel:
             perm = list(range(t.n))
             rng.shuffle(perm)
             t = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
-            rv = analyze(t)
             dist = self.flat(t)
-            lb = lower_bound_weight(rv)
             # budgets that stop at the last node of a full search and one before it
             full = solver._kernel.bnb_exact(dist, t.n)[2]
-            for budget, incumbent in itertools.product((-1, 0, 1, 7, 50, full, full - 1), (-1, lb, lb + 1, lb + 2)):
-                want = oracles.rescan_bnb_exact(dist, t.n, budget, incumbent)
-                got = solver._kernel.bnb_exact(dist, t.n, budget, (), incumbent)
-                assert got == want, (t.edges, budget, incumbent)
+            for budget in (-1, 0, 1, 7, 50, full, full - 1):
+                want = oracles.rescan_bnb_exact(dist, t.n, budget)
+                got = solver._kernel.bnb_exact(dist, t.n, budget, (), -1)
+                assert got == want, (t.edges, budget)
                 limit_hits += got[3]
         assert limit_hits > 0
 
@@ -433,7 +418,7 @@ class TestKernel:
             flat = self.flat(t)
             span, _, nodes, _ = oracles.rescan_bnb_exact(flat, t.n)
             for rule, flags in (("rule 6", (False, True)), ("rule 7", (True, False)), (None, (False, False))):
-                span_without, _, nodes_without, _ = oracles.rescan_bnb_exact(flat, t.n, -1, -1, *flags)
+                span_without, _, nodes_without, _ = oracles.rescan_bnb_exact(flat, t.n, -1, *flags)
                 assert span == span_without, (t.edges, flags)
                 assert nodes <= nodes_without, (t.edges, flags)
                 if rule:
@@ -475,7 +460,8 @@ class TestKernel:
         # which roots the pairs at distance 1 itself, is the search with the
         # caller's view node for node on every tree with n <= 10, relabelled,
         # also when every other entry of the matrix is junk, and the call
-        # with the view reads no matrix; a forced prefix is refused
+        # with the view reads no matrix; a forced prefix or an incumbent
+        # other than -1 is refused
         rng = random.Random(47)
         trees = [t for n in range(1, 9) for t in corpus[n]]
         trees += [Tree(n, [(int(u), int(v)) for u, v in g.edges()]) for n in (9, 10) for g in nx.nonisomorphic_trees(n)]
@@ -488,10 +474,17 @@ class TestKernel:
             dist = self.flat(rv.tree)
             for matrix in (dist, [d if d == 1 else 7 for d in dist]):
                 assert solver._kernel.bnb_exact(matrix, t.n, -1, (), -1) == want, rv.tree.edges
-        dist = self.flat(corpus[6][0])
+        t = corpus[6][0]
+        dist = self.flat(t)
         for prefix in ((0,), [1, 0]):
             with pytest.raises(BadParamsError):
                 solver._kernel.bnb_exact(dist, 6, -1, prefix, -1)
+        rv = analyze(t)
+        lb, hc = lower_bound_weight(rv), exact_hc(rv).hc
+        for incumbent in (0, lb, hc + 3):
+            with pytest.raises(BadParamsError):
+                solver._kernel.bnb_exact(dist, 6, -1, (), incumbent)
+        assert solver._kernel.bnb_exact(dist, 6, -1, (), -1)[0] == hc
 
     def test_matrix_of_no_tree_is_refused(self):
         # the pairs at distance 1 of the triangle close a cycle

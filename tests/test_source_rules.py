@@ -7,8 +7,9 @@ names a family; only the exact kernel reads the n x n distance matrix,
 so no other path allocates one; the closed forms are integer arithmetic, so the package
 does not load ``fractions``; the modules import each other only at
 module level and without a cycle; every module-level function has a
-caller inside the package, or is a named entry point; and every option a
-verb accepts is read by that verb's handler.
+caller inside the package, or is an entry point that the benchmark file
+named for it still calls; and every option a verb accepts is read by that
+verb's handler.
 """
 
 import argparse
@@ -112,12 +113,12 @@ def test_package_imports_are_module_level_and_acyclic():
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
-# public functions no package module calls, kept for the callers named here
+# public functions no package module calls, each kept for the benchmark
+# file named here, which must name it too: an exemption goes with its caller
 ENTRY_POINTS = {
-    "closed_form_hc",  # the public closed-form query; ROADMAP item 10 extends it to spiders
-    "family_ordering",  # perfbench/workloads.py:151 builds verify-mixed's orderings with it
-    "coloring_from_ordering",  # perfbench/workloads.py:152 colors those orderings with it
-    "search_backend",  # perfbench/client.py:310 records the kernel's name in every result
+    "family_ordering": "perfbench/workloads.py",  # :151 builds verify-mixed's orderings with it
+    "coloring_from_ordering": "perfbench/workloads.py",  # :152 colors those orderings with it
+    "search_backend": "perfbench/client.py",  # :310 records the kernel's name in every result
 }
 
 
@@ -137,10 +138,14 @@ def test_every_function_has_a_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert ENTRY_POINTS <= defined.keys()
+    assert ENTRY_POINTS.keys() <= defined.keys()
     orphans = [f"{where}: {name}" for name, where in defined.items()
                if name not in used and name not in ENTRY_POINTS]
     assert orphans == []
+    root = Path(__file__).resolve().parent.parent
+    uncalled = [f"{path}: {name}" for name, path in ENTRY_POINTS.items()
+                if not re.search(rf"\b{name}\b", (root / path).read_text(encoding="utf-8"))]
+    assert uncalled == []
 
 
 def test_every_option_is_read_by_its_verb():
