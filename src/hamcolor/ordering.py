@@ -18,11 +18,12 @@ color).  ``coloring_from_ordering`` is the coloring of that same pass for
 any ordering, checked or not.  ``search_ordering`` is a deterministic greedy
 that builds one ordering and returns its certificate, passing or not, as
 ``check_spacing`` does; only ``families.family_certificate`` raises on one.
-It pays a heap step only for a vertex whose place is still open, and with
-one weight center it appends the tail of single-vertex branches (the leaves
-at a star's or a broom's hub) in one sort.  ``min_span_for_order`` is the
-greedy completion: the least valid colors along any ordering, which completes
-``solver.exact_hc``'s witness.
+It keeps a stack only for a branch of more than one vertex and pays a heap
+step only for a vertex whose place is still open; with one weight center it
+appends the tail of single-vertex branches (the leaves at a broom's hub) in
+one sort, and a star, all tail, takes no heap at all.
+``min_span_for_order`` is the greedy completion: the least valid colors
+along any ordering, which completes ``solver.exact_hc``'s witness.
 
 The certificates require n >= 4 and maximum degree >= 3.
 """
@@ -205,17 +206,21 @@ def min_span_for_order(rv: RootedView, order: Sequence[int]) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def _branch_queues(rv: RootedView) -> list[list[int]]:
-    """Per-branch stacks popping deepest-first (ties to the smaller id).
+def _branch_queues(rv: RootedView) -> list[list[int] | None]:
+    """Per-branch stacks popping deepest-first (ties to the smaller id), and
+    None for a branch that is its root alone.
 
-    One stable sort by level of the ids in descending order gives every
-    branch its vertices by (level, -id), which is the stack order."""
-    queues: list[list[int]] = [[] for _ in rv.branch_roots]
-    branch = rv.branch
-    for v in sorted(range(rv.n - 1, -1, -1), key=rv.level.__getitem__):
-        bid = branch[v]
-        if bid is not None:
-            queues[bid].append(v)
+    The root of a branch is its one level-1 vertex, so it sits at the bottom
+    of its stack.  One stable sort by level of the ids in descending order
+    puts the centers and the roots first and then every deeper vertex by
+    (level, -id), which is the stack order above the root; each vertex past
+    the centers and roots has a root of degree > 1, so its branch has a
+    stack."""
+    adj, branch = rv.tree.adj, rv.branch
+    queues = [[r] if len(adj[r]) > 1 else None for r in rv.branch_roots]
+    skip = len(rv.weight_centers) + len(queues)
+    for v in sorted(range(rv.n - 1, -1, -1), key=rv.level.__getitem__)[skip:]:
+        queues[branch[v]].append(v)  # type: ignore[union-attr]
     return queues
 
 
@@ -235,29 +240,43 @@ def search_ordering(rv: RootedView) -> Certificate:
     O(log n) instead of a scan over every branch.  One loop places the
     vertices: it pops the top key, pushes back the branch taken at the
     previous step if that branch still has vertices, takes the popped
-    branch's deepest vertex, keeps that branch as the next step's push-back
-    (its key rises by nb) and switches to the other side's heap.  With one
-    center the previous branch is thus out of the heap during exactly the pop
-    that must skip it; with two it re-enters its own heap before that heap's
-    next pop.
+    branch's deepest vertex (the top of its stack, or its root when
+    :func:`_branch_queues` gave it none), keeps that branch as the next
+    step's push-back if it has a vertex left (its key rises by nb) and
+    switches to the other side's heap.  With one center the previous branch
+    is thus out of the heap during exactly the pop that must skip it; with
+    two it re-enters its own heap before that heap's next pop.
 
     With one center the loop stops at a single-vertex tail.  When a step
     empties its branch and the top key is at least -nb, every branch left
     holds one vertex.  From there each step sees every count at 1 and the
     previous branch empty, so it takes the smallest branch id left, and its
     own branch empties in turn: the tail is the remaining branches in
-    ascending id, which is their keys sorted.  Only :func:`check_spacing`,
-    at the end, checks applicability: a tree it rejects is a path, whose two
-    equal branches at one center, or one at each of two, never empty a heap
-    before the loop ends.
+    ascending id, which is their keys sorted.  Each of them holds its root
+    alone, as a stack keeps its root at the bottom.
+
+    A star (one center, every branch its root alone, so n = nb + 1) needs no
+    keys and no heap.  There every key is bid - nb, so the first pop takes
+    branch 0, the smallest key, and empties it; the top key left is at
+    least -nb, so the tail rule fires at once and appends the other
+    branches in ascending id.  The ordering is thus the center and then the
+    roots of branches 0 .. nb - 1, which is ``branch_roots`` (with nb = 0
+    it is the center alone, as the loop never runs).  Only
+    :func:`check_spacing`, at the end, checks applicability: a tree it
+    rejects is a path, whose two equal branches at one center, or one at
+    each of two, never empty a heap before the loop ends; the paths of at
+    most three vertices take the star's ordering, which the loop would give
+    them too.
     """
+    centers, roots = sorted(rv.weight_centers), rv.branch_roots
+    nb = len(roots)
+    if not rv.bicentral and rv.n == 1 + nb:
+        return check_spacing(rv, [centers[0], *roots])  # a star: all tail
     queues = _branch_queues(rv)
-    nb = len(queues)
-    centers = sorted(rv.weight_centers)
-    keys = [bid - len(q) * nb for bid, q in enumerate(queues)]
+    keys = [bid - (1 if q is None else len(q)) * nb for bid, q in enumerate(queues)]
     if rv.bicentral:
         heap, other = [], []  # at the second center, where the first pop goes, and at the first
-        for key, root in zip(keys, rv.branch_roots):
+        for key, root in zip(keys, roots):
             (heap if rv.side[root] == centers[1] else other).append(key)
         heapq.heapify(other)
     else:
@@ -272,11 +291,12 @@ def search_ordering(rv: RootedView) -> Certificate:
         key = heapq.heappop(heap)
         if pending is not None:
             heapq.heappush(*pending)
-        q = queues[key % nb]
-        order.append(q.pop())
+        bid = key % nb
+        q = queues[bid]
+        order.append(roots[bid] if q is None else q.pop())
         pending = (heap, key + nb) if q else None
         if pending is None and not rv.bicentral and heap and heap[0] >= -nb:
-            order += [queues[k % nb][0] for k in sorted(heap)]
+            order += [roots[k % nb] for k in sorted(heap)]
             break
         heap, other = other, heap
     order += centers[1:]

@@ -323,13 +323,16 @@ def double_broom(a: int, p: int, b: int, q: int) -> Tree:
 
 
 def tail_pops(rv, order) -> int:
-    """Heap pops the greedy makes before its one-center tail takes over: the
+    """Heap pops the greedy makes before its one-center tail takes over: 0
+    when every branch holds one vertex from the start (a star), else the
     first step p after which every branch left holds one vertex and the
     branch of order[p] is empty (n - 1, no tail, when that is the last step)."""
     left: dict = {}
     for v in order[1:]:
         left[rv.branch[v]] = left.get(rv.branch[v], 0) + 1
     multi = sum(c > 1 for c in left.values())
+    if multi == 0:
+        return 0
     for p in range(1, len(order)):
         bid = rv.branch[order[p]]
         left[bid] -= 1
@@ -390,6 +393,49 @@ class TestGreedyTail:
                     # the tail fires at the first step it can
                     assert pops == tail_pops(rv, oracles.linear_scan_greedy(rv)) < rv.n - 1, (base, perm)
         assert kinds[True] > 50 and kinds[False] > 1000, kinds
+
+
+class TestGreedyWork:
+    """The work the greedy skips: no stack for a branch that is its root
+    alone, and no heap at all on a star."""
+
+    def test_stacks_only_for_branches_past_their_root(self):
+        star = generate("star", {"n": 1500})[0]
+        broom = generate("broom", {"n": 600, "d": 25})[0]
+        double = double_broom(6, 5, 8, 3)
+        for tree, bicentral in ((star, False), (broom, False), (double, True)):
+            rv = analyze(tree)
+            assert rv.bicentral == bicentral
+            members: dict = {}
+            for v in range(rv.n):
+                if rv.branch[v] is not None:
+                    members.setdefault(rv.branch[v], []).append(v)
+            queues = ordering._branch_queues(rv)
+            assert len(queues) == len(members)
+            for bid, q in enumerate(queues):
+                if len(members[bid]) == 1:
+                    assert q is None, (tree, bid)
+                else:
+                    # popping from the end takes the deepest, then the least id
+                    assert q == sorted(members[bid], key=lambda v: (rv.level[v], -v)), (tree, bid)
+            # each tree has leaves at a center; all but the star have a stack
+            assert None in queues
+            assert any(q is not None for q in queues) == (tree is not star)
+
+    def test_star_makes_no_heap_pop(self, monkeypatch):
+        def no_heap(*args):
+            raise AssertionError("the greedy touched a heap on a star")
+
+        monkeypatch.setattr(ordering, "heapq", SimpleNamespace(heappop=no_heap, heappush=no_heap, heapify=no_heap))
+        rng = random.Random(48)
+        for n in (4, 5, 9, 1500):
+            base = generate("star", {"n": n})[0]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rv = analyze(Tree(n, [(perm[u], perm[v]) for u, v in base.edges]))
+            cert = search_ordering(rv)
+            assert cert.ok and cert.ordering == (perm[0], *sorted(perm[1:]))
+            assert list(cert.ordering) == oracles.linear_scan_greedy(rv)
 
 
 class TestSpacingSoundness:
@@ -458,8 +504,11 @@ class TestSearchOrdering:
 
     def test_no_allowed_branch_guard(self):
         # a doctored view with one branch holding three of four vertices: the
-        # greedy runs out of branches other than the one it just used
-        rv = analyze(generate("star", {"n": 5})[0])
+        # greedy runs out of branches other than the one it just used.  The
+        # tree is rooted at 0 instead of its weight center 1, so that the
+        # branch's root 1 has the children 2 and 3
+        rv = analyze(Tree(5, [(0, 1), (1, 2), (1, 3), (0, 4)]))
+        rv.weight_centers, rv.level = frozenset({0}), (0, 1, 2, 2, 1)
         rv.branch, rv.branch_roots = (None, 0, 0, 0, 1), (1, 4)
         with pytest.raises(InternalError, match="no allowed branch has an unplaced vertex"):
             search_ordering(rv)
