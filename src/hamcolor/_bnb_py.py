@@ -90,7 +90,8 @@ the child is never called: rule 1 fires in the parent, before the call.
 The pass also builds the child's candidate list: rule 3 leaves out each twin
 whose smaller twin is unplaced, and rule 2 leaves out each key that reaches
 the incumbent already with the least unplaced level as L(last), which no
-vertex's own end can undercut.  The child checks rule 2
+vertex's own end can undercut.  A child whose list comes out empty would
+place nothing, so it is not called either.  The child checks rule 2
 again with its candidate's exact L(last) and the incumbent of the moment,
 which only falls, so each rule drops exactly the candidates it dropped when
 every node rescanned all n vertices, and the search, its order and its node
@@ -278,7 +279,8 @@ def bnb_exact(
                 if key < cut and used[before[w]]:
                     sub.append((key, need, w))
             else:
-                place(m + 1, sub, left, rest, ties - (lv == lf and v > first), fnext)
+                if sub:
+                    place(m + 1, sub, left, rest, ties - (lv == lf and v > first), fnext)
             used[v] = False
 
     # rule 1 at the root, where every forced color is 0

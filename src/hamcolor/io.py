@@ -171,17 +171,15 @@ def load_coloring(path: str, n: int) -> Coloring:
 
 
 def format_coloring(coloring: Coloring) -> str:
-    """n lines ``v c``; colors that are all exactly ``int`` go through one
-    ``%`` format over the ids and colors interleaved, which writes each as
-    ``str`` does."""
+    """n lines ``v c``, in one ``%`` format over the ids and colors
+    interleaved, which writes each int as ``str`` does; the empty coloring
+    is one LF."""
     colors = coloring.colors
-    if set(map(type, colors)) != {int}:  # empty, or a float or int subclass, which % writes otherwise
-        return "\n".join(f"{v} {c}" for v, c in enumerate(colors)) + "\n"
     n = len(colors)
     flat = [0] * (2 * n)
     flat[::2] = range(n)
     flat[1::2] = colors
-    return "%d %d\n" * n % tuple(flat)
+    return "%d %d\n" * n % tuple(flat) or "\n"
 
 
 def to_dot(tree: Tree, coloring: Coloring | None = None) -> str:

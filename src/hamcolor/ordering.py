@@ -31,20 +31,24 @@ The certificates require n >= 4 and maximum degree >= 3.
 from __future__ import annotations
 
 import heapq
-import operator
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from .bounds import lower_bound_weight, require_applicable
-from .errors import InternalError, NotAPermutationError
+from .errors import InternalError, NegativeColorError, NotAPermutationError
 from .tree import RootedView
 
 
 @dataclass(frozen=True)
 class Coloring:
-    """Vertex colors indexed by vertex id."""
+    """Vertex colors indexed by vertex id, each exactly ``int``; any other
+    color, a bool or a float too, is a ``NegativeColorError``."""
 
     colors: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if set(map(type, self.colors)) - {int}:
+            raise NegativeColorError(f"bad color {next(c for c in self.colors if type(c) is not int)!r}")
 
     @property
     def span(self) -> int:
@@ -73,17 +77,13 @@ class Certificate:
 
 
 def validate_ordering(n: int, order: Sequence[int]) -> list[int]:
-    """Check that ``order`` is a permutation of 0..n-1 and return it as a list
-    of plain ints; an entry is read with ``operator.index``, so ``1.0`` is
-    rejected and ``True`` is read as 1."""
+    """Check that ``order`` is a permutation of 0..n-1 (n >= 1) whose entries
+    are exactly ``int``, so ``True`` and ``1.0`` are refused, and return it
+    as a list."""
     o = list(order)
-    try:
-        ints: list[int] | None = list(map(operator.index, o))
-    except TypeError:
-        ints = None
-    if ints is None or len(ints) != n or sorted(ints) != list(range(n)):
+    if len(o) != n or set(map(type, o)) != {int} or sorted(o) != list(range(n)):
         raise NotAPermutationError(f"ordering must be a permutation of 0..{n - 1}, got {o!r}")
-    return ints
+    return o
 
 
 def _window(rv: RootedView, seq: Sequence[int], cs: Sequence[int], first: int = 1):

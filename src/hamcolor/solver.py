@@ -72,7 +72,8 @@ class ExactResult:
 def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
     """All pairs violating  d(u, v) + |h(u) - h(v)| >= n - 1;  empty means valid.
 
-    The vertices are sorted by color and walked by the color window, so no
+    ``Coloring`` proves the colors ints; a negative one is refused.  The
+    vertices are sorted by color and walked by the color window, so no
     distance matrix is built and a certified coloring, its colors spread
     out, verifies in near linear time.  Violations come sorted by (u, v),
     with u < v.
@@ -81,9 +82,8 @@ def verify_coloring(rv: RootedView, coloring: Coloring) -> list[Violation]:
     colors = coloring.colors
     if len(colors) != n:
         raise IncompleteColoringError(f"{len(colors)} colors for {n} vertices")
-    for c in colors:
-        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-            raise NegativeColorError(f"bad color {c!r}")
+    if min(colors) < 0:
+        raise NegativeColorError(f"bad color {next(c for c in colors if c < 0)!r}")
     by_color = sorted(range(n), key=colors.__getitem__)
     out = [
         Violation(*sorted((by_color[i], by_color[j])), need, gap)

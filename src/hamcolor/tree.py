@@ -21,14 +21,15 @@ used throughout for bound arithmetic and ordering certificates.
 two vertices that share no branch, while two vertices of one branch walk up
 to their deepest common ancestor.
 
+A vertex id, and the order n, is exactly ``int``: a bool, another int
+subclass or an object with ``__index__`` is a ``BadVertexIdError``.
 Construction makes one pass over the edges: it unpacks each, checks that
 both ends are plain ints in 0..n-1 and appends it to both adjacency lists,
 then sorts only the lists with more than one entry.  A self-loop or a
 duplicate edge leaves fewer than n-1 real edges, so the graph cannot be
 connected; when that pass, the edge count or the connectivity search
 fails, :func:`_checked_edges` walks the edges again in input order, so the
-first faulty edge decides the error.  Bools and other int subclasses take
-that walk too and are stored as plain ints.  ``Tree.edges`` is read from
+first faulty edge decides the error.  ``Tree.edges`` is read from
 the sorted adjacency on first use.  The connectivity search from vertex 0
 is kept: the subtree sizes below each vertex, rooted at 0, are summed over
 it, the diameter and the distance rows start from it, and
@@ -44,7 +45,7 @@ query without its id checks, for callers whose ids are already valid.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .errors import BadVertexIdError, InternalError, NotATreeError
 
@@ -53,15 +54,15 @@ class Tree:
     """Immutable undirected tree on vertices 0..n-1."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise BadVertexIdError(f"order must be a positive integer, got {n!r}")
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)  # a miss below reads the edges a second time
         adj = _sorted_adjacency(n, edges)
         if adj is None:
-            adj = _sorted_adjacency(n, _checked_edges(n, edges))
+            _checked_edges(n, edges)
         self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = adj  # type: ignore[assignment]
+        self.adj: tuple[tuple[int, ...], ...] = adj
         # connectivity; with exactly n-1 edges this also rules out cycles.
         # The search is kept: subtree sizes, the diameter and the rooted view start from it too
         self._bfs_from_0 = self.bfs([0])
@@ -69,7 +70,6 @@ class Tree:
             # a self-loop or a duplicate leaves fewer than n-1 real edges,
             # so it disconnects the graph; the walk names the first one
             _checked_edges(n, edges)
-            raise NotATreeError("graph is not connected")
         _, parent, order = self._bfs_from_0
         self._sizes_from_0 = size = [1] * n  # each subtree's order, rooted at 0
         for u in reversed(order[1:]):  # children before their parents
@@ -81,7 +81,7 @@ class Tree:
         return tuple([(u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v])
 
     def check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not (0 <= v < self.n):
+        if type(v) is not int or not (0 <= v < self.n):
             raise BadVertexIdError(f"vertex {v!r} outside 0..{self.n - 1}")
 
     def bfs(self, sources: Iterable[int]) -> tuple[list[int], list[int | None], list[int]]:
@@ -171,17 +171,16 @@ def _sorted_adjacency(n: int, edges: list | tuple) -> tuple[tuple[int, ...], ...
     return tuple(map(tuple, adj))
 
 
-def _checked_edges(n: int, edges: list | tuple) -> list[tuple[int, int]]:
-    """Check each edge in input order and raise on the first fault; with
-    none, the edges as pairs of plain ints (bools and other int subclasses
-    converted), in no particular order."""
+def _checked_edges(n: int, edges: list | tuple) -> NoReturn:
+    """Raise on the first faulty edge in input order, else on the edge
+    count; n - 1 edges with no fault are refused only as not connected."""
     seen: set[tuple[int, int]] = set()
     for e in edges:
         try:
             u, v = e
         except (TypeError, ValueError):
             raise BadVertexIdError(f"edge {e!r} is not a vertex pair") from None
-        if not isinstance(u, int) or not isinstance(v, int):
+        if type(u) is not int or type(v) is not int:
             raise BadVertexIdError(f"edge {e!r} has non-integer endpoints")
         if not (0 <= u < n and 0 <= v < n):
             raise BadVertexIdError(f"edge {e!r} outside vertex range 0..{n - 1}")
@@ -193,7 +192,7 @@ def _checked_edges(n: int, edges: list | tuple) -> list[tuple[int, int]]:
         seen.add(key)
     if len(seen) != n - 1:
         raise NotATreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(seen)}")
-    return [(int(u), int(v)) for u, v in seen]
+    raise NotATreeError("graph is not connected")
 
 
 def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:

@@ -627,7 +627,7 @@ class ReferenceTree:
     every adjacency list; only ``n``, ``edges`` and ``adj`` are kept."""
 
     def __init__(self, n: int, edges):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise BadVertexIdError(f"order must be a positive integer, got {n!r}")
         norm = []
         seen = set()
@@ -636,7 +636,7 @@ class ReferenceTree:
                 u, v = e
             except (TypeError, ValueError):
                 raise BadVertexIdError(f"edge {e!r} is not a vertex pair") from None
-            if not isinstance(u, int) or not isinstance(v, int):
+            if type(u) is not int or type(v) is not int:
                 raise BadVertexIdError(f"edge {e!r} has non-integer endpoints")
             if not (0 <= u < n and 0 <= v < n):
                 raise BadVertexIdError(f"edge {e!r} outside vertex range 0..{n - 1}")
@@ -661,7 +661,7 @@ class ReferenceTree:
             raise NotATreeError("graph is not connected")
 
     def check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not (0 <= v < self.n):
+        if type(v) is not int or not (0 <= v < self.n):
             raise BadVertexIdError(f"vertex {v!r} outside 0..{self.n - 1}")
 
     def bfs(self, sources):

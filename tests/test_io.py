@@ -8,7 +8,7 @@ import oracles
 import hamcolor.io
 import hamcolor.tree
 from hamcolor.cli import main
-from hamcolor.errors import FormatError, HamcolorError, NotATreeError
+from hamcolor.errors import BadVertexIdError, FormatError, HamcolorError, NegativeColorError, NotATreeError
 from hamcolor.families import META_KEYS
 from hamcolor.io import (
     format_coloring,
@@ -73,11 +73,12 @@ class TestTreeFormat:
         with pytest.raises(NotATreeError):
             parse_tree_text("3\n0 1\n0 1\n")
 
-    def test_int_subclass_endpoints_stored_as_plain_ints(self):
-        # True == 1, so only the types can tell
-        t = Tree(3, [(True, 0), (1, 2)])
+    def test_int_subclass_endpoints_refused(self):
+        # True == 1, so only the types can tell; the reader builds plain ints
+        with pytest.raises(BadVertexIdError, match="non-integer endpoints"):
+            Tree(3, [(True, 0), (1, 2)])
+        t, _ = parse_tree_text("3\n1 0\n1 2\n")
         assert all(type(x) is int for nbrs in t.adj for x in nbrs)
-        assert all(type(x) is int for e in t.edges for x in e)
         assert format_tree(t) == "3\n0 1\n1 2\n"
 
     def test_load_tree(self, tmp_path):
@@ -107,12 +108,14 @@ class TestColoringFormat:
             assert format_coloring(Coloring(colors)) == self.joined(colors), colors
         assert format_coloring(Coloring(())) == "\n"
 
-    def test_int_subclasses_and_floats_fall_back(self):
+    def test_int_subclasses_and_floats_refused(self):
+        # no coloring reaches the writer with a color its reader would refuse
         class Shade(enum.IntEnum):
             DARK = 3
 
         for colors in ((0, True, 2), (False,), (0, 1.5), (2.0, 3), (Shade.DARK, 4), (0, Shade.DARK)):
-            assert format_coloring(Coloring(colors)) == self.joined(colors), colors
+            with pytest.raises(NegativeColorError):
+                Coloring(colors)
 
     def test_lines_in_any_order(self):
         col = parse_coloring_text("2 3\n0 0\n1 2\n", 3)

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import networkx as nx
@@ -490,6 +491,27 @@ class TestKernel:
         # the pairs at distance 1 of the triangle close a cycle
         with pytest.raises(NotATreeError):
             solver._kernel.bnb_exact([0, 1, 1, 1, 0, 1, 1, 1, 0], 3, -1, (), -1)
+
+    def test_no_child_is_called_without_candidates(self):
+        # such a child places nothing: without the check, 227 of the 712
+        # calls of place on these two paths
+        calls, empty = [], []
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame.f_locals["m"])
+                if not frame.f_locals["cand"]:
+                    empty.append(frame.f_locals["m"])
+
+        code = next(c for c in solver._kernel.bnb_exact.__code__.co_consts if getattr(c, "co_name", "") == "place")
+        for n in (9, 10):
+            rv = analyze(path(n))
+            sys.setprofile(watch)
+            try:
+                exact_hc(rv)
+            finally:
+                sys.setprofile(None)
+        assert calls and empty == []
 
 
 def test_backend_reported():
